@@ -1,8 +1,8 @@
 // Reactive (streaming) processing: the web server's log records flow
-// into a sharded StreamEngine — records are hash-partitioned by user
-// across worker shards, each running its own filter chain and per-user
-// incremental Smart-SRA — and completed sessions are reported the moment
-// they close, no offline batch pass. This is the deployment shape the
+// into a sharded StreamEngine — cleaned by the engine's filters on the
+// ingest thread, then hash-partitioned by user across worker shards,
+// each running per-user incremental Smart-SRA — and completed sessions
+// are reported the moment they close, no offline batch pass. This is the deployment shape the
 // paper's title refers to: the server never waits on mining, and the
 // engine scales sessionization across cores.
 
@@ -12,7 +12,6 @@
 #include "wum/mine/path_miner.h"
 #include "wum/simulator/workload.h"
 #include "wum/stream/engine.h"
-#include "wum/stream/operators.h"
 #include "wum/topology/site_generator.h"
 
 int main() {
@@ -59,9 +58,10 @@ int main() {
   wum::mine::MinerOptions mining;
   mining.top_k = 5;
 
-  // The engine owns the whole chain: per-shard cleaning filters, order
-  // guard, per-user incremental Smart-SRA, and the mining tap on the
-  // emit hub.
+  // The engine owns the whole chain: cleaning filters, per-user
+  // incremental Smart-SRA, and the mining tap on the emit hub. The
+  // simulated log is in timestamp order, which is all the sessionizers
+  // need (each user's records must arrive in order).
   wum::Result<std::unique_ptr<wum::StreamEngine>> engine =
       wum::StreamEngine::Create(
           wum::EngineOptions()
@@ -70,18 +70,14 @@ int main() {
               .use_smart_sra(&graph.ValueOrDie())
               .set_mining(mining)
               .add_filter([] { return std::make_unique<wum::MethodFilter>(); })
-              .add_filter([] { return std::make_unique<wum::StatusFilter>(); })
-              .add_operator([] {
-                return std::make_unique<wum::OrderGuardOperator>(
-                    wum::Minutes(5));
-              }),
+              .add_filter([] { return std::make_unique<wum::StatusFilter>(); }),
           &report);
   if (!engine.ok()) {
     std::cerr << engine.status().ToString() << "\n";
     return 1;
   }
 
-  // The ingest thread (this one) only hashes and enqueues; all
+  // The ingest thread (this one) only filters, hashes and enqueues; all
   // sessionization happens on the shard workers.
   for (const wum::LogRecord& record : live_feed) {
     wum::Status offered = (*engine)->Offer(record);

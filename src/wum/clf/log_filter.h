@@ -14,23 +14,26 @@
 
 namespace wum {
 
-/// Predicate over log records; true means "keep".
+/// Predicate over log records; true means "keep". Filters read the
+/// zero-copy view, so the streaming engine runs them on parsed refs
+/// before any copy and batch code passes ViewOf(record).
 class LogFilter {
  public:
   virtual ~LogFilter() = default;
   virtual std::string name() const = 0;
-  virtual bool Keep(const LogRecord& record) const = 0;
+  virtual bool Keep(const LogRecordRef& record) const = 0;
 };
 
-/// Keeps records whose URL path does NOT end with one of the given
-/// extensions (case-insensitive). Default set: common embedded resources.
+/// Keeps records whose URL path (query string stripped) does NOT end with
+/// one of the given extensions, compared case-insensitively without
+/// allocating. Default set: common embedded resources.
 class ExtensionFilter : public LogFilter {
  public:
   ExtensionFilter();
   explicit ExtensionFilter(std::vector<std::string> blocked_extensions);
 
   std::string name() const override { return "extension"; }
-  bool Keep(const LogRecord& record) const override;
+  bool Keep(const LogRecordRef& record) const override;
 
  private:
   std::vector<std::string> blocked_extensions_;  // lowercase, with dot
@@ -41,14 +44,14 @@ class ExtensionFilter : public LogFilter {
 class StatusFilter : public LogFilter {
  public:
   std::string name() const override { return "status"; }
-  bool Keep(const LogRecord& record) const override;
+  bool Keep(const LogRecordRef& record) const override;
 };
 
 /// Keeps GET requests only (the method carrying page navigations).
 class MethodFilter : public LogFilter {
  public:
   std::string name() const override { return "method"; }
-  bool Keep(const LogRecord& record) const override;
+  bool Keep(const LogRecordRef& record) const override;
 };
 
 /// Drops requests for "/robots.txt" and from clients that requested it
@@ -56,7 +59,7 @@ class MethodFilter : public LogFilter {
 class RobotFilter : public LogFilter {
  public:
   std::string name() const override { return "robot"; }
-  bool Keep(const LogRecord& record) const override;
+  bool Keep(const LogRecordRef& record) const override;
 
   /// Registers crawler IPs from a first pass over the log.
   void ObserveForRobots(const std::vector<LogRecord>& records);

@@ -38,7 +38,7 @@
 #include "wum/mine/options.h"
 #include "wum/mine/stream_summary.h"
 #include "wum/obs/metrics.h"
-#include "wum/stream/pipeline.h"
+#include "wum/stream/session_sink.h"
 #include "wum/topology/web_graph.h"
 
 namespace wum::mine {

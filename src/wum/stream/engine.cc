@@ -11,45 +11,9 @@
 #include "wum/mine/path_miner.h"
 #include "wum/obs/log.h"
 #include "wum/stream/heuristic_registry.h"
-#include "wum/stream/operators.h"
-#include "wum/stream/threaded_driver.h"
 #include "wum/topology/web_graph.h"
 
 namespace wum {
-// Named (not anonymous) so StreamEngine::Shard, which has external
-// linkage, can hold members of this type without -Wsubobject-linkage.
-namespace engine_internal {
-
-/// Pass-through stage bumping an atomic counter (and, when enabled, a
-/// registry counter mirroring it), so shard progress is observable from
-/// other threads while the worker runs.
-class CountingSink : public RecordSink {
- public:
-  CountingSink(std::atomic<std::uint64_t>* counter, RecordSink* next,
-               obs::Counter mirror = {})
-      : counter_(counter), next_(next), mirror_(mirror) {}
-
-  Status Accept(const LogRecord& record) override {
-    counter_->fetch_add(1, std::memory_order_relaxed);
-    mirror_.Increment();
-    return next_->Accept(record);
-  }
-
-  Status Finish() override { return next_->Finish(); }
-
- private:
-  std::atomic<std::uint64_t>* counter_;
-  RecordSink* next_;
-  obs::Counter mirror_;
-};
-
-}  // namespace engine_internal
-
-EngineOptions& EngineOptions::add_filter(FilterFactory factory) {
-  return add_operator([factory = std::move(factory)]() {
-    return std::make_unique<FilterOperator>(factory());
-  });
-}
 
 std::string EngineStatsToString(const EngineStats& stats) {
   return "records_in=" + std::to_string(stats.records_in) +
@@ -151,13 +115,13 @@ class StreamEngine::ShardEmit : public SessionSink {
 struct StreamEngine::Shard {
   std::size_t index = 0;
 
-  std::atomic<std::uint64_t> offered{0};    // accepted by Offer
-  std::atomic<std::uint64_t> processed{0};  // entered the operator chain
-  std::atomic<std::uint64_t> delivered{0};  // reached the sessionizer
+  std::atomic<std::uint64_t> offered{0};   // accepted by Offer
+  std::atomic<std::uint64_t> filtered{0};  // of those, dropped by a filter
   std::atomic<std::uint64_t> dead_letters{0};  // records quarantined
   std::atomic<std::uint64_t> shed{0};          // records shed by Offer
 
   obs::Counter records_in;  // mirrors `offered` when metrics are enabled
+  obs::Counter filtered_mirror;
   obs::Counter dead_letter_mirror;
   obs::Counter shed_mirror;
 
@@ -189,10 +153,7 @@ struct StreamEngine::Shard {
                                            // be null (no set_retry)
   std::unique_ptr<ShardEmit> emit;         // -> hub -> retrying/sink
   std::unique_ptr<SessionizeSink> sessionize;  // -> emit
-  std::unique_ptr<engine_internal::CountingSink> tail;  // -> sessionize
-  std::unique_ptr<Pipeline> pipeline;  // operators -> tail
-  std::unique_ptr<engine_internal::CountingSink> head;  // -> pipeline
-  std::unique_ptr<ThreadedDriver> driver;
+  std::unique_ptr<ThreadedDriver> driver;      // -> sessionize
 };
 
 Status StreamEngine::ShardEmit::Accept(const std::string& user_key,
@@ -430,12 +391,21 @@ StreamEngine::StreamEngine(EngineOptions options,
   // an uninstrumented engine does the same atomic work as before the
   // observability layer existed.
   obs::MetricRegistry* registry = options.metrics_;
+  for (const EngineOptions::FilterFactory& make_filter :
+       options.filter_factories_) {
+    filters_.push_back(make_filter());
+  }
+  staging_.resize(options.num_shards_);
+  staging_used_.resize(options.num_shards_, 0);
+  staging_filtered_.resize(options.num_shards_, 0);
   shards_.reserve(options.num_shards_);
   for (std::size_t i = 0; i < options.num_shards_; ++i) {
     const std::string prefix = "engine.shard" + std::to_string(i) + ".";
     auto shard = std::make_unique<Shard>();
     shard->index = i;
     shard->records_in = obs::CounterIn(registry, prefix + "records_in");
+    shard->filtered_mirror =
+        obs::CounterIn(registry, prefix + "records_filtered");
     shard->dead_letter_mirror =
         obs::CounterIn(registry, prefix + "dead_letter");
     shard->shed_mirror = obs::CounterIn(registry, prefix + "shed");
@@ -459,17 +429,6 @@ StreamEngine::StreamEngine(EngineOptions options,
     shard->sessionize = std::make_unique<SessionizeSink>(
         factory, shard->emit.get(), options.num_pages_, options.identity_,
         std::move(sessionize_metrics));
-    shard->tail = std::make_unique<engine_internal::CountingSink>(
-        &shard->delivered, shard->sessionize.get(),
-        obs::CounterIn(registry, prefix + "records_delivered"));
-    shard->pipeline = std::make_unique<Pipeline>(shard->tail.get());
-    for (const EngineOptions::OperatorFactory& make_operator :
-         options.operator_factories_) {
-      shard->pipeline->Append(make_operator());
-    }
-    shard->head = std::make_unique<engine_internal::CountingSink>(
-        &shard->processed, shard->pipeline.get(),
-        obs::CounterIn(registry, prefix + "records_processed"));
     shards_.push_back(std::move(shard));
   }
 }
@@ -542,7 +501,7 @@ void StreamEngine::StartWorkers() {
       };
     }
     shard->driver = std::make_unique<ThreadedDriver>(
-        shard->head.get(), queue_capacity_, std::move(driver_metrics),
+        shard->sessionize.get(), queue_capacity_, std::move(driver_metrics),
         std::move(hooks));
   }
 }
@@ -595,10 +554,6 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
     // A sink failure in any shard stops ingest for all of them.
     WUM_RETURN_NOT_OK(emit_->first_error());
   }
-  if (staging_.size() < shards_.size()) {
-    staging_.resize(shards_.size());
-    staging_used_.resize(shards_.size(), 0);
-  }
   // Refill empty staging slots from the worker's recycle pool: a
   // drained batch's records keep their string capacities, so the
   // partition pass below overwrites them in place instead of
@@ -612,10 +567,12 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
       shard_ptr->recycle.pop_back();
     }
   }
-  // Partition pass: route every ref and materialize it into its shard's
-  // staging batch — the one point where the viewed bytes are copied.
-  // staging_used_ counts the records staged this batch; entries beyond
-  // it are stale recycled records serving as capacity pool.
+  // Filter and partition pass: route every ref to the shard its user
+  // hashes to, drop it there if a filter rejects it, otherwise
+  // materialize it into that shard's staging batch — the one point
+  // where the viewed bytes are copied. staging_used_ counts the records
+  // staged this batch; entries beyond it are stale recycled records
+  // serving as capacity pool.
   // seq = 0-based input offset of each record for the routing instant;
   // the per-shard enqueue span carries the offset of the first record
   // not yet counted (== records_seen_ at hand-off, matching the
@@ -624,6 +581,15 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
   for (const LogRecordRef& ref : batch) {
     const std::size_t index = ShardIndexFor(ref);
     tracer_.Instant("partition", shards_[index]->index, seq++);
+    const bool keep = std::all_of(
+        filters_.begin(), filters_.end(),
+        [&ref](const std::unique_ptr<LogFilter>& filter) {
+          return filter->Keep(ref);
+        });
+    if (!keep) {
+      ++staging_filtered_[index];
+      continue;
+    }
     RecordBatch& staged = staging_[index];
     std::size_t& used = staging_used_[index];
     if (used < staged.size()) {
@@ -636,6 +602,17 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
   // One queue hand-off per shard that received records this batch.
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
+    // Filter drops are settled on the producer: accepted and dropped in
+    // one step, whatever becomes of the shard's queue hand-off.
+    if (const std::uint64_t dropped =
+            std::exchange(staging_filtered_[shard.index], 0);
+        dropped > 0) {
+      shard.offered.fetch_add(dropped, std::memory_order_relaxed);
+      shard.filtered.fetch_add(dropped, std::memory_order_relaxed);
+      shard.records_in.Increment(dropped);
+      shard.filtered_mirror.Increment(dropped);
+      records_seen_ += dropped;
+    }
     RecordBatch& staged = staging_[shard.index];
     std::size_t& used = staging_used_[shard.index];
     if (used == 0) continue;
@@ -668,7 +645,8 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
         // same as the historical Offer returning before ++records_seen_.
         // Staged records of untried shards are dropped with the error.
         for (RecordBatch& pending : staging_) pending.clear();
-        for (std::size_t& pending_used : staging_used_) pending_used = 0;
+        std::fill(staging_used_.begin(), staging_used_.end(), 0);
+        std::fill(staging_filtered_.begin(), staging_filtered_.end(), 0);
         return status;
       }
       // kDegrade: the records were routed to a dead shard — quarantine
@@ -753,12 +731,8 @@ Status StreamEngine::Finish() {
 EngineStats StreamEngine::SnapshotShard(const Shard& shard) const {
   EngineStats stats;
   stats.records_in = shard.offered.load(std::memory_order_relaxed);
-  const std::uint64_t processed =
-      shard.processed.load(std::memory_order_relaxed);
-  const std::uint64_t delivered =
-      shard.delivered.load(std::memory_order_relaxed);
-  stats.records_dropped =
-      processed - delivered + shard.sessionize->skipped_non_page_urls();
+  stats.records_dropped = shard.filtered.load(std::memory_order_relaxed) +
+                          shard.sessionize->skipped_non_page_urls();
   stats.sessions_emitted = shard.emit->delivered_sessions();
   if (shard.driver != nullptr) {
     stats.blocked_enqueues = shard.driver->blocked_enqueues();
@@ -847,10 +821,17 @@ Status StreamEngine::Checkpoint(const std::string& dir,
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::vector<std::string> frames;
     ckpt::Encoder header;
+    // The frame keeps its historical offered / processed / delivered
+    // layout: every offered record is processed by the filters, and
+    // the ones that pass are delivered to the shard, so processed -
+    // delivered carries the filter-drop count.
+    const std::uint64_t offered =
+        shard->offered.load(std::memory_order_relaxed);
     header.PutUvarint(shard->index);
-    header.PutUvarint(shard->offered.load(std::memory_order_relaxed));
-    header.PutUvarint(shard->processed.load(std::memory_order_relaxed));
-    header.PutUvarint(shard->delivered.load(std::memory_order_relaxed));
+    header.PutUvarint(offered);
+    header.PutUvarint(offered);
+    header.PutUvarint(offered -
+                      shard->filtered.load(std::memory_order_relaxed));
     header.PutUvarint(shard->dead_letters.load(std::memory_order_relaxed));
     header.PutUvarint(shard->shed.load(std::memory_order_relaxed));
     header.PutUvarint(shard->emit->delivered_sessions());
@@ -1004,9 +985,12 @@ Status StreamEngine::RestoreFrom(const std::string& dir) {
       return Status::ParseError(path + ": holds state for shard " +
                                 std::to_string(index));
     }
+    if (delivered > processed) {
+      return Status::ParseError(path + ": delivers more records than it "
+                                       "processed");
+    }
     shard->offered.store(offered, std::memory_order_relaxed);
-    shard->processed.store(processed, std::memory_order_relaxed);
-    shard->delivered.store(delivered, std::memory_order_relaxed);
+    shard->filtered.store(processed - delivered, std::memory_order_relaxed);
     shard->dead_letters.store(dead, std::memory_order_relaxed);
     shard->shed.store(shed, std::memory_order_relaxed);
     shard->emit->RestoreCounters(sessions, session_records, quarantined);

@@ -1,11 +1,15 @@
 // StreamEngine: the sharded, multi-worker streaming facade. It owns the
-// whole reactive chain — per-shard bounded queue, operator chain and
-// per-user incremental sessionizer map — and replaces the assemble-by-
-// hand Pipeline + ThreadedDriver + SessionizeSink wiring (which remain
-// the internal building blocks).
+// whole reactive chain — producer-side cleaning filters, per-shard
+// bounded queue and per-user incremental sessionizer map — built from
+// ThreadedDriver + SessionizeSink (which remain the internal building
+// blocks).
 //
-//   Offer(record) --hash(user identity)--> shard queue -> operators
+//   OfferBatch(refs) --filters--> hash(user identity) --> shard queue
 //       -> per-user sessionizer -> serialized emit -> SessionSink
+//
+// The add_filter filters run on the producer thread over the zero-copy
+// LogRecordRef views, before anything is copied: a dropped record is
+// never materialized, queued or drained.
 //
 // Records are hash-partitioned by user identity (client IP, or IP+UA per
 // UserIdentity), so one user's records always land on the same shard and
@@ -50,7 +54,8 @@
 #include "wum/stream/dead_letter.h"
 #include "wum/stream/fault.h"
 #include "wum/stream/incremental_sessionizer.h"
-#include "wum/stream/pipeline.h"
+#include "wum/stream/session_sink.h"
+#include "wum/stream/threaded_driver.h"
 
 namespace wum {
 
@@ -94,9 +99,6 @@ enum class OfferPolicy {
 ///                                      &sink);
 class EngineOptions {
  public:
-  /// Creates one RecordOperator instance per shard (each shard owns an
-  /// independent chain, so operators need not be thread-safe).
-  using OperatorFactory = std::function<std::unique_ptr<RecordOperator>()>;
   using FilterFactory = std::function<std::unique_ptr<LogFilter>()>;
 
   /// Worker shard count (>= 1). Each shard is one thread.
@@ -216,15 +218,15 @@ class EngineOptions {
     return *this;
   }
 
-  /// Appends a stage to every shard's operator chain (applied in call
-  /// order, before the sessionizer).
-  EngineOptions& add_operator(OperatorFactory factory) {
-    operator_factories_.push_back(std::move(factory));
+  /// Appends a cleaning filter (applied in call order). The engine
+  /// builds one instance per factory and runs it on the producer thread
+  /// over each offered record's views, before the record is copied into
+  /// a shard queue; a dropped record counts in records_in and
+  /// records_dropped of the shard its user hashes to.
+  EngineOptions& add_filter(FilterFactory factory) {
+    filter_factories_.push_back(std::move(factory));
     return *this;
   }
-
-  /// Sugar for add_operator: wraps the filter in a FilterOperator.
-  EngineOptions& add_filter(FilterFactory factory);
 
   /// Enables reactive top-k path mining (wum::mine): the engine wraps
   /// the caller's sink in a MiningSink so every delivered session also
@@ -294,7 +296,7 @@ class EngineOptions {
   std::string heuristic_name_;
   const WebGraph* graph_ = nullptr;
   UserSessionizerFactory custom_factory_;
-  std::vector<OperatorFactory> operator_factories_;
+  std::vector<FilterFactory> filter_factories_;
   obs::MetricRegistry* metrics_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
   ErrorPolicy error_policy_ = ErrorPolicy::kFailFast;
@@ -309,11 +311,11 @@ class EngineOptions {
 /// Throughput counters of one shard (or, aggregated, the whole engine).
 /// Snapshots are safe to take from any thread while the engine runs.
 struct EngineStats {
-  /// Records accepted into the shard queue by Offer.
+  /// Records accepted by Offer: queued for the shard, or dropped by a
+  /// filter on the producer.
   std::uint64_t records_in = 0;
-  /// Records discarded before sessionization: operator-chain drops
-  /// (filters, order guards) plus non-page URLs skipped by the
-  /// sessionizer stage.
+  /// Records discarded before sessionization: filter drops plus non-page
+  /// URLs skipped by the sessionizer stage.
   std::uint64_t records_dropped = 0;
   /// Completed sessions handed to the caller's SessionSink.
   std::uint64_t sessions_emitted = 0;
@@ -323,7 +325,7 @@ struct EngineStats {
   /// Largest queue depth observed right after an enqueue.
   std::uint64_t queue_high_watermark = 0;
   /// Records quarantined to the dead-letter channel (kDegrade mode):
-  /// operator/sessionizer rejections, records drained from or routed to
+  /// sessionizer rejections, records drained from or routed to
   /// a dead shard, and the records of sessions the sink refused after
   /// every retry. Counted even when no DeadLetterQueue is attached.
   std::uint64_t dead_letters = 0;
@@ -371,9 +373,10 @@ class StreamEngine {
   StreamEngine(const StreamEngine&) = delete;
   StreamEngine& operator=(const StreamEngine&) = delete;
 
-  /// Zero-copy batch ingest, the hot path: one partition pass over the
-  /// refs, then one materialized vector-of-records queue hand-off per
-  /// shard per batch (the only point the viewed bytes are copied). The
+  /// Zero-copy batch ingest, the hot path: one pass over the refs that
+  /// applies the add_filter filters and partitions the kept records,
+  /// then one materialized vector-of-records queue hand-off per shard
+  /// per batch (the only point the viewed bytes are copied). The
   /// refs need only stay valid for the duration of the call. Blocks when
   /// a shard's queue is full (OfferPolicy::kBlock); under kShed an
   /// entire per-shard sub-batch is shed when its queue is full — a batch
@@ -514,6 +517,11 @@ class StreamEngine {
   /// pass reuses (see Shard::recycle).
   std::vector<RecordBatch> staging_;
   std::vector<std::size_t> staging_used_;
+  /// Filter drops of the batch in flight, per shard (producer thread).
+  std::vector<std::uint64_t> staging_filtered_;
+  /// The add_filter chain, one instance per factory, run only by the
+  /// producer thread.
+  std::vector<std::unique_ptr<LogFilter>> filters_;
   bool finished_ = false;
   /// Probe handle from RegisterScrapeProbe (0 = none registered).
   std::size_t scrape_probe_id_ = 0;

@@ -136,18 +136,24 @@ Status RetryingSink::Accept(const std::string& user_key, Session session) {
   return status;
 }
 
-Status FaultInjectingOperator::Accept(const LogRecord& record) {
-  if (schedule_.Next()) {
-    switch (mode_) {
-      case Mode::kDrop:
-        return Status::OK();
-      case Mode::kReject:
-        return Status::InvalidArgument("injected record fault");
-      case Mode::kShardFatal:
-        return Status::Internal("injected shard fault");
-    }
+UserSessionizerFactory FaultInjectingSessionizer::Wrap(
+    UserSessionizerFactory inner, PageId poison_page, Mode mode) {
+  return [inner = std::move(inner), poison_page, mode]() {
+    return std::make_unique<FaultInjectingSessionizer>(inner(), poison_page,
+                                                       mode);
+  };
+}
+
+Status FaultInjectingSessionizer::OnRequest(const PageRequest& request,
+                                            const EmitFn& emit) {
+  if (request.page != poison_page_) return inner_->OnRequest(request, emit);
+  switch (mode_) {
+    case Mode::kReject:
+      return Status::InvalidArgument("injected record fault");
+    case Mode::kShardFatal:
+      return Status::Internal("injected shard fault");
   }
-  return Emit(record);
+  return Status::Internal("unreachable fault mode");
 }
 
 FlakySink::FlakySink(SessionSink* wrapped, FaultSchedule schedule,

@@ -1,7 +1,7 @@
 // Fault-tolerance primitives for the streaming layer: the retrying sink
 // decorator that rides between the engine and a flaky SessionSink, and a
 // deterministic fault-injection harness (schedules, a fault-injecting
-// operator and a flaky sink) for driving every failure path in tests
+// sessionizer and a flaky sink) for driving every failure path in tests
 // without touching the wall clock.
 //
 // Determinism is the design constraint throughout: schedules are pure
@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -24,7 +25,8 @@
 #include "wum/common/random.h"
 #include "wum/obs/metrics.h"
 #include "wum/obs/trace.h"
-#include "wum/stream/pipeline.h"
+#include "wum/stream/incremental_sessionizer.h"
+#include "wum/stream/session_sink.h"
 
 namespace wum {
 
@@ -144,27 +146,40 @@ class RetryingSink : public SessionSink {
   std::atomic<std::uint64_t> exhausted_{0};
 };
 
-/// Fault-injection operator: fires per its schedule and either drops the
-/// record, rejects it with a record-level (quarantinable) error, or
-/// returns a shard-fatal error — the harness for degraded-mode and
-/// kill-one-shard tests. One instance per shard, like every operator.
-class FaultInjectingOperator : public RecordOperator {
+/// Fault-injection decorator around one user's sessionizer: every
+/// request for `poison_page` fails per `mode` instead of reaching the
+/// wrapped state machine; every other call is forwarded, checkpoint
+/// hooks included. Tests aim a fault at one shard by giving one user
+/// the poison page — the harness for degraded-mode and kill-one-shard
+/// tests. Install it with EngineOptions::use_custom(Wrap(...)) around a
+/// HeuristicRegistry factory.
+class FaultInjectingSessionizer : public IncrementalUserSessionizer {
  public:
   enum class Mode {
-    kDrop,        // silently swallow the record
     kReject,      // InvalidArgument: quarantined under kDegrade
     kShardFatal,  // Internal: kills the shard even under kDegrade
   };
 
-  FaultInjectingOperator(FaultSchedule schedule, Mode mode)
-      : schedule_(std::move(schedule)), mode_(mode) {}
+  FaultInjectingSessionizer(std::unique_ptr<IncrementalUserSessionizer> inner,
+                            PageId poison_page, Mode mode)
+      : inner_(std::move(inner)), poison_page_(poison_page), mode_(mode) {}
 
-  Status Accept(const LogRecord& record) override;
+  /// A factory wrapping every sessionizer `inner` creates.
+  static UserSessionizerFactory Wrap(UserSessionizerFactory inner,
+                                     PageId poison_page, Mode mode);
 
-  std::uint64_t fired() const { return schedule_.fired(); }
+  Status OnRequest(const PageRequest& request, const EmitFn& emit) override;
+  Status Flush(const EmitFn& emit) override { return inner_->Flush(emit); }
+  Status SerializeState(ckpt::Encoder* encoder) const override {
+    return inner_->SerializeState(encoder);
+  }
+  Status RestoreState(ckpt::Decoder* decoder) override {
+    return inner_->RestoreState(decoder);
+  }
 
  private:
-  FaultSchedule schedule_;
+  std::unique_ptr<IncrementalUserSessionizer> inner_;
+  PageId poison_page_;
   Mode mode_;
 };
 

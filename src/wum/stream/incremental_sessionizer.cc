@@ -123,7 +123,7 @@ Status SessionizeSink::Accept(const LogRecord& record) {
   if (user.has_seen_request && record.timestamp < user.last_timestamp) {
     return Status::InvalidArgument(
         "out-of-order record for " + record.client_ip +
-        "; place an OrderGuardOperator upstream or sort the log");
+        "; each user's records must arrive in timestamp order");
   }
   user.last_timestamp = record.timestamp;
   user.has_seen_request = true;

@@ -18,8 +18,9 @@
 #include "wum/obs/metrics.h"
 #include "wum/obs/trace.h"
 #include "wum/session/smart_sra.h"
-#include "wum/stream/pipeline.h"
+#include "wum/stream/session_sink.h"
 #include "wum/stream/string_interner.h"
+#include "wum/stream/threaded_driver.h"
 
 namespace wum {
 
@@ -98,7 +99,7 @@ class IncrementalSmartSra : public IncrementalUserSessionizer {
   Session candidate_;
 };
 
-/// Terminal pipeline stage: partitions records by user identity (client
+/// A shard's record consumer: partitions records by user identity (client
 /// IP, or IP+User-Agent per UserIdentity), converts canonical page URLs
 /// to PageRequests (other URLs are counted and skipped), drives one
 /// per-user sessionizer per identity key, and forwards closed sessions —

@@ -64,7 +64,7 @@ void ThreadedDriver::Run() {
     // Per-record semantics inside the batch are identical to the old
     // record-at-a-time loop: a sticky error set mid-batch routes every
     // later record of that batch (and of later batches) to the discard
-    // hook, never into the pipeline. Drained records are counted once
+    // hook, never into the sink. Drained records are counted once
     // per batch — WaitIdle/WaitDrained only observe the total, and the
     // worker never blocks mid-batch, so the coarser publication is
     // indistinguishable to a waiter.
@@ -203,11 +203,6 @@ Status ThreadedDriver::TryOfferBatch(RecordBatch* batch, bool* accepted) {
   pushed_ += weight;
   NoteDepth(depth);
   return Status::OK();
-}
-
-Status ThreadedDriver::TryOffer(const LogRecord& record, bool* accepted) {
-  RecordBatch batch(1, record);
-  return TryOfferBatch(&batch, accepted);
 }
 
 Status ThreadedDriver::WaitIdle() {

@@ -1,5 +1,5 @@
-// Two-thread pipeline driver: the caller's thread produces records while
-// a worker thread runs the pipeline, decoupled by a bounded queue. This
+// Two-thread driver: the caller's thread produces records while a worker
+// thread feeds them to a RecordSink, decoupled by a bounded queue. This
 // is the "reactive" deployment shape — the ingest path (the web server
 // appending to its log) never waits on session reconstruction, which is
 // the paper's argument for reactive over proactive processing.
@@ -16,12 +16,34 @@
 #include <thread>
 #include <vector>
 
+#include "wum/clf/log_record.h"
+#include "wum/common/result.h"
 #include "wum/obs/metrics.h"
 #include "wum/obs/trace.h"
-#include "wum/stream/pipeline.h"
 #include "wum/stream/spsc_queue.h"
 
 namespace wum {
+
+/// Unit of queue hand-off between a producer and a shard worker. The
+/// shard queue's capacity is counted in records (batch weight), so
+/// batching changes how often the queue mutex is taken — once per batch
+/// instead of once per record — without changing backpressure semantics.
+using RecordBatch = std::vector<LogRecord>;
+
+/// The driver's consumer: receives every drained record on the worker
+/// thread. The sharded engine plugs its SessionizeSink in here; tests
+/// plug in fakes.
+class RecordSink {
+ public:
+  virtual ~RecordSink() = default;
+
+  /// Processes one record. A non-OK status aborts the stream.
+  virtual Status Accept(const LogRecord& record) = 0;
+
+  /// Signals end-of-stream; implementations flush buffered state.
+  /// Called exactly once, after the last Accept.
+  virtual Status Finish() = 0;
+};
 
 /// Optional observability handles for one driver (see wum/obs/metrics.h).
 /// Default-constructed (disabled) handles make every update a no-op and
@@ -38,7 +60,7 @@ struct DriverMetrics {
   /// Mirrors queue_high_watermark() into a registry gauge.
   obs::Gauge queue_high_watermark;
   /// Wall time the worker spends draining one record through the sink
-  /// (operators + sessionizer + emission), in microseconds.
+  /// (sessionizer + emission), in microseconds.
   obs::Histogram drain_latency_us;
   /// Optional span tracer: each drained record becomes a "drain" span
   /// tagged shard=trace_shard, seq=<records drained before it>.
@@ -47,17 +69,17 @@ struct DriverMetrics {
 };
 
 /// Failure-domain hooks, called on the worker thread. Both optional;
-/// without them every pipeline error is sticky and fatal to the driver
+/// without them every sink error is sticky and fatal to the driver
 /// (the historical fail-fast behavior). The sharded engine installs
 /// them in ErrorPolicy::kDegrade mode to quarantine records instead.
 struct DriverHooks {
-  /// The pipeline rejected `record` with `status`. Return true when the
+  /// The sink rejected `record` with `status`. Return true when the
   /// failure is handled (record quarantined, worker keeps going); false
   /// makes `status` the driver's sticky error.
   std::function<bool(const LogRecord&, const Status&)> on_record_error;
   /// `record` was drained and discarded after the sticky error
   /// `first_error` was already set (the shard is dead; the record never
-  /// entered the pipeline).
+  /// entered the sink).
   std::function<void(const LogRecord&, const Status&)> on_discard;
   /// Every record of `batch` has been handled (processed, quarantined
   /// or discarded); the batch is handed over for buffer recycling — its
@@ -109,11 +131,8 @@ class ThreadedDriver {
   /// OfferBatch with `*accepted = true`.
   Status TryOfferBatch(RecordBatch* batch, bool* accepted);
 
-  /// Single-record convenience over TryOfferBatch.
-  Status TryOffer(const LogRecord& record, bool* accepted);
-
   /// Signals end of stream, waits for the worker to drain, and returns
-  /// the pipeline's final status (including the sink's Finish).
+  /// the first sink error, or the sink's Finish status.
   Status Finish();
 
   /// Quiescence barrier: blocks the producer until every record it ever

@@ -19,7 +19,7 @@
 #include "wum/common/random.h"
 #include "wum/stream/dead_letter.h"
 #include "wum/stream/engine.h"
-#include "wum/stream/pipeline.h"
+#include "wum/stream/session_sink.h"
 
 namespace wum::ckpt {
 namespace {

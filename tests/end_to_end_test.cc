@@ -23,7 +23,6 @@
 #include "wum/simulator/workload.h"
 #include "wum/stream/engine.h"
 #include "wum/stream/incremental_sessionizer.h"
-#include "wum/stream/operators.h"
 #include "wum/stream/threaded_driver.h"
 #include "wum/topology/site_generator.h"
 
@@ -78,7 +77,8 @@ TEST(EndToEndTest, ThreadedStreamingEqualsBatchReconstruction) {
     batch_sessions[user.client_ip] = std::move(sessions).ValueOrDie();
   }
 
-  // Streaming path: records through the threaded driver and pipeline.
+  // Streaming path: cleaned records through the threaded driver into
+  // the sessionize sink.
   SessionsByUser streamed_sessions;
   CallbackSessionSink sink(
       [&streamed_sessions](const std::string& ip, Session session) {
@@ -91,14 +91,12 @@ TEST(EndToEndTest, ThreadedStreamingEqualsBatchReconstruction) {
                                                      SmartSra::Options());
       },
       &sink, world.graph.num_pages());
-  Pipeline pipeline(&sessionize);
-  pipeline.Append(std::make_unique<FilterOperator>(
-      std::make_unique<MethodFilter>()));
-  pipeline.Append(std::make_unique<FilterOperator>(
-      std::make_unique<StatusFilter>()));
+  FilterChain cleaning;
+  cleaning.Add(std::make_unique<MethodFilter>());
+  cleaning.Add(std::make_unique<StatusFilter>());
   {
-    ThreadedDriver driver(&pipeline, 64);
-    for (const LogRecord& record : world.log) {
+    ThreadedDriver driver(&sessionize, 64);
+    for (const LogRecord& record : cleaning.Apply(world.log)) {
       ASSERT_TRUE(driver.Offer(record).ok());
     }
     ASSERT_TRUE(driver.Finish().ok());

@@ -12,16 +12,19 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "wum/ckpt/checkpoint.h"
+#include "wum/clf/log_filter.h"
 #include "wum/clf/user_partitioner.h"
 #include "wum/mine/path_miner.h"
 #include "wum/obs/metrics.h"
 #include "wum/stream/engine.h"
+#include "wum/stream/heuristic_registry.h"
 #include "wum/topology/site_generator.h"
 
 namespace wum {
@@ -80,6 +83,51 @@ std::vector<LogRecord> MakeWorkload(int num_users, int rounds) {
   return records;
 }
 
+/// NASA-shaped mixed log around `pages`: every page view is followed by
+/// the embedded-asset and noise lines a real server logs for it (two
+/// gifs each time, close to the NASA-HTTP log's 2.6 per page; a jpg, an
+/// xbm icon, a 404, a POST and a 304 revalidation of the page on some).
+/// Extra lines stay inside the page's user stream in timestamp order.
+std::vector<LogRecord> MakeNasaShapedLog(const std::vector<LogRecord>& pages) {
+  std::vector<LogRecord> log;
+  const auto line = [&log](const LogRecord& page, TimeSeconds delay,
+                           std::string url, int status = 200,
+                           HttpMethod method = HttpMethod::kGet) {
+    LogRecord record = page;
+    record.timestamp += delay;
+    record.url = std::move(url);
+    record.status_code = status;
+    record.method = method;
+    log.push_back(std::move(record));
+  };
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    const LogRecord& page = pages[i];
+    log.push_back(page);
+    line(page, 1, "/images/NASA-logosmall.gif");
+    line(page, 1, "/images/KSC-logosmall.GIF");
+    if (i % 3 == 0) line(page, 2, "/shuttle/missions/sts-71/sts-71.jpg");
+    if (i % 4 == 1) line(page, 2, "/images/MOSAIC-logosmall.xbm");
+    if (i % 5 == 2) line(page, 2, "/shuttle/countdown/liftoff.html", 404);
+    if (i % 6 == 3) {
+      line(page, 3, "/cgi-bin/imagemap/countdown", 200, HttpMethod::kPost);
+    }
+    if (i % 7 == 4) line(page, 3, page.url, 304);
+  }
+  return log;
+}
+
+/// Emits every page request as its own one-page session immediately, so
+/// the session output lists exactly the page records a shard received.
+class EmitEverySessionizer : public IncrementalUserSessionizer {
+ public:
+  Status OnRequest(const PageRequest& request, const EmitFn& emit) override {
+    Session session;
+    session.requests.push_back(request);
+    return emit(std::move(session));
+  }
+  Status Flush(const EmitFn&) override { return Status::OK(); }
+};
+
 /// Engine options for one registry heuristic (graph-based or not).
 EngineOptions HeuristicOptions(const std::string& heuristic,
                                const WebGraph* graph, std::size_t shards) {
@@ -88,13 +136,45 @@ EngineOptions HeuristicOptions(const std::string& heuristic,
   return options;
 }
 
-Entries RunUninterrupted(const std::string& heuristic, const WebGraph* graph,
-                         std::size_t shards,
+/// A Figure-1 page MakeWorkload never requests; tests plant it on the
+/// records the fault-injecting sessionizer should fail.
+constexpr PageId kPoisonPage = 5;
+
+/// Engine options running registry `heuristic` through use_custom,
+/// wrapped in the fault injector when `fault` is set.
+EngineOptions CustomOptions(
+    const std::string& heuristic, const WebGraph* graph, std::size_t shards,
+    std::optional<FaultInjectingSessionizer::Mode> fault = std::nullopt) {
+  HeuristicContext context;
+  context.graph = graph;
+  Result<UserSessionizerFactory> factory =
+      HeuristicRegistry::Default().CreateIncremental(heuristic, context);
+  EXPECT_TRUE(factory.ok()) << factory.status().ToString();
+  UserSessionizerFactory sessionizers = std::move(factory).ValueOrDie();
+  if (fault.has_value()) {
+    sessionizers = FaultInjectingSessionizer::Wrap(std::move(sessionizers),
+                                                   kPoisonPage, *fault);
+  }
+  EngineOptions options;
+  options.set_num_shards(shards).use_graph(graph).use_custom(
+      std::move(sessionizers));
+  return options;
+}
+
+/// `options` plus websra_serve's default cleaning filters.
+EngineOptions WithStandardFilters(EngineOptions options) {
+  options.add_filter([] { return std::make_unique<MethodFilter>(); })
+      .add_filter([] { return std::make_unique<StatusFilter>(); })
+      .add_filter([] { return std::make_unique<ExtensionFilter>(); });
+  return options;
+}
+
+Entries RunUninterrupted(const EngineOptions& options,
                          const std::vector<LogRecord>& records,
                          EngineStats* stats = nullptr) {
   CollectingSessionSink sink;
-  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
-      HeuristicOptions(heuristic, graph, shards), &sink);
+  Result<std::unique_ptr<StreamEngine>> engine =
+      StreamEngine::Create(options, &sink);
   EXPECT_TRUE(engine.ok()) << engine.status().message();
   if (!engine.ok()) return {};
   for (const LogRecord& record : records) {
@@ -109,14 +189,13 @@ Entries RunUninterrupted(const std::string& heuristic, const WebGraph* graph,
 /// until the kill index, then abandons the engine. Returns only the
 /// sessions committed at the barrier — the post-checkpoint entries are
 /// the crash's lost output.
-Entries RunUntilKilled(const std::string& heuristic, const WebGraph* graph,
-                       std::size_t shards,
+Entries RunUntilKilled(const EngineOptions& options,
                        const std::vector<LogRecord>& records,
                        std::size_t checkpoint_at, std::size_t kill_at,
                        const std::string& dir) {
   CollectingSessionSink sink;
-  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
-      HeuristicOptions(heuristic, graph, shards), &sink);
+  Result<std::unique_ptr<StreamEngine>> engine =
+      StreamEngine::Create(options, &sink);
   EXPECT_TRUE(engine.ok()) << engine.status().message();
   if (!engine.ok()) return {};
   for (std::size_t i = 0; i < checkpoint_at; ++i) {
@@ -142,12 +221,12 @@ Entries RunUntilKilled(const std::string& heuristic, const WebGraph* graph,
 
 /// Resumes from `dir`, replays the full input, and returns the emitted
 /// sessions (plus the engine's final aggregate stats).
-Entries RunResumed(const std::string& heuristic, const WebGraph* graph,
-                   std::size_t shards, const std::vector<LogRecord>& records,
+Entries RunResumed(EngineOptions options,
+                   const std::vector<LogRecord>& records,
                    const std::string& dir, EngineStats* stats = nullptr) {
   CollectingSessionSink sink;
-  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
-      HeuristicOptions(heuristic, graph, shards).resume_from(dir), &sink);
+  Result<std::unique_ptr<StreamEngine>> engine =
+      StreamEngine::Create(options.resume_from(dir), &sink);
   EXPECT_TRUE(engine.ok()) << engine.status().message();
   if (!engine.ok()) return {};
   EXPECT_TRUE((*engine)->resumed());
@@ -179,37 +258,41 @@ class EngineCheckpointTest : public testing::Test {
   std::vector<LogRecord> records_;
 };
 
-// The acceptance matrix: every registry heuristic, one and three shards,
-// several checkpoint/kill indices. committed-prefix + resumed output
-// must equal the uninterrupted run's session multiset exactly, and the
-// restored counters must add up to the baseline's.
-TEST_F(EngineCheckpointTest, KillAndResumeMatchesUninterruptedRun) {
+/// Kill points as (checkpoint index, kill index) pairs.
+using KillPoints = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// The matrix body: for every registry heuristic at one and three
+/// shards, committed-prefix + resumed output at every kill point must
+/// equal the uninterrupted run's session multiset exactly, and the
+/// restored counters must add up to the baseline's. `with_filters`
+/// installs websra_serve's standard cleaning filters on every run.
+void ExpectKillAndResumeMatches(const WebGraph* graph,
+                                const std::vector<LogRecord>& records,
+                                const KillPoints& kills, bool with_filters,
+                                const fs::path& root) {
   const std::string heuristics[] = {"duration", "pagestay", "navigation",
                                     "smart-sra"};
   const std::size_t shard_counts[] = {1, 3};
-  // (checkpoint index, kill index): early, unaligned mid-stream, and a
-  // checkpoint with no further input before the crash.
-  const std::pair<std::size_t, std::size_t> kills[] = {
-      {24, 60}, {121, 150}, {200, 200}};
   for (const std::string& heuristic : heuristics) {
     for (std::size_t shards : shard_counts) {
+      EngineOptions options = HeuristicOptions(heuristic, graph, shards);
+      if (with_filters) options = WithStandardFilters(std::move(options));
       EngineStats baseline_stats;
-      const Entries baseline = RunUninterrupted(heuristic, &graph_, shards,
-                                                records_, &baseline_stats);
+      const Entries baseline =
+          RunUninterrupted(options, records, &baseline_stats);
       ASSERT_FALSE(baseline.empty());
       for (const auto& [checkpoint_at, kill_at] : kills) {
         const std::string label = heuristic + "/" +
                                   std::to_string(shards) + " shards/ckpt@" +
                                   std::to_string(checkpoint_at);
         const fs::path dir =
-            dir_ / (heuristic + "-" + std::to_string(shards) + "-" +
+            root / (heuristic + "-" + std::to_string(shards) + "-" +
                     std::to_string(checkpoint_at));
-        Entries committed =
-            RunUntilKilled(heuristic, &graph_, shards, records_,
-                           checkpoint_at, kill_at, dir.string());
+        Entries committed = RunUntilKilled(options, records, checkpoint_at,
+                                           kill_at, dir.string());
         EngineStats resumed_stats;
-        Entries resumed = RunResumed(heuristic, &graph_, shards, records_,
-                                     dir.string(), &resumed_stats);
+        Entries resumed =
+            RunResumed(options, records, dir.string(), &resumed_stats);
         Entries combined = std::move(committed);
         combined.insert(combined.end(), resumed.begin(), resumed.end());
         EXPECT_EQ(Canonicalize(combined), Canonicalize(baseline)) << label;
@@ -228,12 +311,106 @@ TEST_F(EngineCheckpointTest, KillAndResumeMatchesUninterruptedRun) {
   }
 }
 
+// The acceptance matrix over the plain page-view workload: early,
+// unaligned mid-stream, and a checkpoint with no further input before
+// the crash.
+TEST_F(EngineCheckpointTest, KillAndResumeMatchesUninterruptedRun) {
+  ExpectKillAndResumeMatches(&graph_, records_,
+                             {{24, 60}, {121, 150}, {200, 200}},
+                             /*with_filters=*/false, dir_);
+}
+
+// The same matrix with the standard cleaning filters on a NASA-shaped
+// log, where most lines are embedded assets, errors or POSTs. The
+// filters drop records on the producer before they reach a shard, so
+// their drop count lives only in the shard counters: unless it rides
+// the checkpoint, the resumed records_dropped falls short of the
+// uninterrupted run's.
+TEST_F(EngineCheckpointTest, FilteredKillAndResumeMatchesUninterruptedRun) {
+  const std::vector<LogRecord> mixed = MakeNasaShapedLog(records_);
+  // Every kind of line is present: each filter and the non-page skip
+  // contribute drops.
+  FilterChain chain = FilterChain::Standard();
+  const std::vector<LogRecord> kept = chain.Apply(mixed);
+  for (const FilterChain::FilterStats& stats : chain.stats()) {
+    EXPECT_GT(stats.dropped, 0u) << stats.name;
+  }
+  const std::uint64_t non_page = static_cast<std::uint64_t>(
+      std::count_if(kept.begin(), kept.end(), [](const LogRecord& record) {
+        return !PageFromUrl(record.url).ok();
+      }));
+  EXPECT_GT(non_page, 0u);
+  EngineStats stats;
+  RunUninterrupted(
+      WithStandardFilters(HeuristicOptions("smart-sra", &graph_, 3)), mixed,
+      &stats);
+  EXPECT_EQ(stats.records_in, mixed.size());
+  EXPECT_EQ(stats.records_dropped, mixed.size() - kept.size() + non_page);
+
+  ExpectKillAndResumeMatches(&graph_, mixed,
+                             {{90, 230}, {437, 520}, {700, 700}},
+                             /*with_filters=*/true, dir_);
+}
+
+// Engine add_filter and batch FilterChain::Standard() are one filter
+// mechanism: the engine keeps exactly the records the batch chain keeps
+// (same page views per user, same non-page survivors), and counts the
+// rest in records_filtered.
+TEST_F(EngineCheckpointTest, EngineFiltersKeepWhatBatchChainKeeps) {
+  const std::vector<LogRecord> mixed = MakeNasaShapedLog(records_);
+  const std::vector<LogRecord> kept = FilterChain::Standard().Apply(mixed);
+  const auto run = [this](const std::vector<LogRecord>& records,
+                          bool with_filters, EngineStats* stats,
+                          std::uint64_t* filtered) {
+    obs::MetricRegistry registry;
+    CollectingSessionSink sink;
+    EngineOptions options;
+    options.set_num_shards(3)
+        .set_metrics(&registry)
+        .set_num_pages(graph_.num_pages())
+        .use_custom([] { return std::make_unique<EmitEverySessionizer>(); });
+    if (with_filters) options = WithStandardFilters(std::move(options));
+    Result<std::unique_ptr<StreamEngine>> engine =
+        StreamEngine::Create(options, &sink);
+    EXPECT_TRUE(engine.ok()) << engine.status().message();
+    if (!engine.ok()) return Entries{};
+    for (const LogRecord& record : records) {
+      EXPECT_TRUE((*engine)->Offer(record).ok());
+    }
+    EXPECT_TRUE((*engine)->Finish().ok());
+    *stats = (*engine)->TotalStats();
+    const obs::MetricsSnapshot snapshot = registry.Snapshot();
+    *filtered = 0;
+    for (std::size_t i = 0; i < 3; ++i) {
+      *filtered += snapshot.CounterOrZero(
+          "engine.shard" + std::to_string(i) + ".records_filtered");
+    }
+    return sink.entries();
+  };
+  EngineStats streamed_stats;
+  std::uint64_t streamed_filtered = 0;
+  const Entries streamed =
+      run(mixed, /*with_filters=*/true, &streamed_stats, &streamed_filtered);
+  EngineStats batch_stats;
+  std::uint64_t batch_filtered = 0;
+  const Entries batch =
+      run(kept, /*with_filters=*/false, &batch_stats, &batch_filtered);
+  ASSERT_FALSE(batch.empty());
+  EXPECT_EQ(Canonicalize(streamed), Canonicalize(batch));
+  EXPECT_EQ(batch_filtered, 0u);
+  EXPECT_EQ(streamed_filtered, mixed.size() - kept.size());
+  EXPECT_EQ(streamed_stats.records_in, mixed.size());
+  // Whatever survives the filters meets the same non-page skip.
+  EXPECT_EQ(streamed_stats.records_dropped - streamed_filtered,
+            batch_stats.records_dropped);
+}
+
 // Checkpoints are cumulative: a second checkpoint supersedes the first
 // (epoch advances, stale epoch directories are removed) and resume picks
 // up the latest one.
 TEST_F(EngineCheckpointTest, SecondCheckpointSupersedesFirst) {
   const Entries baseline =
-      RunUninterrupted("smart-sra", &graph_, 2, records_);
+      RunUninterrupted(HeuristicOptions("smart-sra", &graph_, 2), records_);
   CollectingSessionSink sink;
   Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
       HeuristicOptions("smart-sra", &graph_, 2), &sink);
@@ -260,7 +437,8 @@ TEST_F(EngineCheckpointTest, SecondCheckpointSupersedesFirst) {
   Entries combined = sink.entries();
   combined.resize(committed);
   const Entries resumed =
-      RunResumed("smart-sra", &graph_, 2, records_, dir_.string());
+      RunResumed(HeuristicOptions("smart-sra", &graph_, 2), records_,
+                 dir_.string());
   combined.insert(combined.end(), resumed.begin(), resumed.end());
   EXPECT_EQ(Canonicalize(combined), Canonicalize(baseline));
 }
@@ -273,11 +451,11 @@ TEST_F(EngineCheckpointTest, SecondCheckpointSupersedesFirst) {
 // sessionizers and emit duplicate sessions.
 TEST_F(EngineCheckpointTest, CheckpointDuringReplayKeepsSkipOffset) {
   const Entries baseline =
-      RunUninterrupted("smart-sra", &graph_, 2, records_);
+      RunUninterrupted(HeuristicOptions("smart-sra", &graph_, 2), records_);
   // First run: checkpoint at record 100, then crash at the barrier.
-  Entries committed = RunUntilKilled("smart-sra", &graph_, 2, records_,
-                                     /*checkpoint_at=*/100, /*kill_at=*/100,
-                                     dir_.string());
+  Entries committed =
+      RunUntilKilled(HeuristicOptions("smart-sra", &graph_, 2), records_,
+                     /*checkpoint_at=*/100, /*kill_at=*/100, dir_.string());
   // Second run: resume, offer only 40 records — all inside the replay
   // skip — take the cadence-driven checkpoint a tool would take, and
   // crash again mid-replay.
@@ -298,7 +476,8 @@ TEST_F(EngineCheckpointTest, CheckpointDuringReplayKeepsSkipOffset) {
   // 100 records the state covers, not the 40 the dying engine had
   // re-counted — combined output still matches the baseline exactly.
   Entries resumed =
-      RunResumed("smart-sra", &graph_, 2, records_, dir_.string());
+      RunResumed(HeuristicOptions("smart-sra", &graph_, 2), records_,
+                 dir_.string());
   Entries combined = std::move(committed);
   combined.insert(combined.end(), resumed.begin(), resumed.end());
   EXPECT_EQ(Canonicalize(combined), Canonicalize(baseline));
@@ -373,32 +552,30 @@ TEST_F(EngineCheckpointTest, SinkStateRoundTripsThroughManifest) {
 // replays from the checkpoint and the combined output matches an
 // undisturbed baseline.
 TEST_F(EngineCheckpointTest, RecoversFromFailFastCrash) {
-  const Entries baseline =
-      RunUninterrupted("smart-sra", &graph_, 2, records_);
+  // Record 150 (past the checkpoint at offer index 60) carries the
+  // poison page, so its user's shard dies on it. The fault injector is
+  // a use_custom wrapper, and a checkpoint remembers "custom" as its
+  // heuristic, so the baseline and the resumed run use the same
+  // registry factory through use_custom, just unwrapped.
+  std::vector<LogRecord> records = records_;
+  records[150].url = PageUrl(kPoisonPage);
+  const EngineOptions clean = CustomOptions("smart-sra", &graph_, 2);
+  const Entries baseline = RunUninterrupted(clean, records);
   CollectingSessionSink sink;
-  // Every shard is scheduled to die on its 101st record. The checkpoint
-  // at offer index 60 always precedes the first fault (no shard can have
-  // seen more than 60 records by then), and with 288 records over 2
-  // shards at least one shard is guaranteed to reach the fault index —
-  // whatever the user-hash skew.
   Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
-      HeuristicOptions("smart-sra", &graph_, 2)
-          .add_operator([]() -> std::unique_ptr<RecordOperator> {
-            return std::make_unique<FaultInjectingOperator>(
-                FaultSchedule::AtIndices({100}),
-                FaultInjectingOperator::Mode::kShardFatal);
-          }),
+      CustomOptions("smart-sra", &graph_, 2,
+                    FaultInjectingSessionizer::Mode::kShardFatal),
       &sink);
   ASSERT_TRUE(engine.ok());
   for (std::size_t i = 0; i < 60; ++i) {
-    ASSERT_TRUE((*engine)->Offer(records_[i]).ok());
+    ASSERT_TRUE((*engine)->Offer(records[i]).ok());
   }
   ASSERT_TRUE((*engine)->Checkpoint(dir_.string()).ok());
   const std::size_t committed = sink.entries().size();
   // Keep offering until the injected fault surfaces (Offer or Finish).
   Status status;
-  for (std::size_t i = 60; i < records_.size() && status.ok(); ++i) {
-    status = (*engine)->Offer(records_[i]);
+  for (std::size_t i = 60; i < records.size() && status.ok(); ++i) {
+    status = (*engine)->Offer(records[i]);
   }
   if (status.ok()) status = (*engine)->Finish();
   EXPECT_TRUE(status.IsInternal()) << status.ToString();
@@ -408,8 +585,7 @@ TEST_F(EngineCheckpointTest, RecoversFromFailFastCrash) {
 
   Entries combined = sink.entries();
   combined.resize(committed);
-  const Entries resumed =
-      RunResumed("smart-sra", &graph_, 2, records_, dir_.string());
+  const Entries resumed = RunResumed(clean, records, dir_.string());
   combined.insert(combined.end(), resumed.begin(), resumed.end());
   EXPECT_EQ(Canonicalize(combined), Canonicalize(baseline));
 }
@@ -418,25 +594,24 @@ TEST_F(EngineCheckpointTest, RecoversFromFailFastCrash) {
 // before the crash survive the resume, and the conservation invariant
 // (emitted + dead-lettered == accepted) holds across the restart.
 TEST_F(EngineCheckpointTest, DeadLettersSurviveResume) {
+  // Records 1 and 3 carry the poison page and are quarantined, well
+  // before the barrier.
+  std::vector<LogRecord> records = records_;
+  records[1].url = PageUrl(kPoisonPage);
+  records[3].url = PageUrl(kPoisonPage);
   DeadLetterQueue first_queue;
   Entries committed_entries;
   {
     CollectingSessionSink sink;
-    // One shard, so the reject schedule is deterministic: the shard's
-    // 2nd and 4th records are quarantined, well before the barrier.
     Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
-        HeuristicOptions("duration", &graph_, 1)
+        CustomOptions("duration", &graph_, 1,
+                      FaultInjectingSessionizer::Mode::kReject)
             .set_error_policy(ErrorPolicy::kDegrade)
-            .set_dead_letters(&first_queue)
-            .add_operator([]() -> std::unique_ptr<RecordOperator> {
-              return std::make_unique<FaultInjectingOperator>(
-                  FaultSchedule::AtIndices({1, 3}),
-                  FaultInjectingOperator::Mode::kReject);
-            }),
+            .set_dead_letters(&first_queue),
         &sink);
     ASSERT_TRUE(engine.ok()) << engine.status().message();
     for (std::size_t i = 0; i < 100; ++i) {
-      ASSERT_TRUE((*engine)->Offer(records_[i]).ok());
+      ASSERT_TRUE((*engine)->Offer(records[i]).ok());
     }
     ASSERT_TRUE((*engine)->Checkpoint(dir_.string()).ok());
     ASSERT_EQ(first_queue.total_offered(), 2u);
@@ -448,7 +623,7 @@ TEST_F(EngineCheckpointTest, DeadLettersSurviveResume) {
   DeadLetterQueue restored_queue;
   CollectingSessionSink sink;
   Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
-      HeuristicOptions("duration", &graph_, 1)
+      CustomOptions("duration", &graph_, 1)
           .set_error_policy(ErrorPolicy::kDegrade)
           .set_dead_letters(&restored_queue)
           .resume_from(dir_.string()),
@@ -457,7 +632,7 @@ TEST_F(EngineCheckpointTest, DeadLettersSurviveResume) {
   EXPECT_EQ(restored_queue.total_offered(), 2u);
   EXPECT_EQ(restored_queue.records_covered(), 2u);
   EXPECT_EQ(restored_queue.size(), 2u);
-  for (const LogRecord& record : records_) {
+  for (const LogRecord& record : records) {
     ASSERT_TRUE((*engine)->Offer(record).ok());
   }
   ASSERT_TRUE((*engine)->Finish().ok());
@@ -466,7 +641,7 @@ TEST_F(EngineCheckpointTest, DeadLettersSurviveResume) {
   // committed session, a resumed session, or a restored dead letter.
   EXPECT_EQ(EmittedRecords(committed_entries) + EmittedRecords(sink.entries()) +
                 restored_queue.records_covered(),
-            records_.size());
+            records.size());
   std::vector<DeadLetter> letters = restored_queue.Drain();
   ASSERT_EQ(letters.size(), 2u);
   for (const DeadLetter& letter : letters) {

@@ -20,6 +20,7 @@
 
 #include "wum/clf/user_partitioner.h"
 #include "wum/stream/engine.h"
+#include "wum/stream/heuristic_registry.h"
 #include "wum/topology/site_generator.h"
 
 namespace wum {
@@ -69,23 +70,42 @@ std::uint64_t EmittedRecords(const CollectingSessionSink& sink) {
   return total;
 }
 
-/// Installs a FaultInjectingOperator on exactly one shard (operator
-/// factories run once per shard, in shard order) and pass-through
-/// schedules everywhere else.
-EngineOptions::OperatorFactory FaultOnShard(std::size_t target_shard,
-                                            FaultInjectingOperator::Mode mode,
-                                            std::vector<std::uint64_t> at) {
-  auto next_shard = std::make_shared<std::size_t>(0);
-  return [next_shard, target_shard, mode,
-          at = std::move(at)]() -> std::unique_ptr<RecordOperator> {
-    const std::size_t shard = (*next_shard)++;
-    if (shard == target_shard) {
-      return std::make_unique<FaultInjectingOperator>(
-          FaultSchedule::AtIndices(at), mode);
+/// A Figure-1 page the workloads below never request except where a test
+/// plants it: the fault-injecting sessionizer fails exactly those
+/// requests, so a test picks the faulting shard by picking the user.
+constexpr PageId kPoisonPage = 5;
+
+/// Registry Smart-SRA wrapped in the fault injector (use_custom).
+UserSessionizerFactory FaultySmartSra(const WebGraph* graph,
+                                      FaultInjectingSessionizer::Mode mode) {
+  HeuristicContext context;
+  context.graph = graph;
+  Result<UserSessionizerFactory> factory =
+      HeuristicRegistry::Default().CreateIncremental("smart-sra", context);
+  EXPECT_TRUE(factory.ok()) << factory.status().ToString();
+  return FaultInjectingSessionizer::Wrap(std::move(factory).ValueOrDie(),
+                                         kPoisonPage, mode);
+}
+
+/// EmitEverySessionizer wrapped in the fault injector (use_custom).
+UserSessionizerFactory FaultyEmitEvery(FaultInjectingSessionizer::Mode mode) {
+  return FaultInjectingSessionizer::Wrap(
+      [] { return std::make_unique<EmitEverySessionizer>(); }, kPoisonPage,
+      mode);
+}
+
+/// 16 users x 5 rounds of page-0 requests, except that user 0's 3rd
+/// request is for the poison page.
+std::vector<LogRecord> PoisonedRounds() {
+  std::vector<LogRecord> records;
+  for (int r = 0; r < 5; ++r) {
+    for (int u = 0; u < 16; ++u) {
+      records.push_back(PageRecord("10.0.0." + std::to_string(u),
+                                   u == 0 && r == 2 ? kPoisonPage : 0,
+                                   r * 30));
     }
-    return std::make_unique<FaultInjectingOperator>(FaultSchedule::Never(),
-                                                    mode);
-  };
+  }
+  return records;
 }
 
 // The tentpole scenario: one shard is killed mid-stream by an injected
@@ -94,18 +114,10 @@ EngineOptions::OperatorFactory FaultOnShard(std::size_t target_shard,
 // dead-letter accounting covers every record the dead shard swallowed.
 TEST(EngineFaultTest, KilledShardStaysIsolatedUnderDegrade) {
   constexpr std::size_t kShards = 4;
-  constexpr int kUsers = 16;
-  constexpr int kRounds = 5;
   WebGraph graph = MakeFigure1Topology();
 
-  std::vector<LogRecord> records;
-  for (int r = 0; r < kRounds; ++r) {
-    for (int u = 0; u < kUsers; ++u) {
-      records.push_back(
-          PageRecord("10.0.0." + std::to_string(u), 0, r * 30));
-    }
-  }
-  // Kill the shard that hosts user 0, on the 3rd record it processes.
+  // Kill the shard that hosts user 0, on user 0's 3rd request.
+  const std::vector<LogRecord> records = PoisonedRounds();
   const std::size_t kill_shard = ShardOf("10.0.0.0", kShards);
 
   // Fault-free baseline for the expected output of the healthy shards.
@@ -128,9 +140,9 @@ TEST(EngineFaultTest, KilledShardStaysIsolatedUnderDegrade) {
           .set_num_shards(kShards)
           .set_error_policy(ErrorPolicy::kDegrade)
           .set_dead_letters(&dead_letters)
-          .use_smart_sra(&graph)
-          .add_operator(FaultOnShard(
-              kill_shard, FaultInjectingOperator::Mode::kShardFatal, {2})),
+          .use_graph(&graph)
+          .use_custom(FaultySmartSra(
+              &graph, FaultInjectingSessionizer::Mode::kShardFatal)),
       &degraded);
   ASSERT_TRUE(engine.ok());
   // Degraded mode: the producer never sees the shard die.
@@ -189,23 +201,20 @@ TEST(EngineFaultTest, KilledShardStaysIsolatedUnderDegrade) {
 TEST(EngineFaultTest, SameFaultUnderFailFastStopsTheEngine) {
   constexpr std::size_t kShards = 4;
   WebGraph graph = MakeFigure1Topology();
-  const std::size_t kill_shard = ShardOf("10.0.0.0", kShards);
 
   CollectingSessionSink sessions;
   Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
       EngineOptions()
           .set_num_shards(kShards)
-          .use_smart_sra(&graph)
-          .add_operator(FaultOnShard(
-              kill_shard, FaultInjectingOperator::Mode::kShardFatal, {2})),
+          .use_graph(&graph)
+          .use_custom(FaultySmartSra(
+              &graph, FaultInjectingSessionizer::Mode::kShardFatal)),
       &sessions);
   ASSERT_TRUE(engine.ok());
   Status status;
-  for (int r = 0; r < 5 && status.ok(); ++r) {
-    for (int u = 0; u < 16 && status.ok(); ++u) {
-      status = (*engine)->Offer(PageRecord("10.0.0." + std::to_string(u), 0,
-                                           r * 30));
-    }
+  for (const LogRecord& record : PoisonedRounds()) {
+    status = (*engine)->Offer(record);
+    if (!status.ok()) break;
   }
   // Offer may or may not observe the death first (the producer can
   // outrun the worker), but Finish must surface the injected fault.
@@ -217,7 +226,7 @@ TEST(EngineFaultTest, SameFaultUnderFailFastStopsTheEngine) {
   }
 }
 
-// Operator rejections (record-level errors) quarantine only the record:
+// Sessionizer rejections (record-level errors) quarantine only the record:
 // the shard keeps sessionizing everything else, and the drained letters
 // arrive in processing order with the offending records attached.
 TEST(EngineFaultTest, RejectedRecordsAreDeadLetteredInOrder) {
@@ -230,16 +239,13 @@ TEST(EngineFaultTest, RejectedRecordsAreDeadLetteredInOrder) {
           .set_error_policy(ErrorPolicy::kDegrade)
           .set_dead_letters(&dead_letters)
           .set_num_pages(graph.num_pages())
-          .use_custom([] { return std::make_unique<EmitEverySessionizer>(); })
-          .add_operator([] {
-            return std::make_unique<FaultInjectingOperator>(
-                FaultSchedule::AtIndices({1, 3}),
-                FaultInjectingOperator::Mode::kReject);
-          }),
+          .use_custom(
+              FaultyEmitEvery(FaultInjectingSessionizer::Mode::kReject)),
       &sessions);
   ASSERT_TRUE(engine.ok());
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE((*engine)->Offer(PageRecord("u", 0, i * 10)).ok());
+    const PageId page = i == 1 || i == 3 ? kPoisonPage : 0;
+    ASSERT_TRUE((*engine)->Offer(PageRecord("u", page, i * 10)).ok());
   }
   ASSERT_TRUE((*engine)->Finish().ok());
 
@@ -476,15 +482,11 @@ TEST(EngineFaultTest, OffersToDeadShardAreQuarantined) {
           .set_error_policy(ErrorPolicy::kDegrade)
           .set_dead_letters(&dead_letters)
           .set_num_pages(graph.num_pages())
-          .use_custom([] { return std::make_unique<EmitEverySessionizer>(); })
-          .add_operator([] {
-            return std::make_unique<FaultInjectingOperator>(
-                FaultSchedule::AtIndices({0}),
-                FaultInjectingOperator::Mode::kShardFatal);
-          }),
+          .use_custom(
+              FaultyEmitEvery(FaultInjectingSessionizer::Mode::kShardFatal)),
       &sessions);
   ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Offer(PageRecord("u", 0, 0)).ok());
+  ASSERT_TRUE((*engine)->Offer(PageRecord("u", kPoisonPage, 0)).ok());
   // Wait until the (only) shard has died, then keep offering: the
   // records must be absorbed as dead letters, never surfaced as errors.
   while ((*engine)->ShardHealth()[0].ok()) {

@@ -218,43 +218,59 @@ TEST(FlakySinkTest, FailsExactlyPerScheduleAndForwardsTheRest) {
   EXPECT_EQ(collected.entries().size(), 2u);
 }
 
-class CollectingRecordSink : public RecordSink {
+/// Records every request it is fed; one session per request on Flush.
+class RecordingSessionizer : public IncrementalUserSessionizer {
  public:
-  Status Accept(const LogRecord& record) override {
-    records.push_back(record);
+  explicit RecordingSessionizer(std::vector<PageRequest>* seen)
+      : seen_(seen) {}
+
+  Status OnRequest(const PageRequest& request, const EmitFn&) override {
+    seen_->push_back(request);
     return Status::OK();
   }
-  Status Finish() override { return Status::OK(); }
+  Status Flush(const EmitFn& emit) override {
+    for (const PageRequest& request : *seen_) {
+      Session session;
+      session.requests.push_back(request);
+      WUM_RETURN_NOT_OK(emit(std::move(session)));
+    }
+    return Status::OK();
+  }
 
-  std::vector<LogRecord> records;
+ private:
+  std::vector<PageRequest>* seen_;
 };
 
-TEST(FaultInjectingOperatorTest, ModesMapToDropRejectAndFatal) {
-  CollectingRecordSink collected;
-  LogRecord record;
-  record.client_ip = "u";
-
-  FaultInjectingOperator drop(FaultSchedule::AtIndices({0}),
-                              FaultInjectingOperator::Mode::kDrop);
-  drop.set_downstream(&collected);
-  EXPECT_TRUE(drop.Accept(record).ok());  // dropped, not forwarded
-  EXPECT_TRUE(drop.Accept(record).ok());  // forwarded
-  EXPECT_EQ(collected.records.size(), 1u);
-  EXPECT_EQ(drop.fired(), 1u);
-
-  FaultInjectingOperator reject(FaultSchedule::Always(),
-                                FaultInjectingOperator::Mode::kReject);
-  reject.set_downstream(&collected);
-  Status rejected = reject.Accept(record);
+TEST(FaultInjectingSessionizerTest, ModesMapToRejectAndFatal) {
+  std::vector<PageRequest> seen;
+  std::size_t emitted = 0;
+  const IncrementalUserSessionizer::EmitFn emit = [&emitted](Session) {
+    ++emitted;
+    return Status::OK();
+  };
+  UserSessionizerFactory reject_factory = FaultInjectingSessionizer::Wrap(
+      [&seen] { return std::make_unique<RecordingSessionizer>(&seen); },
+      /*poison_page=*/7, FaultInjectingSessionizer::Mode::kReject);
+  std::unique_ptr<IncrementalUserSessionizer> reject = reject_factory();
+  // Requests for other pages reach the wrapped state machine; the poison
+  // page never does.
+  EXPECT_TRUE(reject->OnRequest(PageRequest{1, 10}, emit).ok());
+  Status rejected = reject->OnRequest(PageRequest{7, 20}, emit);
   EXPECT_TRUE(rejected.IsInvalidArgument());
   EXPECT_FALSE(IsShardFatal(rejected));
+  EXPECT_TRUE(reject->OnRequest(PageRequest{2, 30}, emit).ok());
+  EXPECT_EQ(seen, (std::vector<PageRequest>{{1, 10}, {2, 30}}));
+  // Flush is forwarded unchanged.
+  EXPECT_TRUE(reject->Flush(emit).ok());
+  EXPECT_EQ(emitted, 2u);
 
-  FaultInjectingOperator fatal(FaultSchedule::Always(),
-                               FaultInjectingOperator::Mode::kShardFatal);
-  fatal.set_downstream(&collected);
-  Status killed = fatal.Accept(record);
+  FaultInjectingSessionizer fatal(
+      std::make_unique<RecordingSessionizer>(&seen), /*poison_page=*/7,
+      FaultInjectingSessionizer::Mode::kShardFatal);
+  Status killed = fatal.OnRequest(PageRequest{7, 40}, emit);
   EXPECT_TRUE(killed.IsInternal());
   EXPECT_TRUE(IsShardFatal(killed));
+  EXPECT_EQ(seen.size(), 2u);
 }
 
 }  // namespace

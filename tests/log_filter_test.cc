@@ -2,6 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+namespace {
+/// Heap-allocation counter backing the allocation-free filter test: this
+/// binary's global operator new counts every call.
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  ++g_allocations;
+  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+
 namespace wum {
 namespace {
 
@@ -18,51 +45,85 @@ LogRecord RecordFor(const std::string& url, int status = 200,
 
 TEST(ExtensionFilterTest, DropsDefaultResourceExtensions) {
   ExtensionFilter filter;
-  EXPECT_FALSE(filter.Keep(RecordFor("/img/logo.gif")));
-  EXPECT_FALSE(filter.Keep(RecordFor("/style.css")));
-  EXPECT_FALSE(filter.Keep(RecordFor("/app.js")));
-  EXPECT_TRUE(filter.Keep(RecordFor("/pages/p1.html")));
-  EXPECT_TRUE(filter.Keep(RecordFor("/")));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/img/logo.gif"))));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/style.css"))));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/app.js"))));
+  EXPECT_TRUE(filter.Keep(ViewOf(RecordFor("/pages/p1.html"))));
+  EXPECT_TRUE(filter.Keep(ViewOf(RecordFor("/"))));
 }
 
 TEST(ExtensionFilterTest, CaseInsensitive) {
   ExtensionFilter filter;
-  EXPECT_FALSE(filter.Keep(RecordFor("/LOGO.GIF")));
-  EXPECT_FALSE(filter.Keep(RecordFor("/photo.JpEg")));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/LOGO.GIF"))));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/photo.JpEg"))));
 }
 
 TEST(ExtensionFilterTest, IgnoresQueryString) {
   ExtensionFilter filter;
-  EXPECT_FALSE(filter.Keep(RecordFor("/logo.png?v=2")));
-  EXPECT_TRUE(filter.Keep(RecordFor("/page.html?img=x.png")));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/logo.png?v=2"))));
+  EXPECT_TRUE(filter.Keep(ViewOf(RecordFor("/page.html?img=x.png"))));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/images/NASA-logo.GIF?"))));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/icons/sts.GIF?s=2&x=.html"))));
+  EXPECT_TRUE(filter.Keep(ViewOf(RecordFor("/pages/p7.html?ref=a.gif"))));
+  EXPECT_TRUE(filter.Keep(ViewOf(RecordFor("?x.gif"))));
+}
+
+TEST(ExtensionFilterTest, ExtensionLongerThanPathIsKept) {
+  ExtensionFilter filter({".jpeg"});
+  EXPECT_TRUE(filter.Keep(ViewOf(RecordFor("peg"))));
+  EXPECT_TRUE(filter.Keep(ViewOf(RecordFor(""))));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor(".JPEG"))));
+}
+
+// The streaming engine runs the filters on every offered record before
+// it is copied, so Keep on a view must never touch the heap — including
+// for paths longer than any small-string buffer and mixed-case ones.
+TEST(ExtensionFilterTest, KeepOnAViewIsAllocationFree) {
+  const ExtensionFilter filter;
+  const std::string page = "/shuttle/missions/sts-71/pages/p1234.html";
+  const std::string gif = "/shuttle/missions/sts-71/images/KSC-95EC-0423.GIF";
+  const std::string query = "/history/apollo/images/footprint.Jpg?w=640&h=48";
+  LogRecordRef ref;
+  const std::uint64_t before = g_allocations.load();
+  ref.url = page;
+  const bool kept_page = filter.Keep(ref);
+  ref.url = gif;
+  const bool kept_gif = filter.Keep(ref);
+  ref.url = query;
+  const bool kept_query = filter.Keep(ref);
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after, before);
+  EXPECT_TRUE(kept_page);
+  EXPECT_FALSE(kept_gif);
+  EXPECT_FALSE(kept_query);
 }
 
 TEST(ExtensionFilterTest, CustomExtensionList) {
   ExtensionFilter filter({".pdf"});
-  EXPECT_FALSE(filter.Keep(RecordFor("/doc.pdf")));
-  EXPECT_TRUE(filter.Keep(RecordFor("/logo.gif")));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/doc.pdf"))));
+  EXPECT_TRUE(filter.Keep(ViewOf(RecordFor("/logo.gif"))));
 }
 
 TEST(StatusFilterTest, KeepsSuccessAnd304) {
   StatusFilter filter;
-  EXPECT_TRUE(filter.Keep(RecordFor("/x", 200)));
-  EXPECT_TRUE(filter.Keep(RecordFor("/x", 204)));
-  EXPECT_TRUE(filter.Keep(RecordFor("/x", 304)));
-  EXPECT_FALSE(filter.Keep(RecordFor("/x", 301)));
-  EXPECT_FALSE(filter.Keep(RecordFor("/x", 404)));
-  EXPECT_FALSE(filter.Keep(RecordFor("/x", 500)));
+  EXPECT_TRUE(filter.Keep(ViewOf(RecordFor("/x", 200))));
+  EXPECT_TRUE(filter.Keep(ViewOf(RecordFor("/x", 204))));
+  EXPECT_TRUE(filter.Keep(ViewOf(RecordFor("/x", 304))));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/x", 301))));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/x", 404))));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/x", 500))));
 }
 
 TEST(MethodFilterTest, KeepsOnlyGet) {
   MethodFilter filter;
-  EXPECT_TRUE(filter.Keep(RecordFor("/x", 200, HttpMethod::kGet)));
-  EXPECT_FALSE(filter.Keep(RecordFor("/x", 200, HttpMethod::kPost)));
-  EXPECT_FALSE(filter.Keep(RecordFor("/x", 200, HttpMethod::kHead)));
+  EXPECT_TRUE(filter.Keep(ViewOf(RecordFor("/x", 200, HttpMethod::kGet))));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/x", 200, HttpMethod::kPost))));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/x", 200, HttpMethod::kHead))));
 }
 
 TEST(RobotFilterTest, DropsRobotsTxtItself) {
   RobotFilter filter;
-  EXPECT_FALSE(filter.Keep(RecordFor("/robots.txt")));
+  EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/robots.txt"))));
 }
 
 TEST(RobotFilterTest, DropsClientsThatFetchedRobotsTxt) {
@@ -72,10 +133,10 @@ TEST(RobotFilterTest, DropsClientsThatFetchedRobotsTxt) {
   };
   RobotFilter filter;
   filter.ObserveForRobots(history);
-  EXPECT_FALSE(filter.Keep(RecordFor("/pages/p1.html", 200, HttpMethod::kGet,
-                                     "6.6.6.6")));
-  EXPECT_TRUE(filter.Keep(RecordFor("/pages/p1.html", 200, HttpMethod::kGet,
-                                    "10.0.0.1")));
+  EXPECT_FALSE(filter.Keep(ViewOf(
+      RecordFor("/pages/p1.html", 200, HttpMethod::kGet, "6.6.6.6"))));
+  EXPECT_TRUE(filter.Keep(ViewOf(
+      RecordFor("/pages/p1.html", 200, HttpMethod::kGet, "10.0.0.1"))));
 }
 
 TEST(RobotFilterTest, ObserveIsIdempotent) {
@@ -84,7 +145,8 @@ TEST(RobotFilterTest, ObserveIsIdempotent) {
   RobotFilter filter;
   filter.ObserveForRobots(history);
   filter.ObserveForRobots(history);
-  EXPECT_FALSE(filter.Keep(RecordFor("/x", 200, HttpMethod::kGet, "6.6.6.6")));
+  EXPECT_FALSE(
+      filter.Keep(ViewOf(RecordFor("/x", 200, HttpMethod::kGet, "6.6.6.6"))));
 }
 
 TEST(FilterChainTest, AppliesConjunction) {

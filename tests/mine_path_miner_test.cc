@@ -6,7 +6,7 @@
 
 #include "wum/mine/options.h"
 #include "wum/session/session.h"
-#include "wum/stream/pipeline.h"
+#include "wum/stream/session_sink.h"
 #include "wum/topology/site_generator.h"
 #include "wum/topology/web_graph.h"
 

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "wum/stream/engine.h"
-#include "wum/stream/pipeline.h"
+#include "wum/stream/session_sink.h"
 #include "wum/topology/site_generator.h"
 
 namespace wum {

@@ -1,9 +1,8 @@
-#include "wum/stream/pipeline.h"
+#include "wum/stream/session_sink.h"
 
 #include <gtest/gtest.h>
 
 #include "wum/stream/incremental_sessionizer.h"
-#include "wum/stream/operators.h"
 #include "wum/topology/site_generator.h"
 
 namespace wum {
@@ -16,101 +15,6 @@ LogRecord PageRecord(const std::string& ip, std::uint32_t page,
   record.url = PageUrl(page);
   record.timestamp = timestamp;
   return record;
-}
-
-// Terminal sink collecting records for operator tests.
-class VectorSink : public RecordSink {
- public:
-  Status Accept(const LogRecord& record) override {
-    records.push_back(record);
-    return Status::OK();
-  }
-  Status Finish() override {
-    finished = true;
-    return Status::OK();
-  }
-  std::vector<LogRecord> records;
-  bool finished = false;
-};
-
-TEST(PipelineTest, EmptyPipelinePassesThrough) {
-  VectorSink sink;
-  Pipeline pipeline(&sink);
-  ASSERT_TRUE(pipeline.Accept(PageRecord("ip", 1, 10)).ok());
-  ASSERT_TRUE(pipeline.Finish().ok());
-  EXPECT_EQ(sink.records.size(), 1u);
-  EXPECT_TRUE(sink.finished);
-  EXPECT_EQ(pipeline.records_in(), 1u);
-}
-
-TEST(PipelineTest, DoubleFinishRejected) {
-  VectorSink sink;
-  Pipeline pipeline(&sink);
-  ASSERT_TRUE(pipeline.Finish().ok());
-  EXPECT_TRUE(pipeline.Finish().IsFailedPrecondition());
-}
-
-TEST(PipelineTest, OperatorsChainInOrder) {
-  VectorSink sink;
-  Pipeline pipeline(&sink);
-  // Filter drops status != 200, transform rewrites the IP.
-  auto filter = std::make_unique<TransformOperator>(
-      [](const LogRecord& record) -> std::optional<LogRecord> {
-        if (record.status_code != 200) return std::nullopt;
-        return record;
-      });
-  auto rename = std::make_unique<TransformOperator>(
-      [](const LogRecord& record) -> std::optional<LogRecord> {
-        LogRecord copy = record;
-        copy.client_ip = "rewritten";
-        return copy;
-      });
-  pipeline.Append(std::move(filter));
-  pipeline.Append(std::move(rename));
-  LogRecord bad = PageRecord("ip", 1, 10);
-  bad.status_code = 404;
-  ASSERT_TRUE(pipeline.Accept(bad).ok());
-  ASSERT_TRUE(pipeline.Accept(PageRecord("ip", 2, 20)).ok());
-  ASSERT_TRUE(pipeline.Finish().ok());
-  ASSERT_EQ(sink.records.size(), 1u);
-  EXPECT_EQ(sink.records[0].client_ip, "rewritten");
-  EXPECT_TRUE(sink.finished);
-}
-
-TEST(FilterOperatorTest, CountsDrops) {
-  VectorSink sink;
-  FilterOperator op(std::make_unique<StatusFilter>());
-  op.set_downstream(&sink);
-  LogRecord ok_record = PageRecord("ip", 1, 10);
-  LogRecord bad_record = PageRecord("ip", 2, 20);
-  bad_record.status_code = 500;
-  ASSERT_TRUE(op.Accept(ok_record).ok());
-  ASSERT_TRUE(op.Accept(bad_record).ok());
-  EXPECT_EQ(op.dropped(), 1u);
-  EXPECT_EQ(sink.records.size(), 1u);
-}
-
-TEST(WatermarkOperatorTest, TracksMaxTimestamp) {
-  VectorSink sink;
-  WatermarkOperator op;
-  op.set_downstream(&sink);
-  ASSERT_TRUE(op.Accept(PageRecord("ip", 1, 50)).ok());
-  ASSERT_TRUE(op.Accept(PageRecord("ip", 2, 30)).ok());
-  EXPECT_EQ(op.count(), 2u);
-  EXPECT_EQ(op.watermark(), 50);
-  EXPECT_EQ(sink.records.size(), 2u);
-}
-
-TEST(OrderGuardOperatorTest, DropsTooLateRecords) {
-  VectorSink sink;
-  OrderGuardOperator op(/*max_lateness=*/10);
-  op.set_downstream(&sink);
-  ASSERT_TRUE(op.Accept(PageRecord("ip", 1, 100)).ok());
-  ASSERT_TRUE(op.Accept(PageRecord("ip", 2, 95)).ok());   // within lateness
-  ASSERT_TRUE(op.Accept(PageRecord("ip", 3, 50)).ok());   // too late: dropped
-  EXPECT_EQ(op.late_dropped(), 1u);
-  ASSERT_EQ(sink.records.size(), 2u);
-  EXPECT_EQ(sink.records[1].url, PageUrl(2));
 }
 
 TEST(SessionizeSinkTest, EmitsSessionsPerIp) {

@@ -296,17 +296,17 @@ TEST(StreamEngineTest, MetricsMatchEngineStats) {
     ASSERT_NE(watermark, nullptr);
     EXPECT_EQ(watermark->value, shards[i].queue_high_watermark);
     // records_dropped is derived the same way EngineStats derives it.
-    EXPECT_EQ(snapshot.CounterOrZero(prefix + "records_processed") -
-                  snapshot.CounterOrZero(prefix + "records_delivered") +
+    EXPECT_EQ(snapshot.CounterOrZero(prefix + "records_filtered") +
                   snapshot.CounterOrZero(prefix + "skipped_non_page_urls"),
               shards[i].records_dropped);
-    // The drain timer saw every processed record; the sessionize timer
-    // every record that reached the sessionizer as a page request.
+    // The drain timer saw every record handed to the shard: everything
+    // accepted except what the filters dropped on the producer.
     const obs::MetricsSnapshot::HistogramValue* drain =
         snapshot.FindHistogram(prefix + "drain_latency_us");
     ASSERT_NE(drain, nullptr);
     EXPECT_EQ(drain->count,
-              snapshot.CounterOrZero(prefix + "records_processed"));
+              snapshot.CounterOrZero(prefix + "records_in") -
+                  snapshot.CounterOrZero(prefix + "records_filtered"));
   }
   const EngineStats total = (*engine)->TotalStats();
   std::uint64_t records_in_total = 0;
@@ -317,6 +317,32 @@ TEST(StreamEngineTest, MetricsMatchEngineStats) {
   EXPECT_EQ(records_in_total, total.records_in);
   EXPECT_EQ(total.records_in, 17u * 7u);
   EXPECT_EQ(total.records_dropped, 17u * 2u);
+}
+
+// add_filter drops run on the producer: a dropped record is accepted
+// (records_in) and counted in records_dropped, but never reaches the
+// shard's sessionizer.
+TEST(StreamEngineFilterTest, CountsDrops) {
+  WebGraph graph = MakeFigure1Topology();
+  CollectingSessionSink sessions;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions()
+          .set_num_pages(graph.num_pages())
+          .use_custom([] { return std::make_unique<EmitEverySessionizer>(); })
+          .add_filter([] { return std::make_unique<StatusFilter>(); }),
+      &sessions);
+  ASSERT_TRUE(engine.ok());
+  LogRecord bad_record = PageRecord("ip", 2, 20);
+  bad_record.status_code = 500;
+  ASSERT_TRUE((*engine)->Offer(PageRecord("ip", 1, 10)).ok());
+  ASSERT_TRUE((*engine)->Offer(bad_record).ok());
+  ASSERT_TRUE((*engine)->Finish().ok());
+  const EngineStats total = (*engine)->TotalStats();
+  EXPECT_EQ(total.records_in, 2u);
+  EXPECT_EQ(total.records_dropped, 1u);
+  ASSERT_EQ(sessions.entries().size(), 1u);
+  EXPECT_EQ(sessions.entries()[0].session.PageSequence(),
+            (std::vector<PageId>{1}));
 }
 
 // Without set_metrics the engine registers nothing anywhere and the
