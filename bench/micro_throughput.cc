@@ -170,10 +170,18 @@ void BM_SessionizeSmartSra(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionizeSmartSra);
 
+// Batch granularity for the streaming replays below: one resolve pass
+// and one queue hand-off per shard per 2048 records, the intended
+// production shape of the zero-copy ingest path.
+constexpr std::size_t kOfferBatchSize = 2048;
+
 // Single-thread streaming sessionization: the SessionizeSink an engine
-// shard runs, fed on the caller's thread with no queue in between.
+// shard runs, fed on the caller's thread with no queue in between. Each
+// kOfferBatchSize slice of the log is resolved into a ShardBatch the way
+// OfferBatch does, so the loop measures resolve + sessionize.
 void BM_StreamingPipelineEndToEnd(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
+  const std::span<const LogRecordRef> refs(fixture.log_refs);
   std::size_t records = 0;
   for (auto _ : state) {
     CallbackSessionSink sink(
@@ -184,22 +192,25 @@ void BM_StreamingPipelineEndToEnd(benchmark::State& state) {
                                                        SmartSra::Options());
         },
         &sink, fixture.graph.num_pages());
-    for (const LogRecord& record : fixture.log) {
-      if (!sessionize.Accept(record).ok()) {
-        state.SkipWithError("accept failed");
+    ShardBatch batch;
+    for (std::size_t i = 0; i < refs.size(); i += kOfferBatchSize) {
+      batch.clear();
+      for (const LogRecordRef& ref :
+           refs.subspan(i, std::min(kOfferBatchSize, refs.size() - i))) {
+        batch.Append(ref, UserIdentity::kClientIp);
+      }
+      for (const ShardRecord& record : batch.records) {
+        if (!sessionize.Accept(batch.KeyOf(record), record).ok()) {
+          state.SkipWithError("accept failed");
+        }
       }
     }
     if (!sessionize.Finish().ok()) state.SkipWithError("finish failed");
-    records += fixture.log.size();
+    records += refs.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(records));
 }
 BENCHMARK(BM_StreamingPipelineEndToEnd)->Unit(benchmark::kMillisecond);
-
-// Batch granularity for the engine replays below: one partition pass and
-// one queue hand-off per shard per 2048 records, the intended production
-// shape of the zero-copy ingest path.
-constexpr std::size_t kOfferBatchSize = 2048;
 
 bool OfferAllBatched(StreamEngine* engine,
                      std::span<const LogRecordRef> refs) {

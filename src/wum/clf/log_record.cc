@@ -32,18 +32,6 @@ LogRecord LogRecordRef::Materialize() const {
   return record;
 }
 
-void LogRecordRef::MaterializeInto(LogRecord* out) const {
-  out->client_ip.assign(client_ip);
-  out->timestamp = timestamp;
-  out->method = method;
-  out->url.assign(url);
-  out->protocol.assign(protocol);
-  out->status_code = status_code;
-  out->bytes = bytes;
-  out->referrer.assign(referrer);
-  out->user_agent.assign(user_agent);
-}
-
 LogRecordRef ViewOf(const LogRecord& record) {
   LogRecordRef ref;
   ref.client_ip = record.client_ip;

@@ -76,11 +76,6 @@ struct LogRecordRef {
   /// the hot path hands refs to StreamEngine::OfferBatch instead).
   LogRecord Materialize() const;
 
-  /// Copies the viewed fields into an existing record, reusing its
-  /// string capacities — the allocation-free variant of Materialize for
-  /// recycled record buffers.
-  void MaterializeInto(LogRecord* out) const;
-
   friend auto operator<=>(const LogRecordRef&, const LogRecordRef&) = default;
 };
 

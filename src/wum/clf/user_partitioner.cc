@@ -7,22 +7,28 @@ namespace wum {
 
 std::string UserKeyFor(const std::string& client_ip,
                        const std::string& user_agent, UserIdentity identity) {
-  if (identity == UserIdentity::kClientIp) return client_ip;
-  // \x1f (unit separator) cannot occur in an IP and is vanishingly rare
-  // in user-agent strings, so the composite key is unambiguous.
-  return client_ip + '\x1f' + user_agent;
+  std::string key;
+  AppendUserKey(client_ip, user_agent, identity, &key);
+  return key;
 }
 
-std::string_view UserKeyView(std::string_view client_ip,
-                             std::string_view user_agent,
-                             UserIdentity identity, std::string* buffer) {
-  if (identity == UserIdentity::kClientIp) return client_ip;
-  buffer->clear();
-  buffer->reserve(client_ip.size() + 1 + user_agent.size());
-  buffer->append(client_ip);
-  buffer->push_back('\x1f');
-  buffer->append(user_agent);
-  return *buffer;
+void AppendUserKey(std::string_view client_ip, std::string_view user_agent,
+                   UserIdentity identity, std::string* out) {
+  out->append(client_ip);
+  if (identity == UserIdentity::kClientIp) return;
+  // \x1f (unit separator) cannot occur in an IP and is vanishingly rare
+  // in user-agent strings, so the composite key is unambiguous.
+  out->push_back('\x1f');
+  out->append(user_agent);
+}
+
+std::pair<std::string_view, std::string_view> SplitUserKey(
+    std::string_view key, UserIdentity identity) {
+  const std::size_t split = identity == UserIdentity::kClientIp
+                                ? std::string_view::npos
+                                : key.find('\x1f');
+  if (split == std::string_view::npos) return {key, {}};
+  return {key.substr(0, split), key.substr(split + 1)};
 }
 
 Result<PartitionResult> PartitionByUser(const std::vector<LogRecord>& records,

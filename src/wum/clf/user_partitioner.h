@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "wum/clf/log_record.h"
@@ -29,15 +30,15 @@ enum class UserIdentity {
 std::string UserKeyFor(const std::string& client_ip,
                        const std::string& user_agent, UserIdentity identity);
 
-/// Allocation-free variant for the hot path: returns a view of the key
-/// `UserKeyFor` would build. Under kClientIp the view aliases
-/// `client_ip`; otherwise the composite is assembled into `*buffer`
-/// (reused across calls, so it only allocates while growing) and the
-/// view aliases the buffer. The view is invalidated by the next call
-/// with the same buffer or by mutation of the aliased string.
-std::string_view UserKeyView(std::string_view client_ip,
-                             std::string_view user_agent,
-                             UserIdentity identity, std::string* buffer);
+/// Appends the key `UserKeyFor` would build to `*out`, without a
+/// temporary string (the streaming engine's per-batch key arena).
+void AppendUserKey(std::string_view client_ip, std::string_view user_agent,
+                   UserIdentity identity, std::string* out);
+
+/// Inverse of `UserKeyFor`: the client IP and user agent a key was built
+/// from (the agent is empty under kClientIp).
+std::pair<std::string_view, std::string_view> SplitUserKey(
+    std::string_view key, UserIdentity identity);
 
 namespace partitioner_internal {
 

@@ -30,7 +30,7 @@ struct DeadLetter {
   /// Which stage of the processing chain refused the input.
   enum class Stage {
     kParse,      // malformed CLF line (record absent, `detail` = raw line)
-    kRecord,     // operator/sessionizer rejected the record in-shard
+    kRecord,     // the sessionizer rejected the record in-shard
     kEmit,       // sink refused a completed session after every retry
     kShardDead,  // record routed to (or drained from) a failed shard
   };

@@ -140,15 +140,6 @@ struct StreamEngine::Shard {
   std::mutex health_mutex;
   Status finish_error;
 
-  // Drained batches returned by the worker for reuse: their records'
-  // string capacities let the producer stage the next batch without
-  // per-field reallocation (see OfferBatch). Bounded; excess batches
-  // are simply destroyed. Declared before `driver` so the recycling
-  // hook can never outlive the pool.
-  std::mutex recycle_mutex;
-  std::vector<RecordBatch> recycle;
-  static constexpr std::size_t kRecycleDepth = 8;
-
   std::unique_ptr<RetryingSink> retrying;  // wraps the caller sink; may
                                            // be null (no set_retry)
   std::unique_ptr<ShardEmit> emit;         // -> hub -> retrying/sink
@@ -396,7 +387,6 @@ StreamEngine::StreamEngine(EngineOptions options,
     filters_.push_back(make_filter());
   }
   staging_.resize(options.num_shards_);
-  staging_used_.resize(options.num_shards_, 0);
   staging_filtered_.resize(options.num_shards_, 0);
   shards_.reserve(options.num_shards_);
   for (std::size_t i = 0; i < options.num_shards_; ++i) {
@@ -427,7 +417,7 @@ StreamEngine::StreamEngine(EngineOptions options,
     sessionize_metrics.tracer = tracer_;
     sessionize_metrics.trace_shard = i;
     shard->sessionize = std::make_unique<SessionizeSink>(
-        factory, shard->emit.get(), options.num_pages_, options.identity_,
+        factory, shard->emit.get(), options.num_pages_,
         std::move(sessionize_metrics));
     shards_.push_back(std::move(shard));
   }
@@ -449,55 +439,41 @@ void StreamEngine::StartWorkers() {
     driver_metrics.tracer = tracer_;
     driver_metrics.trace_shard = shard->index;
     DriverHooks hooks;
-    Shard* recycle_shard = shard.get();
-    hooks.on_batch_drained = [recycle_shard](RecordBatch&& batch) {
-      // Also the end-of-batch mark for latency stamping: emissions from
-      // here on (the next batch not yet started, or the Finish flush)
-      // have no meaningful accept time.
-      recycle_shard->batch_accept_stamp_us.store(0.0,
-                                                 std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(recycle_shard->recycle_mutex);
-      if (recycle_shard->recycle.size() < Shard::kRecycleDepth) {
-        recycle_shard->recycle.push_back(std::move(batch));
-      }
+    Shard* shard_ptr = shard.get();
+    hooks.on_batch_drained = [shard_ptr] {
+      // The end-of-batch mark for latency stamping: emissions from here
+      // on (the next batch not yet started, or the Finish flush) have no
+      // meaningful accept time.
+      shard_ptr->batch_accept_stamp_us.store(0.0, std::memory_order_relaxed);
     };
     if (registry_ != nullptr) {
       // Installing the hook is what switches on producer-side accept
       // stamping in the driver, so an uninstrumented engine never reads
       // the clock per batch.
-      hooks.on_batch_start = [recycle_shard](double accept_stamp_us) {
-        recycle_shard->batch_accept_stamp_us.store(accept_stamp_us,
-                                                   std::memory_order_relaxed);
+      hooks.on_batch_start = [shard_ptr](double accept_stamp_us) {
+        shard_ptr->batch_accept_stamp_us.store(accept_stamp_us,
+                                               std::memory_order_relaxed);
       };
     }
     if (error_policy_ == ErrorPolicy::kDegrade) {
       // Failure-domain hooks: record-level errors quarantine only the
       // record; shard-fatal errors quarantine it too (the dying shard
       // cannot process it) and then let the sticky error kill the shard.
-      Shard* shard_ptr = shard.get();
-      hooks.on_record_error = [this, shard_ptr](const LogRecord& record,
+      hooks.on_record_error = [this, shard_ptr](std::string_view user_key,
+                                                const ShardRecord& record,
                                                 const Status& status) {
-        DeadLetter letter;
-        letter.shard = shard_ptr->index;
-        letter.reason = status;
-        letter.record = record;
-        if (IsShardFatal(status)) {
-          letter.stage = DeadLetter::Stage::kShardDead;
-          Quarantine(*shard_ptr, std::move(letter));
-          return false;  // the shard dies
-        }
-        letter.stage = DeadLetter::Stage::kRecord;
-        Quarantine(*shard_ptr, std::move(letter));
-        return true;  // quarantined; the shard lives on
+        const bool fatal = IsShardFatal(status);
+        QuarantineRecord(*shard_ptr,
+                         fatal ? DeadLetter::Stage::kShardDead
+                               : DeadLetter::Stage::kRecord,
+                         status, user_key, record);
+        return !fatal;  // a fatal error kills the shard
       };
-      hooks.on_discard = [this, shard_ptr](const LogRecord& record,
+      hooks.on_discard = [this, shard_ptr](std::string_view user_key,
+                                           const ShardRecord& record,
                                            const Status& status) {
-        DeadLetter letter;
-        letter.stage = DeadLetter::Stage::kShardDead;
-        letter.shard = shard_ptr->index;
-        letter.reason = status;
-        letter.record = record;
-        Quarantine(*shard_ptr, std::move(letter));
+        QuarantineRecord(*shard_ptr, DeadLetter::Stage::kShardDead, status,
+                         user_key, record);
       };
     }
     shard->driver = std::make_unique<ThreadedDriver>(
@@ -536,6 +512,26 @@ void StreamEngine::Quarantine(Shard& shard, DeadLetter letter) {
   if (dead_letters_ != nullptr) dead_letters_->Offer(std::move(letter));
 }
 
+void StreamEngine::QuarantineRecord(Shard& shard, DeadLetter::Stage stage,
+                                    const Status& reason,
+                                    std::string_view user_key,
+                                    const ShardRecord& record) {
+  DeadLetter letter;
+  letter.stage = stage;
+  letter.shard = shard.index;
+  letter.reason = reason;
+  LogRecord& payload = letter.record.emplace();
+  const auto [client_ip, user_agent] = SplitUserKey(user_key, identity_);
+  payload.client_ip = client_ip;
+  payload.user_agent = user_agent;
+  // A non-page record keeps an empty url: it replays as a non-page too.
+  if (record.page != kNotAPage) {
+    payload.url = PageUrl(static_cast<std::uint32_t>(record.page));
+  }
+  payload.timestamp = record.timestamp;
+  Quarantine(shard, std::move(letter));
+}
+
 Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
   if (finished_) {
     return Status::FailedPrecondition("engine already finished");
@@ -554,25 +550,9 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
     // A sink failure in any shard stops ingest for all of them.
     WUM_RETURN_NOT_OK(emit_->first_error());
   }
-  // Refill empty staging slots from the worker's recycle pool: a
-  // drained batch's records keep their string capacities, so the
-  // partition pass below overwrites them in place instead of
-  // allocating fresh strings for every field.
-  for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
-    RecordBatch& staged = staging_[shard_ptr->index];
-    if (!staged.empty()) continue;  // still holds a pool
-    std::lock_guard<std::mutex> lock(shard_ptr->recycle_mutex);
-    if (!shard_ptr->recycle.empty()) {
-      staged = std::move(shard_ptr->recycle.back());
-      shard_ptr->recycle.pop_back();
-    }
-  }
   // Filter and partition pass: route every ref to the shard its user
-  // hashes to, drop it there if a filter rejects it, otherwise
-  // materialize it into that shard's staging batch — the one point
-  // where the viewed bytes are copied. staging_used_ counts the records
-  // staged this batch; entries beyond it are stale recycled records
-  // serving as capacity pool.
+  // hashes to, drop it there if a filter rejects it, otherwise resolve it
+  // into that shard's staging batch.
   // seq = 0-based input offset of each record for the routing instant;
   // the per-shard enqueue span carries the offset of the first record
   // not yet counted (== records_seen_ at hand-off, matching the
@@ -590,14 +570,7 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
       ++staging_filtered_[index];
       continue;
     }
-    RecordBatch& staged = staging_[index];
-    std::size_t& used = staging_used_[index];
-    if (used < staged.size()) {
-      ref.MaterializeInto(&staged[used]);
-    } else {
-      staged.push_back(ref.Materialize());
-    }
-    ++used;
+    staging_[index].Append(ref, identity_);
   }
   // One queue hand-off per shard that received records this batch.
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
@@ -613,62 +586,47 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
       shard.filtered_mirror.Increment(dropped);
       records_seen_ += dropped;
     }
-    RecordBatch& staged = staging_[shard.index];
-    std::size_t& used = staging_used_[shard.index];
-    if (used == 0) continue;
-    const std::uint64_t count = used;
-    staged.resize(used);  // drop any stale pool tail before hand-off
+    if (staging_[shard.index].records.empty()) continue;
+    // The queue gets an exact-size copy (two allocations), so it holds no
+    // growth slack, and the staging batch keeps its buffers for the next
+    // call.
+    ShardBatch handoff = staging_[shard.index];
+    staging_[shard.index].clear();
+    const std::uint64_t count = handoff.records.size();
+    bool accepted = true;
     Status status;
     {
       obs::ScopedSpan span(tracer_, "enqueue", shard.index, records_seen_);
-      if (offer_policy_ == OfferPolicy::kShed) {
-        bool accepted = false;
-        status = shard.driver->TryOfferBatch(&staged, &accepted);
-        if (status.ok() && !accepted) {
-          // Shedding is per hand-off: the whole sub-batch is dropped
-          // when the shard queue is full (at batch size 1 this is
-          // exactly the historical per-record shed). The shed records
-          // stay in the staging slot as capacity pool.
-          shard.shed.fetch_add(count, std::memory_order_relaxed);
-          shard.shed_mirror.Increment(count);
-          records_seen_ += count;
-          used = 0;
-          continue;
-        }
-      } else {
-        status = shard.driver->OfferBatch(&staged);
-      }
+      status = offer_policy_ == OfferPolicy::kShed
+                   ? shard.driver->TryOfferBatch(&handoff, &accepted)
+                   : shard.driver->OfferBatch(&handoff);
+    }
+    if (!status.ok() && error_policy_ == ErrorPolicy::kFailFast) {
+      // The failing sub-batch's records are not counted consumed —
+      // same as the historical Offer returning before ++records_seen_.
+      // Staged records of untried shards are dropped with the error.
+      for (ShardBatch& pending : staging_) pending.clear();
+      std::fill(staging_filtered_.begin(), staging_filtered_.end(), 0);
+      return status;
     }
     if (!status.ok()) {
-      if (error_policy_ == ErrorPolicy::kFailFast) {
-        // The failing sub-batch's records are not counted consumed —
-        // same as the historical Offer returning before ++records_seen_.
-        // Staged records of untried shards are dropped with the error.
-        for (RecordBatch& pending : staging_) pending.clear();
-        std::fill(staging_used_.begin(), staging_used_.end(), 0);
-        std::fill(staging_filtered_.begin(), staging_filtered_.end(), 0);
-        return status;
-      }
       // kDegrade: the records were routed to a dead shard — quarantine
       // them and keep the producer (and the other shards) going.
-      for (LogRecord& record : staged) {
-        DeadLetter letter;
-        letter.stage = DeadLetter::Stage::kShardDead;
-        letter.shard = shard.index;
-        letter.reason = status;
-        letter.record = std::move(record);
-        Quarantine(shard, std::move(letter));
+      for (const ShardRecord& record : handoff.records) {
+        QuarantineRecord(shard, DeadLetter::Stage::kShardDead, status,
+                         handoff.KeyOf(record), record);
       }
-      records_seen_ += count;
-      staged.clear();
-      used = 0;
-      continue;
+    } else if (!accepted) {
+      // Shedding is per hand-off: the whole sub-batch is dropped when
+      // the shard queue is full (at batch size 1 this is exactly the
+      // historical per-record shed).
+      shard.shed.fetch_add(count, std::memory_order_relaxed);
+      shard.shed_mirror.Increment(count);
+    } else {
+      shard.offered.fetch_add(count, std::memory_order_relaxed);
+      shard.records_in.Increment(count);
     }
-    shard.offered.fetch_add(count, std::memory_order_relaxed);
-    shard.records_in.Increment(count);
     records_seen_ += count;
-    staged.clear();  // moved-from by the hand-off; normalize to empty
-    used = 0;
   }
   return Status::OK();
 }

@@ -4,12 +4,14 @@
 // ThreadedDriver + SessionizeSink (which remain the internal building
 // blocks).
 //
-//   OfferBatch(refs) --filters--> hash(user identity) --> shard queue
+//   OfferBatch(refs) --filters--> hash(user identity)
+//       --resolve--> ShardBatch {key, page id, timestamp} --> shard queue
 //       -> per-user sessionizer -> serialized emit -> SessionSink
 //
-// The add_filter filters run on the producer thread over the zero-copy
-// LogRecordRef views, before anything is copied: a dropped record is
-// never materialized, queued or drained.
+// Everything before the shard queue runs on the producer thread over
+// the zero-copy LogRecordRef views: the add_filter filters drop records
+// before any copy, and each kept record is resolved into the three
+// fields a shard reads (see ShardBatch).
 //
 // Records are hash-partitioned by user identity (client IP, or IP+UA per
 // UserIdentity), so one user's records always land on the same shard and
@@ -41,6 +43,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -220,8 +223,8 @@ class EngineOptions {
 
   /// Appends a cleaning filter (applied in call order). The engine
   /// builds one instance per factory and runs it on the producer thread
-  /// over each offered record's views, before the record is copied into
-  /// a shard queue; a dropped record counts in records_in and
+  /// over each offered record's views, before the record is resolved
+  /// into a shard batch; a dropped record counts in records_in and
   /// records_dropped of the shard its user hashes to.
   EngineOptions& add_filter(FilterFactory factory) {
     filter_factories_.push_back(std::move(factory));
@@ -374,9 +377,9 @@ class StreamEngine {
   StreamEngine& operator=(const StreamEngine&) = delete;
 
   /// Zero-copy batch ingest, the hot path: one pass over the refs that
-  /// applies the add_filter filters and partitions the kept records,
-  /// then one materialized vector-of-records queue hand-off per shard
-  /// per batch (the only point the viewed bytes are copied). The
+  /// applies the add_filter filters and resolves each kept record into
+  /// its shard's ShardBatch (the only point the viewed bytes — the user
+  /// key — are copied), then one queue hand-off per shard per batch. The
   /// refs need only stay valid for the duration of the call. Blocks when
   /// a shard's queue is full (OfferPolicy::kBlock); under kShed an
   /// entire per-shard sub-batch is shed when its queue is full — a batch
@@ -488,6 +491,11 @@ class StreamEngine {
   /// Counts one quarantined input against `shard` and offers it to the
   /// dead-letter channel when one is attached.
   void Quarantine(Shard& shard, DeadLetter letter);
+  /// Quarantines one shard record, with a LogRecord rebuilt from every
+  /// field the shard reads (see docs/robustness.md).
+  void QuarantineRecord(Shard& shard, DeadLetter::Stage stage,
+                        const Status& reason, std::string_view user_key,
+                        const ShardRecord& record);
   /// Second construction phase: creates the per-shard drivers (worker
   /// threads). Runs after RestoreFrom so state restore never races a
   /// live worker.
@@ -511,12 +519,10 @@ class StreamEngine {
   std::unique_ptr<mine::MiningSink> mining_;
   std::unique_ptr<EmitHub> emit_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Per-shard staging buffers for OfferBatch's partition pass (indexed
-  /// by shard). Producer thread only. Entries beyond staging_used_[i]
-  /// are stale recycled records whose string capacities the partition
-  /// pass reuses (see Shard::recycle).
-  std::vector<RecordBatch> staging_;
-  std::vector<std::size_t> staging_used_;
+  /// Per-shard staging batches for OfferBatch's partition pass (indexed
+  /// by shard). Producer thread only. Each hands off an exact-size copy
+  /// and keeps its own buffers for the next call.
+  std::vector<ShardBatch> staging_;
   /// Filter drops of the batch in flight, per shard (producer thread).
   std::vector<std::uint64_t> staging_filtered_;
   /// The add_filter chain, one instance per factory, run only by the

@@ -1,5 +1,7 @@
 #include "wum/stream/incremental_sessionizer.h"
 
+#include <algorithm>
+
 #include "wum/ckpt/checkpoint.h"
 
 namespace wum {
@@ -77,13 +79,11 @@ Status IncrementalSmartSra::Flush(const EmitFn& emit) {
 }
 
 SessionizeSink::SessionizeSink(UserSessionizerFactory factory,
-                               SessionSink* session_sink,
-                               std::size_t num_pages, UserIdentity identity,
+                               SessionSink* session_sink, std::size_t num_pages,
                                SessionizeMetrics metrics)
     : factory_(std::move(factory)),
       session_sink_(session_sink),
       num_pages_(num_pages),
-      identity_(identity),
       metrics_(std::move(metrics)) {
   // One closure for the sink's whole lifetime: sessions always belong to
   // the user whose id is current at call time, so no per-record closure
@@ -96,34 +96,35 @@ SessionizeSink::SessionizeSink(UserSessionizerFactory factory,
   };
 }
 
-Status SessionizeSink::Accept(const LogRecord& record) {
+Status SessionizeSink::Accept(std::string_view user_key,
+                              const ShardRecord& record) {
   if (record.timestamp > 0) {
     const std::uint64_t ts = static_cast<std::uint64_t>(record.timestamp);
     if (ts > watermark_seconds_.load(std::memory_order_relaxed)) {
       watermark_seconds_.store(ts, std::memory_order_relaxed);
     }
   }
-  Result<std::uint32_t> page = PageFromUrl(record.url);
-  if (!page.ok()) {
+  if (record.page == kNotAPage) {
     skipped_non_page_urls_.fetch_add(1, std::memory_order_relaxed);
     metrics_.skipped_non_page_urls.Increment();
     return Status::OK();
   }
-  if (*page >= num_pages_) {
+  if (record.page >= num_pages_) {
     return Status::InvalidArgument("record references page " +
-                                   std::to_string(*page) +
+                                   std::to_string(record.page) +
                                    " outside the topology");
   }
-  const std::string_view key =
-      UserKeyView(record.client_ip, record.user_agent, identity_, &key_buffer_);
-  const std::uint32_t user_id = interner_.Intern(key);
+  const std::uint32_t user_id = interner_.Intern(user_key);
   if (user_id == users_.size()) users_.emplace_back();
   UserState& user = users_[user_id];
   if (user.sessionizer == nullptr) user.sessionizer = factory_();
   if (user.has_seen_request && record.timestamp < user.last_timestamp) {
+    // The whole key: under ip-ua two agents behind one proxy share an IP.
+    std::string key(user_key);
+    std::replace(key.begin(), key.end(), '\x1f', '|');
     return Status::InvalidArgument(
-        "out-of-order record for " + record.client_ip +
-        "; each user's records must arrive in timestamp order");
+        "out-of-order record for user '" + key +
+        "'; each user's records must arrive in timestamp order");
   }
   user.last_timestamp = record.timestamp;
   user.has_seen_request = true;
@@ -132,7 +133,8 @@ Status SessionizeSink::Accept(const LogRecord& record) {
                        records_absorbed_.load(std::memory_order_relaxed));
   current_user_id_ = user_id;
   WUM_RETURN_NOT_OK(user.sessionizer->OnRequest(
-      PageRequest{static_cast<PageId>(*page), record.timestamp}, emit_fn_));
+      PageRequest{static_cast<PageId>(record.page), record.timestamp},
+      emit_fn_));
   records_absorbed_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "wum/clf/user_partitioner.h"
 #include "wum/obs/metrics.h"
 #include "wum/obs/trace.h"
 #include "wum/session/smart_sra.h"
@@ -99,21 +98,19 @@ class IncrementalSmartSra : public IncrementalUserSessionizer {
   Session candidate_;
 };
 
-/// A shard's record consumer: partitions records by user identity (client
-/// IP, or IP+User-Agent per UserIdentity), converts canonical page URLs
-/// to PageRequests (other URLs are counted and skipped), drives one
-/// per-user sessionizer per identity key, and forwards closed sessions —
-/// attributed to their user key — to a SessionSink.
+/// A shard's record consumer: interns each record's user key (resolved
+/// by the producer, see ShardBatch::Append), range-checks its page
+/// (kNotAPage records are counted and skipped), drives one per-user
+/// sessionizer per key, and forwards closed sessions — attributed to
+/// their user key — to a SessionSink.
 class SessionizeSink : public RecordSink {
  public:
   /// `session_sink` must outlive this object. `metrics` handles are
   /// copied; their registry must outlive this sink.
   SessionizeSink(UserSessionizerFactory factory, SessionSink* session_sink,
-                 std::size_t num_pages,
-                 UserIdentity identity = UserIdentity::kClientIp,
-                 SessionizeMetrics metrics = {});
+                 std::size_t num_pages, SessionizeMetrics metrics = {});
 
-  Status Accept(const LogRecord& record) override;
+  Status Accept(std::string_view user_key, const ShardRecord& record) override;
   Status Finish() override;
 
   /// Checkpoint hook: appends this sink's state as codec frames — one
@@ -169,16 +166,12 @@ class SessionizeSink : public RecordSink {
   UserSessionizerFactory factory_;
   SessionSink* session_sink_;
   std::size_t num_pages_;
-  UserIdentity identity_;
   SessionizeMetrics metrics_;
   /// User identity keys → dense ids; open-session state lives in the
   /// id-indexed flat vector below instead of a string-keyed map, so the
   /// per-record lookup is one string_view hash with no allocation.
   StringInterner interner_;
   std::vector<UserState> users_;
-  /// Scratch for composite ip+agent keys (see UserKeyView); reused so
-  /// steady-state Accept never allocates for the key.
-  std::string key_buffer_;
   /// One emit closure for the whole sink: it reads current_user_id_ at
   /// call time, so no per-record std::function is materialized. Set
   /// before every OnRequest/Flush; emission is synchronous within them.

@@ -6,6 +6,16 @@
 
 namespace wum {
 
+void ShardBatch::Append(const LogRecordRef& ref, UserIdentity identity) {
+  const std::size_t offset = keys.size();
+  AppendUserKey(ref.client_ip, ref.user_agent, identity, &keys);
+  const Result<std::uint32_t> page = PageFromUrl(ref.url);
+  records.push_back({static_cast<std::uint32_t>(offset),
+                     static_cast<std::uint32_t>(keys.size() - offset),
+                     page.ok() ? std::uint64_t{*page} : kNotAPage,
+                     ref.timestamp});
+}
+
 ThreadedDriver::ThreadedDriver(RecordSink* sink, std::size_t queue_capacity,
                                DriverMetrics metrics, DriverHooks hooks)
     : queue_(queue_capacity),
@@ -56,7 +66,7 @@ double ThreadedDriver::PopStamp() {
 
 void ThreadedDriver::Run() {
   while (true) {
-    std::optional<RecordBatch> batch = queue_.Pop();
+    std::optional<ShardBatch> batch = queue_.Pop();
     if (!batch.has_value()) return;  // closed and drained
     if (hooks_.on_batch_start != nullptr) {
       hooks_.on_batch_start(PopStamp());
@@ -71,14 +81,15 @@ void ThreadedDriver::Run() {
     const std::uint64_t drained_before =
         drained_.load(std::memory_order_relaxed);
     std::uint64_t handled = 0;
-    for (const LogRecord& record : *batch) {
+    for (const ShardRecord& record : batch->records) {
       ++handled;
+      const std::string_view user_key = batch->KeyOf(record);
       if (failed_.load(std::memory_order_relaxed)) {
         // Drain after failure: keep consuming so the producer never
         // wedges on a full queue, reporting each discarded record when
         // asked.
         if (hooks_.on_discard != nullptr) {
-          hooks_.on_discard(record, first_error());
+          hooks_.on_discard(user_key, record, first_error());
         }
         continue;
       }
@@ -87,11 +98,11 @@ void ThreadedDriver::Run() {
         obs::ScopedTimer timer(metrics_.drain_latency_us);
         obs::ScopedSpan span(metrics_.tracer, "drain", metrics_.trace_shard,
                              drained_before + handled - 1);
-        status = sink_->Accept(record);
+        status = sink_->Accept(user_key, record);
       }
       if (status.ok()) continue;
       if (hooks_.on_record_error != nullptr &&
-          hooks_.on_record_error(record, status)) {
+          hooks_.on_record_error(user_key, record, status)) {
         continue;  // quarantined; the shard lives on
       }
       obs::LogError("driver.failed")("shard", metrics_.trace_shard)(
@@ -105,9 +116,7 @@ void ThreadedDriver::Run() {
       // sticky error instead of waiting for space that may never come.
       queue_.WakeAll();
     }
-    if (hooks_.on_batch_drained != nullptr) {
-      hooks_.on_batch_drained(std::move(*batch));
-    }
+    if (hooks_.on_batch_drained != nullptr) hooks_.on_batch_drained();
     NoteDrained(handled);
   }
 }
@@ -128,26 +137,26 @@ void ThreadedDriver::NoteDepth(std::size_t depth) {
   }
 }
 
-Status ThreadedDriver::OfferBatch(RecordBatch* batch) {
+Status ThreadedDriver::OfferBatch(ShardBatch* batch) {
   WUM_RETURN_NOT_OK(CheckOfferable());
-  if (batch->empty()) return Status::OK();
-  const std::size_t weight = batch->size();
+  if (batch->records.empty()) return Status::OK();
+  const std::size_t weight = batch->records.size();
   std::size_t depth = 0;
   PushStamp();
   switch (queue_.TryPush(std::move(*batch), weight, &depth)) {
-    case SpscQueue<RecordBatch>::PushOutcome::kOk:
+    case SpscQueue<ShardBatch>::PushOutcome::kOk:
       break;
-    case SpscQueue<RecordBatch>::PushOutcome::kClosed:
+    case SpscQueue<ShardBatch>::PushOutcome::kClosed:
       UnpushStamp();
       return Status::FailedPrecondition("queue closed");
-    case SpscQueue<RecordBatch>::PushOutcome::kFull: {
+    case SpscQueue<ShardBatch>::PushOutcome::kFull: {
       blocked_enqueues_.fetch_add(1, std::memory_order_relaxed);
       metrics_.blocked_enqueues.Increment();
       // Time the stall only on this already-blocked path; the fast
       // path above never reads the clock for it.
       const bool timed = metrics_.blocked_wait_us.enabled();
       const double wait_start = timed ? obs::internal::NowMicros() : 0.0;
-      const SpscQueue<RecordBatch>::BlockingPushOutcome outcome =
+      const SpscQueue<ShardBatch>::BlockingPushOutcome outcome =
           queue_.PushUnless(
               std::move(*batch),
               [this] { return failed_.load(std::memory_order_acquire); },
@@ -157,12 +166,12 @@ Status ThreadedDriver::OfferBatch(RecordBatch* batch) {
             obs::internal::NowMicros() - wait_start));
       }
       switch (outcome) {
-        case SpscQueue<RecordBatch>::BlockingPushOutcome::kOk:
+        case SpscQueue<ShardBatch>::BlockingPushOutcome::kOk:
           break;
-        case SpscQueue<RecordBatch>::BlockingPushOutcome::kClosed:
+        case SpscQueue<ShardBatch>::BlockingPushOutcome::kClosed:
           UnpushStamp();
           return Status::FailedPrecondition("queue closed");
-        case SpscQueue<RecordBatch>::BlockingPushOutcome::kAborted:
+        case SpscQueue<ShardBatch>::BlockingPushOutcome::kAborted:
           UnpushStamp();
           return first_error();
       }
@@ -174,28 +183,23 @@ Status ThreadedDriver::OfferBatch(RecordBatch* batch) {
   return Status::OK();
 }
 
-Status ThreadedDriver::Offer(const LogRecord& record) {
-  RecordBatch batch(1, record);
-  return OfferBatch(&batch);
-}
-
-Status ThreadedDriver::TryOfferBatch(RecordBatch* batch, bool* accepted) {
+Status ThreadedDriver::TryOfferBatch(ShardBatch* batch, bool* accepted) {
   *accepted = false;
   WUM_RETURN_NOT_OK(CheckOfferable());
-  if (batch->empty()) {
+  if (batch->records.empty()) {
     *accepted = true;
     return Status::OK();
   }
-  const std::size_t weight = batch->size();
+  const std::size_t weight = batch->records.size();
   std::size_t depth = 0;
   PushStamp();
   switch (queue_.TryPush(std::move(*batch), weight, &depth)) {
-    case SpscQueue<RecordBatch>::PushOutcome::kOk:
+    case SpscQueue<ShardBatch>::PushOutcome::kOk:
       break;
-    case SpscQueue<RecordBatch>::PushOutcome::kClosed:
+    case SpscQueue<ShardBatch>::PushOutcome::kClosed:
       UnpushStamp();
       return Status::FailedPrecondition("queue closed");
-    case SpscQueue<RecordBatch>::PushOutcome::kFull:
+    case SpscQueue<ShardBatch>::PushOutcome::kFull:
       UnpushStamp();
       return Status::OK();
   }

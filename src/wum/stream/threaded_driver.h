@@ -13,10 +13,13 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "wum/clf/log_record.h"
+#include "wum/clf/user_partitioner.h"
 #include "wum/common/result.h"
 #include "wum/obs/metrics.h"
 #include "wum/obs/trace.h"
@@ -24,11 +27,41 @@
 
 namespace wum {
 
-/// Unit of queue hand-off between a producer and a shard worker. The
-/// shard queue's capacity is counted in records (batch weight), so
-/// batching changes how often the queue mutex is taken — once per batch
-/// instead of once per record — without changing backpressure semantics.
-using RecordBatch = std::vector<LogRecord>;
+/// Page id of a record whose URL is not a canonical page URL (above
+/// every 32-bit page id). Such records still travel to their shard.
+inline constexpr std::uint64_t kNotAPage = ~std::uint64_t{0};
+
+/// One kept record as a shard consumes it: the three fields
+/// sessionization reads. The user key lives in its batch's byte arena.
+struct ShardRecord {
+  std::uint32_t key_offset = 0;
+  std::uint32_t key_length = 0;
+  /// Canonical page id, or kNotAPage.
+  std::uint64_t page = kNotAPage;
+  TimeSeconds timestamp = 0;
+};
+
+/// Unit of queue hand-off between a producer and a shard worker: flat
+/// records plus the byte arena of their user keys. Queue capacity is
+/// counted in records (batch weight), so batching only changes how often
+/// the queue mutex is taken.
+struct ShardBatch {
+  std::string keys;
+  std::vector<ShardRecord> records;
+
+  /// Resolves `ref` into a shard record: its user key (see
+  /// AppendUserKey) is written once into the arena, and its URL becomes
+  /// its page id (kNotAPage when not canonical).
+  void Append(const LogRecordRef& ref, UserIdentity identity);
+
+  std::string_view KeyOf(const ShardRecord& record) const {
+    return std::string_view(keys.data() + record.key_offset, record.key_length);
+  }
+  void clear() {
+    keys.clear();
+    records.clear();
+  }
+};
 
 /// The driver's consumer: receives every drained record on the worker
 /// thread. The sharded engine plugs its SessionizeSink in here; tests
@@ -37,8 +70,9 @@ class RecordSink {
  public:
   virtual ~RecordSink() = default;
 
-  /// Processes one record. A non-OK status aborts the stream.
-  virtual Status Accept(const LogRecord& record) = 0;
+  /// Processes one record of `user_key`. A non-OK status aborts the stream.
+  virtual Status Accept(std::string_view user_key,
+                        const ShardRecord& record) = 0;
 
   /// Signals end-of-stream; implementations flush buffered state.
   /// Called exactly once, after the last Accept.
@@ -73,20 +107,20 @@ struct DriverMetrics {
 /// (the historical fail-fast behavior). The sharded engine installs
 /// them in ErrorPolicy::kDegrade mode to quarantine records instead.
 struct DriverHooks {
-  /// The sink rejected `record` with `status`. Return true when the
-  /// failure is handled (record quarantined, worker keeps going); false
-  /// makes `status` the driver's sticky error.
-  std::function<bool(const LogRecord&, const Status&)> on_record_error;
+  /// The sink rejected `record` of user `user_key` with `status`.
+  /// Return true when the failure is handled (record quarantined, worker
+  /// keeps going); false makes `status` the driver's sticky error.
+  std::function<bool(std::string_view, const ShardRecord&, const Status&)>
+      on_record_error;
   /// `record` was drained and discarded after the sticky error
   /// `first_error` was already set (the shard is dead; the record never
   /// entered the sink).
-  std::function<void(const LogRecord&, const Status&)> on_discard;
-  /// Every record of `batch` has been handled (processed, quarantined
-  /// or discarded); the batch is handed over for buffer recycling — its
-  /// records' string capacities can be reused by the producer to stage
-  /// later batches without reallocating. Runs on the worker thread,
-  /// before the drained count is published.
-  std::function<void(RecordBatch&&)> on_batch_drained;
+  std::function<void(std::string_view, const ShardRecord&, const Status&)>
+      on_discard;
+  /// Every record of the batch just popped has been handled (processed,
+  /// quarantined or discarded). Runs on the worker thread, before the
+  /// drained count is published.
+  std::function<void()> on_batch_drained;
   /// Called on the worker thread just before a batch's records drain,
   /// with the obs::internal::NowMicros() stamp captured when the
   /// producer offered the batch (0 when the stamp was lost to a race).
@@ -119,17 +153,13 @@ class ThreadedDriver {
   /// first error — including while blocked: a producer waiting on a
   /// full queue whose worker just died is woken and handed the sticky
   /// error instead of waiting forever. An empty batch is a no-op.
-  Status OfferBatch(RecordBatch* batch);
-
-  /// Convenience wrapper: enqueues one record as a batch of one, with
-  /// semantics identical to the historical per-record Offer.
-  Status Offer(const LogRecord& record);
+  Status OfferBatch(ShardBatch* batch);
 
   /// Non-blocking variant: when the queue is full, sets `*accepted` to
   /// false and returns OK without enqueueing (the batch stays in
   /// `*batch`; shed accounting is the caller's). Otherwise behaves like
   /// OfferBatch with `*accepted = true`.
-  Status TryOfferBatch(RecordBatch* batch, bool* accepted);
+  Status TryOfferBatch(ShardBatch* batch, bool* accepted);
 
   /// Signals end of stream, waits for the worker to drain, and returns
   /// the first sink error, or the sink's Finish status.
@@ -141,7 +171,7 @@ class ThreadedDriver {
   /// recorded its sticky error — in which case that error is returned.
   /// On OK the chain below the driver is at rest and will stay at rest
   /// until the producer offers again, which makes its state safe to
-  /// snapshot. Producer thread only, like Offer.
+  /// snapshot. Producer thread only, like OfferBatch.
   Status WaitIdle();
 
   /// Drain barrier that ignores the sticky error: blocks until every
@@ -150,11 +180,11 @@ class ThreadedDriver {
   /// its queue. After it returns the discard hook is quiet, so
   /// quarantine accounting for everything offered so far is complete —
   /// the barrier a checkpoint needs over a failed shard, where WaitIdle
-  /// returns early. Producer thread only, like Offer.
+  /// returns early. Producer thread only, like OfferBatch.
   void WaitDrained();
 
-  /// Number of Offer calls that found the queue full and had to block —
-  /// the backpressure signal of this driver.
+  /// Number of offers that found the queue full and had to block — the
+  /// backpressure signal of this driver.
   std::uint64_t blocked_enqueues() const {
     return blocked_enqueues_.load(std::memory_order_relaxed);
   }
@@ -191,7 +221,7 @@ class ThreadedDriver {
   /// wakes a waiting producer when one is registered.
   void NoteDrained(std::uint64_t count);
 
-  SpscQueue<RecordBatch> queue_;
+  SpscQueue<ShardBatch> queue_;
   RecordSink* sink_;
   DriverMetrics metrics_;
   DriverHooks hooks_;

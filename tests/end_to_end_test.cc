@@ -97,7 +97,9 @@ TEST(EndToEndTest, ThreadedStreamingEqualsBatchReconstruction) {
   {
     ThreadedDriver driver(&sessionize, 64);
     for (const LogRecord& record : cleaning.Apply(world.log)) {
-      ASSERT_TRUE(driver.Offer(record).ok());
+      ShardBatch batch;
+      batch.Append(ViewOf(record), UserIdentity::kClientIp);
+      ASSERT_TRUE(driver.OfferBatch(&batch).ok());
     }
     ASSERT_TRUE(driver.Finish().ok());
   }

@@ -16,6 +16,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "wum/clf/user_partitioner.h"
@@ -256,14 +257,153 @@ TEST(EngineFaultTest, RejectedRecordsAreDeadLetteredInOrder) {
   EXPECT_EQ(letters[0].stage, DeadLetter::Stage::kRecord);
   ASSERT_TRUE(letters[0].record.has_value());
   EXPECT_EQ(letters[0].record->timestamp, 10);
+  EXPECT_EQ(letters[0].record->url, PageUrl(kPoisonPage));
+  EXPECT_EQ(letters[0].record->client_ip, "u");
   EXPECT_TRUE(letters[0].reason.IsInvalidArgument());
   ASSERT_TRUE(letters[1].record.has_value());
   EXPECT_EQ(letters[1].record->timestamp, 30);
+  EXPECT_EQ(letters[1].record->url, PageUrl(kPoisonPage));
+  EXPECT_EQ(letters[1].record->client_ip, "u");
   // Conservation again: 3 emitted + 2 quarantined == 5 accepted.
   EXPECT_EQ(EmittedRecords(sessions) + dead_letters.records_covered(), 5u);
   // The shard itself stays healthy: record faults are not shard faults.
   EXPECT_TRUE((*engine)->ShardHealth()[0].ok());
 }
+
+/// The in-shard record errors the engine itself raises, without any
+/// fault injection: a canonical page id outside the topology, and a
+/// timestamp older than the user's previous one.
+enum class RecordError { kPageOutOfRange, kOutOfOrder };
+
+/// Shard count x user identity.
+class EngineRecordErrorTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, UserIdentity>> {
+ protected:
+  std::size_t shards() const { return std::get<0>(GetParam()); }
+  UserIdentity identity() const { return std::get<1>(GetParam()); }
+
+  static LogRecord AgentRecord(const std::string& ip, const std::string& agent,
+                               std::uint32_t page, TimeSeconds timestamp) {
+    LogRecord record = PageRecord(ip, page, timestamp);
+    record.user_agent = agent;
+    return record;
+  }
+
+  /// Two users of five records each; `error` plants one bad record in
+  /// the second user's stream: page 77 at t=110, or page 2 at t=50.
+  static std::vector<LogRecord> Workload(RecordError error) {
+    std::vector<LogRecord> records;
+    for (int i = 0; i < 5; ++i) {
+      records.push_back(AgentRecord("10.0.0.1", "agent-a", 0, 100 + i * 10));
+      if (i == 1) {
+        records.push_back(error == RecordError::kPageOutOfRange
+                              ? AgentRecord("10.0.0.2", "agent-b", 77, 110)
+                              : AgentRecord("10.0.0.2", "agent-b", 2, 50));
+      } else {
+        records.push_back(AgentRecord("10.0.0.2", "agent-b", 1, 100 + i * 10));
+      }
+    }
+    return records;
+  }
+
+  Result<std::unique_ptr<StreamEngine>> Create(ErrorPolicy policy,
+                                               const WebGraph& graph,
+                                               SessionSink* sink,
+                                               DeadLetterQueue* letters) {
+    return StreamEngine::Create(
+        EngineOptions()
+            .set_num_shards(shards())
+            .set_identity(identity())
+            .set_error_policy(policy)
+            .set_dead_letters(letters)
+            .set_num_pages(graph.num_pages())
+            .use_custom([] { return std::make_unique<EmitEverySessionizer>(); }),
+        sink);
+  }
+};
+
+// Under kDegrade each in-shard record error becomes one kRecord letter
+// whose record carries every field the shard read: the user's IP (and
+// agent under ip-ua), the page URL and the timestamp.
+TEST_P(EngineRecordErrorTest, DegradeDeadLettersTheRecord) {
+  WebGraph graph = MakeFigure1Topology();
+  for (const RecordError error :
+       {RecordError::kPageOutOfRange, RecordError::kOutOfOrder}) {
+    CollectingSessionSink sessions;
+    DeadLetterQueue dead_letters;
+    Result<std::unique_ptr<StreamEngine>> engine =
+        Create(ErrorPolicy::kDegrade, graph, &sessions, &dead_letters);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    const std::vector<LogRecord> records = Workload(error);
+    for (const LogRecord& record : records) {
+      ASSERT_TRUE((*engine)->Offer(record).ok());
+    }
+    ASSERT_TRUE((*engine)->Finish().ok());
+
+    const std::vector<DeadLetter> letters = dead_letters.Drain();
+    ASSERT_EQ(letters.size(), 1u);
+    const DeadLetter& letter = letters[0];
+    EXPECT_EQ(letter.stage, DeadLetter::Stage::kRecord);
+    EXPECT_TRUE(letter.reason.IsInvalidArgument());
+    EXPECT_EQ(letter.shard,
+              UserHashFor("10.0.0.2", "agent-b", identity()) % shards());
+    ASSERT_TRUE(letter.record.has_value());
+    EXPECT_EQ(letter.record->client_ip, "10.0.0.2");
+    EXPECT_EQ(letter.record->user_agent,
+              identity() == UserIdentity::kClientIpAndUserAgent ? "agent-b"
+                                                                : "");
+    if (error == RecordError::kPageOutOfRange) {
+      EXPECT_EQ(letter.record->url, PageUrl(77));
+      EXPECT_EQ(letter.record->timestamp, 110);
+    } else {
+      EXPECT_EQ(letter.record->url, PageUrl(2));
+      EXPECT_EQ(letter.record->timestamp, 50);
+    }
+    for (const Status& health : (*engine)->ShardHealth()) {
+      EXPECT_TRUE(health.ok()) << health.ToString();
+    }
+    // Conservation: 9 emitted + 1 quarantined == 10 accepted.
+    EXPECT_EQ(EmittedRecords(sessions), records.size() - 1);
+    EXPECT_EQ(EmittedRecords(sessions) + dead_letters.records_covered(),
+              records.size());
+    EXPECT_EQ((*engine)->TotalStats().dead_letters, 1u);
+  }
+}
+
+// Under kFailFast each in-shard record error is sticky: Finish returns
+// it. The out-of-order message names the whole user key, since under
+// ip-ua two agents behind one proxy share an IP.
+TEST_P(EngineRecordErrorTest, FailFastStopsWithInvalidArgument) {
+  WebGraph graph = MakeFigure1Topology();
+  for (const RecordError error :
+       {RecordError::kPageOutOfRange, RecordError::kOutOfOrder}) {
+    CollectingSessionSink sessions;
+    Result<std::unique_ptr<StreamEngine>> engine =
+        Create(ErrorPolicy::kFailFast, graph, &sessions, nullptr);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    for (const LogRecord& record : Workload(error)) {
+      // The sticky error may surface at Offer once the worker has seen
+      // the bad record; Finish must return it either way.
+      if (!(*engine)->Offer(record).ok()) break;
+    }
+    const Status status = (*engine)->Finish();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    if (error == RecordError::kOutOfOrder) {
+      EXPECT_NE(status.message().find("10.0.0.2"), std::string::npos)
+          << status.message();
+      if (identity() == UserIdentity::kClientIpAndUserAgent) {
+        EXPECT_NE(status.message().find("agent-b"), std::string::npos)
+            << status.message();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsAndIdentity, EngineRecordErrorTest,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{3}),
+                       ::testing::Values(UserIdentity::kClientIp,
+                                         UserIdentity::kClientIpAndUserAgent)));
 
 // set_retry absorbs transient sink faults: with the flaky sink failing
 // on scheduled calls, every session still arrives and the retry counters

@@ -103,8 +103,7 @@ TEST(PageFromReferrerTest, RejectsExternalAndEmpty) {
 
 TEST(LogRecordTest, DefaultConstructionIsAllocationFree) {
   // The protocol default ("HTTP/1.1") must fit every mainstream
-  // std::string small-buffer: a default LogRecord never touches the heap
-  // (the recycled-buffer hot path depends on this).
+  // std::string small-buffer: a default LogRecord never touches the heap.
   const std::uint64_t before = g_allocations.load();
   {
     LogRecord record;
@@ -128,30 +127,6 @@ TEST(LogRecordRefTest, ViewOfMaterializeRoundTrip) {
   EXPECT_EQ(ref.client_ip, record.client_ip);
   EXPECT_EQ(ref.url, record.url);
   EXPECT_EQ(ref.Materialize(), record);
-}
-
-TEST(LogRecordRefTest, MaterializeIntoReusesCapacityWithoutAllocating) {
-  LogRecord source;
-  source.client_ip = "10.1.2.3";
-  source.timestamp = 77;
-  source.url = "/pages/p7.html";
-  source.referrer = "http://www.site.example/pages/p1.html";
-  source.user_agent = "Mozilla/4.0 (compatible; MSIE 6.0; Windows NT 5.1)";
-  const LogRecordRef ref = ViewOf(source);
-
-  // Prime a recycled buffer whose string capacities already cover the
-  // incoming fields (the shape the engine's batch recycling pool sees).
-  LogRecord recycled;
-  recycled.client_ip = std::string(64, 'x');
-  recycled.url = std::string(64, 'x');
-  recycled.protocol = std::string(64, 'x');
-  recycled.referrer = std::string(64, 'x');
-  recycled.user_agent = std::string(64, 'x');
-
-  const std::uint64_t before = g_allocations.load();
-  ref.MaterializeInto(&recycled);
-  EXPECT_EQ(g_allocations.load(), before);
-  EXPECT_EQ(recycled, source);
 }
 
 TEST(LogRecordTest, DefaultAndOrdering) {

@@ -17,6 +17,14 @@ LogRecord PageRecord(const std::string& ip, std::uint32_t page,
   return record;
 }
 
+/// Resolves `record` the way the engine's producer does and feeds it to
+/// `sink`.
+Status AcceptOne(SessionizeSink* sink, const LogRecord& record) {
+  ShardBatch batch;
+  batch.Append(ViewOf(record), UserIdentity::kClientIp);
+  return sink->Accept(batch.KeyOf(batch.records[0]), batch.records[0]);
+}
+
 TEST(SessionizeSinkTest, EmitsSessionsPerIp) {
   WebGraph graph = MakeFigure1Topology();
   CollectingSessionSink sessions;
@@ -27,10 +35,10 @@ TEST(SessionizeSinkTest, EmitsSessionsPerIp) {
       },
       &sessions, graph.num_pages());
   // Two users interleaved.
-  ASSERT_TRUE(sink.Accept(PageRecord("a", 0, 0)).ok());
-  ASSERT_TRUE(sink.Accept(PageRecord("b", 5, 10)).ok());
-  ASSERT_TRUE(sink.Accept(PageRecord("a", 1, 60)).ok());
-  ASSERT_TRUE(sink.Accept(PageRecord("b", 3, 70)).ok());
+  ASSERT_TRUE(AcceptOne(&sink, PageRecord("a", 0, 0)).ok());
+  ASSERT_TRUE(AcceptOne(&sink, PageRecord("b", 5, 10)).ok());
+  ASSERT_TRUE(AcceptOne(&sink, PageRecord("a", 1, 60)).ok());
+  ASSERT_TRUE(AcceptOne(&sink, PageRecord("b", 3, 70)).ok());
   ASSERT_TRUE(sink.Finish().ok());
   EXPECT_EQ(sink.active_users(), 2u);
   ASSERT_EQ(sessions.entries().size(), 2u);
@@ -56,7 +64,7 @@ TEST(SessionizeSinkTest, SkipsNonPageUrls) {
   LogRecord favicon;
   favicon.client_ip = "a";
   favicon.url = "/favicon.ico";
-  ASSERT_TRUE(sink.Accept(favicon).ok());
+  ASSERT_TRUE(AcceptOne(&sink, favicon).ok());
   EXPECT_EQ(sink.skipped_non_page_urls(), 1u);
   ASSERT_TRUE(sink.Finish().ok());
   EXPECT_TRUE(sessions.entries().empty());
@@ -71,10 +79,10 @@ TEST(SessionizeSinkTest, RejectsOutOfOrderPerUser) {
                                                      SmartSra::Options());
       },
       &sessions, graph.num_pages());
-  ASSERT_TRUE(sink.Accept(PageRecord("a", 0, 100)).ok());
-  EXPECT_TRUE(sink.Accept(PageRecord("a", 1, 50)).IsInvalidArgument());
+  ASSERT_TRUE(AcceptOne(&sink, PageRecord("a", 0, 100)).ok());
+  EXPECT_TRUE(AcceptOne(&sink, PageRecord("a", 1, 50)).IsInvalidArgument());
   // A different user at an older time is fine (ordering is per user).
-  EXPECT_TRUE(sink.Accept(PageRecord("b", 1, 50)).ok());
+  EXPECT_TRUE(AcceptOne(&sink, PageRecord("b", 1, 50)).ok());
 }
 
 TEST(SessionizeSinkTest, RejectsOutOfTopologyPages) {
@@ -86,7 +94,7 @@ TEST(SessionizeSinkTest, RejectsOutOfTopologyPages) {
                                                      SmartSra::Options());
       },
       &sessions, graph.num_pages());
-  EXPECT_TRUE(sink.Accept(PageRecord("a", 77, 0)).IsInvalidArgument());
+  EXPECT_TRUE(AcceptOne(&sink, PageRecord("a", 77, 0)).IsInvalidArgument());
 }
 
 TEST(CallbackSessionSinkTest, ForwardsToCallback) {

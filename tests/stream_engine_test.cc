@@ -345,6 +345,42 @@ TEST(StreamEngineFilterTest, CountsDrops) {
             (std::vector<PageId>{1}));
 }
 
+// A non-canonical URL still travels to its shard, marked as not a page:
+// the shard counts it as skipped and advances its event-time watermark
+// to it.
+TEST(StreamEngineTest, NonPageRecordsStillAdvanceTheirShardWatermark) {
+  WebGraph graph = MakeFigure1Topology();
+  CollectingSessionSink sessions;
+  obs::MetricRegistry registry;
+  constexpr std::size_t kShards = 3;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions()
+          .set_num_shards(kShards)
+          .set_metrics(&registry)
+          .use_smart_sra(&graph),
+      &sessions);
+  ASSERT_TRUE(engine.ok());
+  const std::string ip = "10.0.0.1";
+  ASSERT_TRUE((*engine)->Offer(PageRecord(ip, 0, 100)).ok());
+  ASSERT_TRUE((*engine)->Offer(PageRecord(ip, 1, 160)).ok());
+  LogRecord asset = PageRecord(ip, 0, 500);  // the newest timestamp
+  asset.url = "/images/logo.gif";
+  ASSERT_TRUE((*engine)->Offer(asset).ok());
+  ASSERT_TRUE((*engine)->Finish().ok());
+
+  const std::size_t shard = static_cast<std::size_t>(
+      UserHashFor(ip, "", UserIdentity::kClientIp) % kShards);
+  EXPECT_EQ((*engine)->ShardWatermarkSeconds(shard), 500u);
+  EXPECT_EQ(registry.Snapshot().CounterOrZero(
+                "engine.shard" + std::to_string(shard) +
+                ".skipped_non_page_urls"),
+            1u);
+  EXPECT_EQ((*engine)->ShardStats()[shard].records_dropped, 1u);
+  ASSERT_EQ(sessions.entries().size(), 1u);
+  EXPECT_EQ(sessions.entries()[0].session.PageSequence(),
+            (std::vector<PageId>{0, 1}));
+}
+
 // Without set_metrics the engine registers nothing anywhere and the
 // legacy stats still work — the disabled mode of the tentpole.
 TEST(StreamEngineTest, NoRegistryMeansNoMetricsButStatsStillWork) {

@@ -25,9 +25,16 @@ LogRecord PageRecord(const std::string& ip, std::uint32_t page,
   return record;
 }
 
+/// Enqueues `record` as a batch of one.
+Status OfferOne(ThreadedDriver* driver, const LogRecord& record) {
+  ShardBatch batch;
+  batch.Append(ViewOf(record), UserIdentity::kClientIp);
+  return driver->OfferBatch(&batch);
+}
+
 class CountingSink : public RecordSink {
  public:
-  Status Accept(const LogRecord&) override {
+  Status Accept(std::string_view, const ShardRecord&) override {
     ++accepted;
     return Status::OK();
   }
@@ -41,14 +48,39 @@ class CountingSink : public RecordSink {
 
 class FailingSink : public RecordSink {
  public:
-  Status Accept(const LogRecord& record) override {
-    if (record.url == PageUrl(13)) return Status::Internal("boom");
+  Status Accept(std::string_view, const ShardRecord& record) override {
+    if (record.page == 13) return Status::Internal("boom");
     ++accepted;
     return Status::OK();
   }
   Status Finish() override { return Status::OK(); }
   std::atomic<int> accepted{0};
 };
+
+TEST(ShardBatchTest, AppendResolvesKeyPageAndTimestamp) {
+  LogRecord page = PageRecord("10.0.0.1", 7, 100);
+  page.user_agent = "Mozilla/4.0";
+  LogRecord asset = PageRecord("10.0.0.2", 0, 200);
+  asset.url = "/images/logo.gif";
+  ShardBatch batch;
+  batch.Append(ViewOf(page), UserIdentity::kClientIp);
+  batch.Append(ViewOf(page), UserIdentity::kClientIpAndUserAgent);
+  batch.Append(ViewOf(asset), UserIdentity::kClientIp);
+  ASSERT_EQ(batch.records.size(), 3u);
+  EXPECT_EQ(batch.KeyOf(batch.records[0]), "10.0.0.1");
+  EXPECT_EQ(batch.KeyOf(batch.records[1]),
+            UserKeyFor(page.client_ip, page.user_agent,
+                       UserIdentity::kClientIpAndUserAgent));
+  EXPECT_EQ(batch.KeyOf(batch.records[2]), "10.0.0.2");
+  EXPECT_EQ(batch.records[0].page, 7u);
+  EXPECT_EQ(batch.records[0].timestamp, 100);
+  // A non-canonical URL still travels, marked as not a page.
+  EXPECT_EQ(batch.records[2].page, kNotAPage);
+  EXPECT_EQ(batch.records[2].timestamp, 200);
+  batch.clear();
+  EXPECT_TRUE(batch.records.empty());
+  EXPECT_TRUE(batch.keys.empty());
+}
 
 TEST(SpscQueueTest, FifoOrder) {
   SpscQueue<int> queue(4);
@@ -88,7 +120,7 @@ TEST(ThreadedDriverTest, DeliversAllRecordsThenFinishes) {
   CountingSink sink;
   ThreadedDriver driver(&sink, 16);
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(driver.Offer(PageRecord("ip", 1, i)).ok());
+    ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, i)).ok());
   }
   ASSERT_TRUE(driver.Finish().ok());
   EXPECT_EQ(sink.accepted.load(), 500);
@@ -99,7 +131,7 @@ TEST(ThreadedDriverTest, OfferAfterFinishRejected) {
   CountingSink sink;
   ThreadedDriver driver(&sink);
   ASSERT_TRUE(driver.Finish().ok());
-  EXPECT_TRUE(driver.Offer(PageRecord("ip", 1, 0)).IsFailedPrecondition());
+  EXPECT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 0)).IsFailedPrecondition());
   EXPECT_TRUE(driver.Finish().IsFailedPrecondition());
 }
 
@@ -108,7 +140,7 @@ TEST(ThreadedDriverTest, SinkErrorSurfacesAtFinish) {
   ThreadedDriver driver(&sink, 8);
   // The failing record is somewhere in the middle.
   for (int i = 0; i < 100; ++i) {
-    Status status = driver.Offer(PageRecord("ip", i == 50 ? 13 : 1, i));
+    Status status = OfferOne(&driver, PageRecord("ip", i == 50 ? 13 : 1, i));
     if (!status.ok()) break;  // error may surface early; that's fine
   }
   EXPECT_TRUE(driver.Finish().IsInternal());
@@ -118,7 +150,7 @@ TEST(ThreadedDriverTest, DestructorJoinsWithoutFinish) {
   CountingSink sink;
   {
     ThreadedDriver driver(&sink, 8);
-    ASSERT_TRUE(driver.Offer(PageRecord("ip", 1, 0)).ok());
+    ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 0)).ok());
     // No Finish(): destructor must not hang or crash.
   }
   EXPECT_EQ(sink.accepted.load(), 1);
@@ -129,7 +161,7 @@ TEST(ThreadedDriverTest, DestructorJoinsWithoutFinish) {
 /// full with the worker mid-record, then kill the worker on cue.
 class GateThenFailSink : public RecordSink {
  public:
-  Status Accept(const LogRecord&) override {
+  Status Accept(std::string_view, const ShardRecord&) override {
     std::unique_lock<std::mutex> lock(mutex_);
     if (first_) {
       first_ = false;
@@ -171,14 +203,14 @@ TEST(ThreadedDriverTest, BlockedOfferObservesWorkerDeath) {
 
   // Worker pops record 0 and parks inside the sink; record 1 then fills
   // the capacity-1 queue.
-  ASSERT_TRUE(driver.Offer(PageRecord("ip", 1, 0)).ok());
+  ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 0)).ok());
   sink.WaitEntered();
-  ASSERT_TRUE(driver.Offer(PageRecord("ip", 1, 1)).ok());
+  ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 1)).ok());
 
   // A second producer thread blocks on the full queue.
   Status blocked_status;
   std::thread producer([&driver, &blocked_status] {
-    blocked_status = driver.Offer(PageRecord("ip", 1, 2));
+    blocked_status = OfferOne(&driver, PageRecord("ip", 1, 2));
   });
   while (driver.blocked_enqueues() == 0) std::this_thread::yield();
 
@@ -200,7 +232,8 @@ TEST(ThreadedDriverTest, HooksQuarantineAndReportDiscards) {
   FailingSink sink;  // fails on page 13 only
   std::vector<TimeSeconds> quarantined;
   DriverHooks hooks;
-  hooks.on_record_error = [&quarantined](const LogRecord& record,
+  hooks.on_record_error = [&quarantined](std::string_view,
+                                         const ShardRecord& record,
                                          const Status& status) {
     EXPECT_TRUE(status.IsInternal());
     quarantined.push_back(record.timestamp);
@@ -208,7 +241,7 @@ TEST(ThreadedDriverTest, HooksQuarantineAndReportDiscards) {
   };
   ThreadedDriver driver(&sink, 8, DriverMetrics{}, hooks);
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(driver.Offer(PageRecord("ip", i == 7 ? 13 : 1, i)).ok());
+    ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", i == 7 ? 13 : 1, i)).ok());
   }
   ASSERT_TRUE(driver.Finish().ok());
   EXPECT_EQ(quarantined, (std::vector<TimeSeconds>{7}));
@@ -220,20 +253,22 @@ TEST(ThreadedDriverTest, UnhandledErrorDiscardsRemainderThroughHook) {
   GateThenFailSink sink;
   std::atomic<int> discarded{0};
   DriverHooks hooks;
-  hooks.on_record_error = [](const LogRecord&, const Status&) {
+  hooks.on_record_error = [](std::string_view, const ShardRecord&,
+                             const Status&) {
     return false;  // unhandled: the sticky error stands
   };
-  hooks.on_discard = [&discarded](const LogRecord&, const Status& status) {
+  hooks.on_discard = [&discarded](std::string_view, const ShardRecord&,
+                                  const Status& status) {
     EXPECT_TRUE(status.IsInternal());
     discarded.fetch_add(1);
   };
   {
     ThreadedDriver driver(&sink, 8, DriverMetrics{}, hooks);
-    ASSERT_TRUE(driver.Offer(PageRecord("ip", 1, 0)).ok());
+    ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 0)).ok());
     sink.WaitEntered();
     // Queue up records the worker will only ever drain.
-    ASSERT_TRUE(driver.Offer(PageRecord("ip", 1, 1)).ok());
-    ASSERT_TRUE(driver.Offer(PageRecord("ip", 1, 2)).ok());
+    ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 1)).ok());
+    ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 2)).ok());
     sink.Release();
     EXPECT_TRUE(driver.Finish().IsInternal());
   }
@@ -249,10 +284,12 @@ TEST(ThreadedDriverTest, WaitDrainedOutlastsDiscardsAfterDeath) {
   GateThenFailSink sink;
   std::atomic<int> discarded{0};
   DriverHooks hooks;
-  hooks.on_record_error = [](const LogRecord&, const Status&) {
+  hooks.on_record_error = [](std::string_view, const ShardRecord&,
+                             const Status&) {
     return false;  // unhandled: the worker dies on record 0
   };
-  hooks.on_discard = [&discarded](const LogRecord&, const Status& status) {
+  hooks.on_discard = [&discarded](std::string_view, const ShardRecord&,
+                                  const Status& status) {
     EXPECT_TRUE(status.IsInternal());
     // Slow discards widen the window between WaitIdle's early return
     // and the queue actually being empty.
@@ -260,11 +297,11 @@ TEST(ThreadedDriverTest, WaitDrainedOutlastsDiscardsAfterDeath) {
     discarded.fetch_add(1);
   };
   ThreadedDriver driver(&sink, 16, DriverMetrics{}, hooks);
-  ASSERT_TRUE(driver.Offer(PageRecord("ip", 1, 0)).ok());
+  ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 0)).ok());
   sink.WaitEntered();
   constexpr int kQueued = 10;
   for (int i = 1; i <= kQueued; ++i) {
-    ASSERT_TRUE(driver.Offer(PageRecord("ip", 1, i)).ok());
+    ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, i)).ok());
   }
   sink.Release();  // record 0 fails; the rest only ever drain
   EXPECT_TRUE(driver.WaitIdle().IsInternal());
@@ -283,9 +320,9 @@ TEST(ThreadedDriverTest, EndToEndStreamingSessionization) {
       },
       &sessions, graph.num_pages());
   ThreadedDriver driver(&sink, 4);
-  ASSERT_TRUE(driver.Offer(PageRecord("u", 0, 0)).ok());
-  ASSERT_TRUE(driver.Offer(PageRecord("u", 1, 60)).ok());
-  ASSERT_TRUE(driver.Offer(PageRecord("u", 4, 120)).ok());
+  ASSERT_TRUE(OfferOne(&driver, PageRecord("u", 0, 0)).ok());
+  ASSERT_TRUE(OfferOne(&driver, PageRecord("u", 1, 60)).ok());
+  ASSERT_TRUE(OfferOne(&driver, PageRecord("u", 4, 120)).ok());
   ASSERT_TRUE(driver.Finish().ok());
   ASSERT_EQ(sessions.entries().size(), 1u);
   EXPECT_EQ(sessions.entries()[0].session.PageSequence(),

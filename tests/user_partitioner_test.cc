@@ -91,6 +91,23 @@ TEST(UserKeyForTest, IdentityModes) {
       std::string("1.2.3.4") + '\x1f' + "Mozilla");
 }
 
+TEST(UserKeyForTest, SplitUserKeyInvertsTheKey) {
+  using Parts = std::pair<std::string_view, std::string_view>;
+  for (const UserIdentity identity :
+       {UserIdentity::kClientIp, UserIdentity::kClientIpAndUserAgent}) {
+    const std::string key = UserKeyFor("1.2.3.4", "Mozilla", identity);
+    EXPECT_EQ(SplitUserKey(key, identity),
+              identity == UserIdentity::kClientIp
+                  ? Parts("1.2.3.4", "")
+                  : Parts("1.2.3.4", "Mozilla"));
+  }
+  // A separator inside the agent stays with the agent.
+  const std::string key = UserKeyFor("1.2.3.4", "a\x1f" "b",
+                                     UserIdentity::kClientIpAndUserAgent);
+  EXPECT_EQ(SplitUserKey(key, UserIdentity::kClientIpAndUserAgent),
+            Parts("1.2.3.4", "a\x1f" "b"));
+}
+
 TEST(UserPartitionerTest, UserAgentSeparatesProxyUsers) {
   auto with_agent = [](std::uint32_t page, TimeSeconds ts,
                        const std::string& agent) {
