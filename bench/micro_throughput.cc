@@ -3,7 +3,7 @@
 // topology generation, capture matching and mining.
 //
 // Set WUM_METRICS_OUT=<path> to dump the wum::obs registry populated by
-// the metrics-enabled benches as a JSON/CSV snapshot after the run (CI
+// the metrics-enabled benches as a JSON snapshot after the run (CI
 // uploads it as a workflow artifact).
 
 #include <benchmark/benchmark.h>

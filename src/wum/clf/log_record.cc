@@ -1,5 +1,6 @@
 #include "wum/clf/log_record.h"
 
+#include <charconv>
 #include <cstdio>
 
 #include "wum/common/string_util.h"
@@ -50,38 +51,35 @@ std::string PageUrl(std::uint32_t page) {
   return "/pages/p" + std::to_string(page) + ".html";
 }
 
-Result<std::uint32_t> PageFromUrl(std::string_view url) {
+std::optional<std::uint32_t> PageFromUrl(std::string_view url) {
   constexpr std::string_view kPrefix = "/pages/p";
   constexpr std::string_view kSuffix = ".html";
   if (!StartsWith(url, kPrefix) || !EndsWith(url, kSuffix) ||
       url.size() <= kPrefix.size() + kSuffix.size()) {
-    return Status::NotFound("not a canonical page URL: '" + std::string(url) +
-                            "'");
+    return std::nullopt;
   }
-  std::string_view digits =
-      url.substr(kPrefix.size(), url.size() - kPrefix.size() - kSuffix.size());
-  WUM_ASSIGN_OR_RETURN(std::uint64_t value, ParseUint64(digits));
-  if (value > 0xFFFFFFFFULL) {
-    return Status::OutOfRange("page id too large in URL");
-  }
-  return static_cast<std::uint32_t>(value);
+  const char* begin = url.data() + kPrefix.size();
+  const char* end = url.data() + url.size() - kSuffix.size();
+  // Parsing straight into 32 bits rejects an id above 2^32-1
+  // (result_out_of_range) instead of truncating it.
+  std::uint32_t page = 0;
+  const auto [ptr, ec] = std::from_chars(begin, end, page, 10);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return page;
 }
 
 std::string ReferrerUrl(std::uint32_t page) {
   return "http://www.site.example" + PageUrl(page);
 }
 
-Result<std::uint32_t> PageFromReferrer(std::string_view referrer) {
-  if (referrer.empty()) return Status::NotFound("no referrer");
+std::optional<std::uint32_t> PageFromReferrer(std::string_view referrer) {
   constexpr std::string_view kHttp = "http://";
   constexpr std::string_view kHttps = "https://";
   if (StartsWith(referrer, kHttp) || StartsWith(referrer, kHttps)) {
     const std::size_t host_start =
         StartsWith(referrer, kHttp) ? kHttp.size() : kHttps.size();
     const std::size_t path_start = referrer.find('/', host_start);
-    if (path_start == std::string_view::npos) {
-      return Status::NotFound("referrer has no path");
-    }
+    if (path_start == std::string_view::npos) return std::nullopt;
     referrer = referrer.substr(path_start);
   }
   return PageFromUrl(referrer);

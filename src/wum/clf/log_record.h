@@ -9,6 +9,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -87,9 +88,10 @@ LogRecordRef ViewOf(const LogRecord& record);
 /// ("/pages/p<id>.html") and back.
 std::string PageUrl(std::uint32_t page);
 
-/// Extracts the page id from a canonical URL; returns kNotFound for URLs
-/// not of the canonical form.
-Result<std::uint32_t> PageFromUrl(std::string_view url);
+/// Extracts the page id from a canonical URL; nullopt for URLs not of
+/// the canonical form, including an id that does not fit 32 bits. A miss
+/// never allocates: the producer resolves every kept record's URL.
+std::optional<std::uint32_t> PageFromUrl(std::string_view url);
 
 /// Renders a synthetic client IP for an agent id, so at most 254^2 hosts
 /// per /16: "10.<a>.<b>.<c>".
@@ -100,9 +102,10 @@ std::string AgentIp(std::uint64_t agent_id);
 std::string ReferrerUrl(std::uint32_t page);
 
 /// Extracts the page id from a Referer value; accepts both the absolute
-/// form produced by ReferrerUrl and a bare canonical path. NotFound for
-/// external or empty referrers.
-Result<std::uint32_t> PageFromReferrer(std::string_view referrer);
+/// form produced by ReferrerUrl and a bare canonical path. nullopt for
+/// external or empty referrers; like PageFromUrl, a miss never
+/// allocates.
+std::optional<std::uint32_t> PageFromReferrer(std::string_view referrer);
 
 }  // namespace wum
 

@@ -37,8 +37,8 @@ Result<PartitionResult> PartitionByUser(const std::vector<LogRecord>& records,
   PartitionResult result;
   std::map<std::string, UserStream> by_user;
   for (const LogRecord& record : records) {
-    Result<std::uint32_t> page = PageFromUrl(record.url);
-    if (!page.ok()) {
+    const std::optional<std::uint32_t> page = PageFromUrl(record.url);
+    if (!page.has_value()) {
       ++result.skipped_non_page_urls;
       continue;
     }

@@ -1,8 +1,6 @@
 // Minimal HTTP/1.1 GET handling for the observability endpoints: the
-// request parser and response renderer shared by the LogServer's
-// in-poll-loop scrape port, the standalone MetricsHttpServer (for
-// `websra_sessionize --streaming` runs that have no LogServer to ride),
-// and the `websra_top` client.
+// request parser and response renderer of the LogServer's in-poll-loop
+// scrape port, and the one-shot client that `websra_top` uses.
 //
 // Deliberately *not* a web server: GET only, no keep-alive (every
 // response closes the connection), no chunked bodies, a hard cap on the
@@ -15,14 +13,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "wum/common/result.h"
 #include "wum/net/socket.h"
-#include "wum/obs/metrics.h"
 
 namespace wum::net {
 
@@ -68,37 +63,6 @@ Result<HttpResponse> HttpFetch(const std::string& host, std::uint16_t port,
 /// HttpFetch that insists on a 200 and returns just the body.
 Result<std::string> HttpGet(const std::string& host, std::uint16_t port,
                             const std::string& target);
-
-/// Standalone scrape endpoint for tools that have no LogServer poll
-/// loop to ride (websra_sessionize --streaming): one background thread,
-/// one connection at a time, serving GET /metrics (Prometheus text),
-/// /healthz ("ok") and /statusz (a minimal JSON snapshot) from the
-/// given registry. The registry must outlive the server.
-class MetricsHttpServer {
- public:
-  /// Binds host:port (port 0 = kernel-assigned) and starts the thread.
-  static Result<std::unique_ptr<MetricsHttpServer>> Start(
-      const std::string& host, std::uint16_t port,
-      obs::MetricRegistry* registry);
-
-  ~MetricsHttpServer();
-
-  std::uint16_t port() const { return port_; }
-
-  MetricsHttpServer(const MetricsHttpServer&) = delete;
-  MetricsHttpServer& operator=(const MetricsHttpServer&) = delete;
-
- private:
-  MetricsHttpServer() = default;
-  void Run();
-
-  Fd listener_;
-  Fd stop_read_;
-  Fd stop_write_;
-  std::uint16_t port_ = 0;
-  obs::MetricRegistry* registry_ = nullptr;
-  std::thread thread_;
-};
 
 }  // namespace wum::net
 

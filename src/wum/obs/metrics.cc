@@ -389,46 +389,11 @@ std::string MetricsSnapshot::ToJsonLine() const {
   return RenderSnapshotJson(*this, /*pretty=*/false);
 }
 
-std::string MetricsSnapshot::ToCsv() const {
-  std::ostringstream out;
-  out << "kind,name,field,value\n";
-  for (const CounterValue& counter : counters) {
-    out << "counter," << counter.name << ",value," << counter.value << "\n";
-  }
-  for (const GaugeValue& gauge : gauges) {
-    out << "gauge," << gauge.name << ",value," << gauge.value << "\n";
-  }
-  for (const HistogramValue& h : histograms) {
-    out << "histogram," << h.name << ",count," << h.count << "\n";
-    out << "histogram," << h.name << ",sum," << RenderDouble(h.sum) << "\n";
-    out << "histogram," << h.name << ",mean," << RenderDouble(h.mean())
-        << "\n";
-    out << "histogram," << h.name << ",min," << RenderDouble(h.min) << "\n";
-    out << "histogram," << h.name << ",max," << RenderDouble(h.max) << "\n";
-    out << "histogram," << h.name << ",p50," << RenderDouble(h.p50()) << "\n";
-    out << "histogram," << h.name << ",p90," << RenderDouble(h.p90()) << "\n";
-    out << "histogram," << h.name << ",p99," << RenderDouble(h.p99()) << "\n";
-    for (std::size_t b = 0; b < h.counts.size(); ++b) {
-      out << "histogram," << h.name << ",le_"
-          << (b < h.bounds.size() ? RenderDouble(h.bounds[b]) : "inf") << ","
-          << h.counts[b] << "\n";
-    }
-  }
-  for (const InfoValue& info : infos) {
-    for (const auto& [key, value] : info.labels) {
-      out << "info," << info.name << "," << key << "," << value << "\n";
-    }
-  }
-  return out.str();
-}
-
 Status WriteMetricsFile(const MetricsSnapshot& snapshot,
                         const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::IoError("cannot open " + path);
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  out << (csv ? snapshot.ToCsv() : snapshot.ToJson());
+  out << snapshot.ToJson();
   out.flush();
   if (!out) return Status::IoError("write failed: " + path);
   return Status::OK();

@@ -235,18 +235,16 @@ struct MetricsSnapshot {
   /// rollups: CounterSumByPrefix("engine.shard") etc.).
   std::uint64_t CounterSumByPrefix(const std::string& prefix) const;
 
-  /// Machine-readable renderings; all are deterministic for a given
-  /// snapshot (schema in docs/observability.md).
+  /// Machine-readable rendering, deterministic for a given snapshot
+  /// (schema in docs/observability.md).
   std::string ToJson() const;
-  std::string ToCsv() const;
 
   /// ToJson's content on a single line (no trailing newline) — the
-  /// JSONL record shape appended by MetricsReporter.
+  /// admin `STATS` reply.
   std::string ToJsonLine() const;
 };
 
-/// Writes a snapshot to `path`: CSV when the path ends in ".csv", JSON
-/// otherwise.
+/// Writes a snapshot's ToJson() to `path`.
 Status WriteMetricsFile(const MetricsSnapshot& snapshot,
                         const std::string& path);
 

@@ -9,10 +9,10 @@ namespace wum {
 void ShardBatch::Append(const LogRecordRef& ref, UserIdentity identity) {
   const std::size_t offset = keys.size();
   AppendUserKey(ref.client_ip, ref.user_agent, identity, &keys);
-  const Result<std::uint32_t> page = PageFromUrl(ref.url);
+  const std::optional<std::uint32_t> page = PageFromUrl(ref.url);
   records.push_back({static_cast<std::uint32_t>(offset),
                      static_cast<std::uint32_t>(keys.size() - offset),
-                     page.ok() ? std::uint64_t{*page} : kNotAPage,
+                     page.has_value() ? std::uint64_t{*page} : kNotAPage,
                      ref.timestamp});
 }
 

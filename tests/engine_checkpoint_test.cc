@@ -11,9 +11,11 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -337,7 +339,7 @@ TEST_F(EngineCheckpointTest, FilteredKillAndResumeMatchesUninterruptedRun) {
   }
   const std::uint64_t non_page = static_cast<std::uint64_t>(
       std::count_if(kept.begin(), kept.end(), [](const LogRecord& record) {
-        return !PageFromUrl(record.url).ok();
+        return !PageFromUrl(record.url).has_value();
       }));
   EXPECT_GT(non_page, 0u);
   EngineStats stats;
@@ -677,8 +679,23 @@ TEST_F(EngineCheckpointTest, CheckpointMetricsAreRecorded) {
   const auto* latency = snapshot.FindHistogram("ckpt.write_latency_us");
   ASSERT_NE(latency, nullptr);
   // The epoch directory carries the metrics snapshot alongside the
-  // state files.
-  EXPECT_TRUE(fs::exists(dir_ / ckpt::EpochDirName(1) / "metrics.json"));
+  // state files: the --metrics-out JSON format, taken after the shard
+  // barrier, so it counts every record offered before the checkpoint.
+  // It is what a killed run leaves behind.
+  const fs::path metrics_path = dir_ / ckpt::EpochDirName(1) / "metrics.json";
+  std::ifstream metrics_file(metrics_path);
+  ASSERT_TRUE(metrics_file.good()) << metrics_path;
+  std::stringstream metrics_content;
+  metrics_content << metrics_file.rdbuf();
+  const std::string json = metrics_content.str();
+  EXPECT_EQ(json.rfind("{\n  \"counters\": {\n", 0), 0u) << json;
+  EXPECT_NE(json.find("\n  \"histograms\": {"), std::string::npos);
+  EXPECT_TRUE(json.ends_with("\n}\n"));
+  const std::string records_in = "\n    \"engine.shard0.records_in\": 40";
+  const std::size_t at = json.find(records_in);
+  ASSERT_NE(at, std::string::npos) << json;
+  const char after = json[at + records_in.size()];
+  EXPECT_TRUE(after == ',' || after == '\n') << json;
 
   obs::MetricRegistry resumed_registry;
   CollectingSessionSink sink;

@@ -2,32 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
-namespace {
-/// Heap-allocation counter backing the allocation-free filter test: this
-/// binary's global operator new counts every call.
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+#include "alloc_counter.h"
 
 namespace wum {
 namespace {
@@ -84,14 +59,14 @@ TEST(ExtensionFilterTest, KeepOnAViewIsAllocationFree) {
   const std::string gif = "/shuttle/missions/sts-71/images/KSC-95EC-0423.GIF";
   const std::string query = "/history/apollo/images/footprint.Jpg?w=640&h=48";
   LogRecordRef ref;
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = testutil::AllocationCount();
   ref.url = page;
   const bool kept_page = filter.Keep(ref);
   ref.url = gif;
   const bool kept_gif = filter.Keep(ref);
   ref.url = query;
   const bool kept_query = filter.Keep(ref);
-  const std::uint64_t after = g_allocations.load();
+  const std::uint64_t after = testutil::AllocationCount();
   EXPECT_EQ(after, before);
   EXPECT_TRUE(kept_page);
   EXPECT_FALSE(kept_gif);

@@ -2,33 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <optional>
 #include <set>
+#include <string>
 
-namespace {
-/// Heap-allocation counter backing the allocation-free contract tests:
-/// this binary's global operator new counts every call.
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+#include "alloc_counter.h"
 
 namespace wum {
 namespace {
@@ -46,23 +24,47 @@ TEST(PageUrlTest, CanonicalForm) {
 
 TEST(PageFromUrlTest, RoundTrip) {
   for (std::uint32_t page : {0u, 1u, 42u, 299u, 4294967295u}) {
-    Result<std::uint32_t> back = PageFromUrl(PageUrl(page));
-    ASSERT_TRUE(back.ok());
+    std::optional<std::uint32_t> back = PageFromUrl(PageUrl(page));
+    ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, page);
   }
 }
 
 TEST(PageFromUrlTest, RejectsNonCanonical) {
-  EXPECT_TRUE(PageFromUrl("/index.html").status().IsNotFound());
-  EXPECT_TRUE(PageFromUrl("/pages/p.html").status().IsNotFound());
-  EXPECT_TRUE(PageFromUrl("/pages/p12").status().IsNotFound());
-  EXPECT_TRUE(PageFromUrl("pages/p12.html").status().IsNotFound());
-  EXPECT_TRUE(PageFromUrl("/pages/pxx.html").status().IsParseError());
-  EXPECT_TRUE(PageFromUrl("").status().IsNotFound());
+  EXPECT_FALSE(PageFromUrl("/index.html").has_value());
+  EXPECT_FALSE(PageFromUrl("/pages/p.html").has_value());
+  EXPECT_FALSE(PageFromUrl("/pages/p12").has_value());
+  EXPECT_FALSE(PageFromUrl("pages/p12.html").has_value());
+  EXPECT_FALSE(PageFromUrl("/pages/pxx.html").has_value());
+  EXPECT_FALSE(PageFromUrl("/pages/p-1.html").has_value());
+  EXPECT_FALSE(PageFromUrl("/pages/p+1.html").has_value());
+  EXPECT_FALSE(PageFromUrl("").has_value());
 }
 
 TEST(PageFromUrlTest, RejectsOverflowingId) {
-  EXPECT_TRUE(PageFromUrl("/pages/p4294967296.html").status().IsOutOfRange());
+  EXPECT_FALSE(PageFromUrl("/pages/p4294967296.html").has_value());
+  EXPECT_FALSE(PageFromUrl("/pages/p99999999999999999999.html").has_value());
+}
+
+// The producer resolves every kept record's URL on the offer path, so a
+// non-canonical URL must be a cheap miss: no Status, no message copy.
+TEST(PageFromUrlTest, MissIsAllocationFree) {
+  // Longer than any small-string buffer, so a copied message would
+  // have to reach the heap.
+  const std::string asset = "/shuttle/missions/sts-71/images/KSC-95EC-0423.gif";
+  const std::string bad_id = "/pages/p12345678901234567890123456789.html";
+  const std::uint64_t before = testutil::AllocationCount();
+  const bool asset_missed = !PageFromUrl(asset).has_value();
+  const bool bad_id_missed = !PageFromUrl(bad_id).has_value();
+  const bool empty_referrer_missed = !PageFromReferrer("").has_value();
+  const bool external_referrer_missed =
+      !PageFromReferrer("http://elsewhere.example/index.html").has_value();
+  const std::uint64_t after = testutil::AllocationCount();
+  EXPECT_EQ(after, before);
+  EXPECT_TRUE(asset_missed);
+  EXPECT_TRUE(bad_id_missed);
+  EXPECT_TRUE(empty_referrer_missed);
+  EXPECT_TRUE(external_referrer_missed);
 }
 
 TEST(AgentIpTest, DistinctForDistinctAgents) {
@@ -81,8 +83,8 @@ TEST(AgentIpTest, DottedQuadShape) {
 
 TEST(ReferrerUrlTest, RoundTripThroughPageFromReferrer) {
   for (std::uint32_t page : {0u, 42u, 299u}) {
-    Result<std::uint32_t> back = PageFromReferrer(ReferrerUrl(page));
-    ASSERT_TRUE(back.ok());
+    std::optional<std::uint32_t> back = PageFromReferrer(ReferrerUrl(page));
+    ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, page);
   }
 }
@@ -93,23 +95,22 @@ TEST(PageFromReferrerTest, AcceptsBarePathAndHttps) {
 }
 
 TEST(PageFromReferrerTest, RejectsExternalAndEmpty) {
-  EXPECT_TRUE(PageFromReferrer("").status().IsNotFound());
-  EXPECT_TRUE(PageFromReferrer("http://elsewhere.example/index.html")
-                  .status()
-                  .IsNotFound());
-  EXPECT_TRUE(PageFromReferrer("http://hostonly.example").status().IsNotFound());
-  EXPECT_TRUE(PageFromReferrer("not a url").status().IsNotFound());
+  EXPECT_FALSE(PageFromReferrer("").has_value());
+  EXPECT_FALSE(
+      PageFromReferrer("http://elsewhere.example/index.html").has_value());
+  EXPECT_FALSE(PageFromReferrer("http://hostonly.example").has_value());
+  EXPECT_FALSE(PageFromReferrer("not a url").has_value());
 }
 
 TEST(LogRecordTest, DefaultConstructionIsAllocationFree) {
   // The protocol default ("HTTP/1.1") must fit every mainstream
   // std::string small-buffer: a default LogRecord never touches the heap.
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = testutil::AllocationCount();
   {
     LogRecord record;
     EXPECT_EQ(record.protocol, kDefaultProtocol);
   }
-  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(testutil::AllocationCount(), before);
 }
 
 TEST(LogRecordRefTest, ViewOfMaterializeRoundTrip) {

@@ -1,5 +1,5 @@
 // wum::obs metrics: registry semantics, concurrent counting, snapshot
-// determinism and the JSON/CSV export formats.
+// determinism and the JSON export format.
 
 #include "wum/obs/metrics.h"
 
@@ -255,7 +255,6 @@ TEST(MetricsSnapshotTest, DeterministicOrderAndRendering) {
   EXPECT_EQ(snapshot.counters[1].name, "zeta");
   // Same registry state -> byte-identical renderings.
   EXPECT_EQ(snapshot.ToJson(), registry.Snapshot().ToJson());
-  EXPECT_EQ(snapshot.ToCsv(), registry.Snapshot().ToCsv());
 }
 
 TEST(MetricsSnapshotTest, CounterSumByPrefix) {
@@ -283,7 +282,7 @@ TEST(MetricsSnapshotTest, JsonContainsAllKinds) {
   EXPECT_NE(json.find("+Inf"), std::string::npos);  // overflow bucket
 }
 
-TEST(MetricsSnapshotTest, JsonAndCsvIncludeQuantiles) {
+TEST(MetricsSnapshotTest, JsonIncludesQuantiles) {
   MetricRegistry registry;
   Histogram histogram = registry.GetHistogram("lat", {10.0});
   for (int i = 0; i < 10; ++i) histogram.Observe(static_cast<double>(i));
@@ -292,9 +291,6 @@ TEST(MetricsSnapshotTest, JsonAndCsvIncludeQuantiles) {
   EXPECT_NE(json.find("\"p50\": 4.5"), std::string::npos);
   EXPECT_NE(json.find("\"p90\": "), std::string::npos);
   EXPECT_NE(json.find("\"p99\": "), std::string::npos);
-  const std::string csv = snapshot.ToCsv();
-  EXPECT_NE(csv.find("histogram,lat,p50,4.5"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,lat,p99,"), std::string::npos);
 }
 
 TEST(MetricsSnapshotTest, ToJsonLineIsOneCompactLine) {
@@ -310,31 +306,22 @@ TEST(MetricsSnapshotTest, ToJsonLineIsOneCompactLine) {
   EXPECT_NE(line.find("\"histograms\": "), std::string::npos);
 }
 
-TEST(MetricsSnapshotTest, CsvHasKindNameFieldValueRows) {
-  MetricRegistry registry;
-  registry.GetCounter("c").Increment(7);
-  const std::string csv = registry.Snapshot().ToCsv();
-  EXPECT_NE(csv.find("kind,name,field,value"), std::string::npos);
-  EXPECT_NE(csv.find("counter,c,value,7"), std::string::npos);
-}
-
-TEST(MetricsSnapshotTest, WriteMetricsFilePicksFormatByExtension) {
+TEST(MetricsSnapshotTest, WriteMetricsFileAlwaysWritesJson) {
   MetricRegistry registry;
   registry.GetCounter("c").Increment(5);
   const MetricsSnapshot snapshot = registry.Snapshot();
 
-  const std::string json_path = testing::TempDir() + "obs_metrics_test.json";
-  const std::string csv_path = testing::TempDir() + "obs_metrics_test.csv";
-  ASSERT_TRUE(WriteMetricsFile(snapshot, json_path).ok());
-  ASSERT_TRUE(WriteMetricsFile(snapshot, csv_path).ok());
-
-  std::stringstream json_content, csv_content;
-  json_content << std::ifstream(json_path).rdbuf();
-  csv_content << std::ifstream(csv_path).rdbuf();
-  EXPECT_EQ(json_content.str(), snapshot.ToJson());
-  EXPECT_EQ(csv_content.str(), snapshot.ToCsv());
-  std::remove(json_path.c_str());
-  std::remove(csv_path.c_str());
+  // The path's suffix does not choose a format: a ".csv" name gets the
+  // same JSON as any other.
+  for (const char* name : {"obs_metrics_test.json",
+                           "obs_metrics_test.csv"}) {
+    const std::string path = testing::TempDir() + name;
+    ASSERT_TRUE(WriteMetricsFile(snapshot, path).ok());
+    std::stringstream content;
+    content << std::ifstream(path).rdbuf();
+    EXPECT_EQ(content.str(), snapshot.ToJson()) << name;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ScopedTimerTest, RecordsElapsedMicroseconds) {

@@ -1,16 +1,15 @@
 // ToolRuntime: the one observability + durability surface shared by the
-// websra_* tools. Every tool that takes --metrics-out/--metrics-every/
-// --metrics-series/--trace-out/--log-level (and, when durable,
-// --checkpoint-dir/--checkpoint-every-records/--resume) parses and
-// starts them through this runtime, so websra_sessionize,
-// websra_simulate and websra_serve present identical flags with
-// identical semantics. Extracted from the per-tool ObsSession plumbing
-// that used to live in each main().
+// websra_* tools. Every tool that takes --metrics-out/--trace-out/
+// --log-level (and, when durable, --checkpoint-dir/
+// --checkpoint-every-records/--resume) parses and starts them through
+// this runtime, so websra_sessionize, websra_simulate and websra_serve
+// present identical flags with identical semantics. A finite run reads
+// its metrics once, at exit (--metrics-out); the live daemon serves
+// them from its own poll loop (websra_serve --http-port).
 
 #ifndef WEBSRA_TOOLS_TOOL_RUNTIME_H_
 #define WEBSRA_TOOLS_TOOL_RUNTIME_H_
 
-#include <chrono>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -27,10 +26,8 @@
 #include "wum/common/result.h"
 #include "wum/common/string_util.h"
 #include "wum/common/table.h"
-#include "wum/net/http.h"
 #include "wum/obs/log.h"
 #include "wum/obs/metrics.h"
-#include "wum/obs/reporter.h"
 #include "wum/obs/trace.h"
 
 // Build identity injected by tools/CMakeLists.txt; the fallbacks keep
@@ -43,10 +40,6 @@
 #endif
 
 namespace wum_tools {
-
-/// Where --metrics-every snapshots land unless --metrics-series says
-/// otherwise.
-inline constexpr char kDefaultMetricsSeriesPath[] = "metrics.series.jsonl";
 
 /// Human-readable rollup of a metrics snapshot, rendered with
 /// wum::Table — identical across every tool's end-of-run output.
@@ -86,29 +79,19 @@ struct RuntimeFeatures {
   /// Keep the metric registry live even without --metrics-out (daemons:
   /// the admin STATS command must always have numbers to report).
   bool always_metrics = false;
-  /// Accept --http-port and run a standalone MetricsHttpServer scrape
-  /// endpoint for the duration of the run. For long-running tools with
-  /// no LogServer poll loop to ride (websra_sessionize --streaming);
-  /// websra_serve exposes /metrics through the server itself instead.
-  bool scrape_server = false;
 };
 
 /// The started runtime: a metric registry the tool wires into its
-/// components, the optional trace recorder and periodic reporter, and
-/// the parsed checkpoint configuration. Start() at the top of Run,
-/// Finish() at the bottom.
+/// components, the optional trace recorder, and the parsed checkpoint
+/// configuration. Start() at the top of Run, Finish() at the bottom.
 class ToolRuntime {
  public:
   /// The runtime's flag names, for Flags::CheckKnown. Splice into the
   /// tool's own set.
   static std::set<std::string> FlagNames(const RuntimeFeatures& features) {
-    std::set<std::string> names = {"metrics-out", "metrics-every",
-                                   "metrics-series", "log-level", "trace-out"};
+    std::set<std::string> names = {"metrics-out", "log-level", "trace-out"};
     if (features.durability) {
       names.insert({"checkpoint-dir", "checkpoint-every-records", "resume"});
-    }
-    if (features.scrape_server) {
-      names.insert("http-port");
     }
     return names;
   }
@@ -121,9 +104,8 @@ class ToolRuntime {
     return known;
   }
 
-  /// Applies --log-level, activates the registry (--metrics-out,
-  /// --metrics-every, or always_metrics), starts the --trace-out
-  /// recorder and the --metrics-every reporter, and parses the
+  /// Applies --log-level, activates the registry (--metrics-out or
+  /// always_metrics), starts the --trace-out recorder, and parses the
   /// checkpoint flags when the tool is durable.
   static wum::Result<ToolRuntime> Start(const Flags& flags,
                                         RuntimeFeatures features) {
@@ -136,7 +118,6 @@ class ToolRuntime {
     std::signal(SIGPIPE, SIG_IGN);
 #endif
     ToolRuntime runtime;
-    runtime.features_ = features;
     runtime.registry_ = std::make_unique<wum::obs::MetricRegistry>();
     if (flags.Has("log-level")) {
       WUM_ASSIGN_OR_RETURN(std::string name, flags.GetRequired("log-level"));
@@ -144,9 +125,7 @@ class ToolRuntime {
                            wum::obs::ParseLogLevel(name));
       wum::obs::Logger::Default().set_min_level(level);
     }
-    if (features.always_metrics || flags.Has("metrics-out") ||
-        flags.Has("metrics-every") ||
-        (features.scrape_server && flags.Has("http-port"))) {
+    if (features.always_metrics || flags.Has("metrics-out")) {
       runtime.metrics_ = runtime.registry_.get();
     }
     if (runtime.metrics_ != nullptr) {
@@ -173,24 +152,6 @@ class ToolRuntime {
       options.metrics = runtime.metrics_;
       runtime.trace_ = std::make_unique<wum::obs::TraceRecorder>(options);
     }
-    if (flags.Has("metrics-every")) {
-      WUM_ASSIGN_OR_RETURN(std::uint64_t seconds,
-                           flags.GetUint("metrics-every", 1));
-      if (seconds == 0) {
-        return wum::Status::InvalidArgument(
-            "--metrics-every must be >= 1 second");
-      }
-      wum::obs::MetricsReporter::Options options;
-      options.interval = std::chrono::seconds(seconds);
-      options.path =
-          flags.GetString("metrics-series", kDefaultMetricsSeriesPath);
-      WUM_ASSIGN_OR_RETURN(runtime.reporter_,
-                           wum::obs::MetricsReporter::Start(
-                               runtime.registry_.get(), std::move(options)));
-    } else if (flags.Has("metrics-series")) {
-      return wum::Status::InvalidArgument(
-          "--metrics-series requires --metrics-every");
-    }
     if (features.durability) {
       if (flags.Has("checkpoint-dir")) {
         CheckpointConfig config;
@@ -209,19 +170,6 @@ class ToolRuntime {
         return wum::Status::InvalidArgument(
             "--checkpoint-every-records/--resume require --checkpoint-dir");
       }
-    }
-    if (features.scrape_server && flags.Has("http-port")) {
-      WUM_ASSIGN_OR_RETURN(std::uint64_t port, flags.GetUint("http-port", 0));
-      if (port > 65535) {
-        return wum::Status::InvalidArgument("--http-port must be <= 65535");
-      }
-      WUM_ASSIGN_OR_RETURN(
-          runtime.scrape_server_,
-          wum::net::MetricsHttpServer::Start(
-              "127.0.0.1", static_cast<std::uint16_t>(port),
-              runtime.registry_.get()));
-      std::cout << "metrics endpoint on http://127.0.0.1:"
-                << runtime.scrape_server_->port() << "/metrics\n";
     }
     return runtime;
   }
@@ -242,12 +190,6 @@ class ToolRuntime {
     return checkpoint_;
   }
 
-  /// The --http-port scrape endpoint, or null when the feature is off or
-  /// the flag absent.
-  const wum::net::MetricsHttpServer* scrape_server() const {
-    return scrape_server_.get();
-  }
-
   /// Adds (or overwrites) one label on the wum_build_info metric —
   /// run-specific identity like the engine config fingerprint, set once
   /// the tool has parsed its own flags. No-op when metrics are off.
@@ -264,17 +206,9 @@ class ToolRuntime {
     registry_->SetInfo("build.info", build_labels_);
   }
 
-  /// End-of-run counterpart: stops the reporter (writing its final
-  /// snapshot), exports the trace, writes --metrics-out and prints the
-  /// summary table whenever metrics were enabled.
+  /// End-of-run counterpart: exports the trace, writes --metrics-out and
+  /// prints the summary table whenever metrics were enabled.
   wum::Status Finish(const Flags& flags) {
-    if (reporter_ != nullptr) {
-      WUM_RETURN_NOT_OK(reporter_->Stop());
-      std::cout << "wrote " << reporter_->snapshots_written()
-                << " metric snapshots to "
-                << flags.GetString("metrics-series", kDefaultMetricsSeriesPath)
-                << "\n";
-    }
     if (trace_ != nullptr) {
       WUM_ASSIGN_OR_RETURN(std::string path, flags.GetRequired("trace-out"));
       WUM_RETURN_NOT_OK(trace_->WriteChromeTrace(path));
@@ -302,9 +236,6 @@ class ToolRuntime {
   std::unique_ptr<wum::obs::MetricRegistry> registry_;
   wum::obs::MetricRegistry* metrics_ = nullptr;
   std::unique_ptr<wum::obs::TraceRecorder> trace_;
-  std::unique_ptr<wum::obs::MetricsReporter> reporter_;
-  std::unique_ptr<wum::net::MetricsHttpServer> scrape_server_;
-  RuntimeFeatures features_;
   std::optional<CheckpointConfig> checkpoint_;
   std::vector<std::pair<std::string, std::string>> build_labels_;
 };

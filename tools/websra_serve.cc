@@ -49,8 +49,7 @@ std::string Usage() {
          "  [--read-timeout-ms N=0] [--write-timeout-ms N=10000]\n"
          "  [--client-quota-bps N=0] [--client-quota-burst N=0]\n"
          "  [--client-buffer-bytes N=0] [--ingest-budget-bytes N=0]\n"
-         "  [--format text|binary] [--metrics-out FILE]\n"
-         "  [--metrics-every SEC [--metrics-series FILE]] [--trace-out FILE]\n"
+         "  [--format text|binary] [--metrics-out FILE] [--trace-out FILE]\n"
          "  [--log-level debug|info|warn|error|off]\n"
          "  [--checkpoint-dir DIR] [--checkpoint-every-records N=100000]\n"
          "  [--resume]\n"

@@ -39,9 +39,8 @@ std::string Usage() {
          wum::HeuristicRegistry::Default().NamesForUsage() +
          "|referrer]\n"
          "  [--identity ip|ip-ua] [--delta MINUTES=30] [--rho MINUTES=10]\n"
-         "  [--keep-robots] [--streaming] [--threads N=4] [--http-port N]\n"
-         "  [--max-parse-errors N=0] [--metrics-out FILE]\n"
-         "  [--metrics-every SEC [--metrics-series FILE]] [--trace-out FILE]\n"
+         "  [--keep-robots] [--streaming] [--threads N=4]\n"
+         "  [--max-parse-errors N=0] [--metrics-out FILE] [--trace-out FILE]\n"
          "  [--log-level debug|info|warn|error|off]\n"
          "  [--format text|binary] [--checkpoint-dir DIR]\n"
          "  [--checkpoint-every-records N=100000] [--resume]\n"
@@ -66,23 +65,18 @@ std::string Usage() {
          "fails fast on the first malformed line.\n"
          "\n"
          "--metrics-out enables the wum::obs observability layer: parser,\n"
-         "engine and sessionizer metrics are written to FILE (CSV when it\n"
-         "ends in .csv, JSON otherwise) and summarized on stdout.\n"
+         "engine and sessionizer metrics are written to FILE as one JSON\n"
+         "snapshot at exit and summarized on stdout. With --checkpoint-dir\n"
+         "every checkpoint epoch also holds a metrics.json, so a killed run\n"
+         "leaves its last epoch's numbers behind. To watch a long replay\n"
+         "live, send it through websra_logclient to websra_serve and scrape\n"
+         "the daemon's --http-port (see docs/observability.md).\n"
          "\n"
-         "--http-port N serves GET /metrics (Prometheus text), /healthz\n"
-         "and /statusz on 127.0.0.1:N (0 = kernel-assigned) for the\n"
-         "duration of the run, so a long replay can be scraped or watched\n"
-         "with websra_top. Implies metrics. See docs/observability.md.\n"
-         "\n"
-         "--metrics-every also enables metrics and additionally appends a\n"
-         "registry snapshot every SEC seconds to --metrics-series (default\n"
-         "metrics.series.jsonl, one JSON object per line) so long or\n"
-         "crashed runs leave a time series. --trace-out records every\n"
-         "pipeline stage (parse, partition, enqueue, drain, sessionize,\n"
-         "emit, retry, dead_letter, checkpoint) as spans and writes a\n"
-         "Chrome trace-event JSON file: load it at https://ui.perfetto.dev\n"
-         "or chrome://tracing. --log-level (default warn) controls the\n"
-         "structured key=value diagnostics on stderr.\n"
+         "--trace-out records every pipeline stage (parse, partition,\n"
+         "enqueue, drain, sessionize, emit, retry, dead_letter, checkpoint)\n"
+         "as spans and writes a Chrome trace-event JSON file: load it at\n"
+         "https://ui.perfetto.dev or chrome://tracing. --log-level (default\n"
+         "warn) controls the structured key=value diagnostics on stderr.\n"
          "\n"
          "--format selects the session file serialization (text is the\n"
          "line-oriented default; binary is the compact CRC-framed format).\n"
@@ -288,8 +282,7 @@ void PrintRunSummary(const wum::ClfParser::Stats& parse_stats,
 
 wum::Status Run(const wum_tools::Flags& flags) {
   const wum_tools::RuntimeFeatures features{.durability = true,
-                                            .always_metrics = false,
-                                            .scrape_server = true};
+                                            .always_metrics = false};
   WUM_RETURN_NOT_OK(flags.CheckKnown(wum_tools::ToolRuntime::WithFlags(
       {"graph", "log", "out", "heuristic", "identity", "delta", "rho",
        "keep-robots", "streaming", "threads", "max-parse-errors", "format",
@@ -330,8 +323,8 @@ wum::Status Run(const wum_tools::Flags& flags) {
   }
 
   // The shared tool runtime: observability (one registry behind the
-  // parser, the engine and the sessionizer; trace recorder; reporter;
-  // log level) plus the parsed durability flags.
+  // parser, the engine and the sessionizer; trace recorder; log level)
+  // plus the parsed durability flags.
   WUM_ASSIGN_OR_RETURN(wum_tools::ToolRuntime runtime,
                        wum_tools::ToolRuntime::Start(flags, features));
   const std::optional<CheckpointConfig>& checkpoint = runtime.checkpoint();
@@ -450,14 +443,14 @@ wum::Status Run(const wum_tools::Flags& flags) {
     // Rebuild per-user referred streams from the cleaned records.
     std::map<std::string, std::vector<wum::ReferredRequest>> streams;
     for (const wum::LogRecord& record : cleaned) {
-      wum::Result<std::uint32_t> page = wum::PageFromUrl(record.url);
-      if (!page.ok()) continue;
-      wum::Result<std::uint32_t> referrer =
+      const std::optional<std::uint32_t> page = wum::PageFromUrl(record.url);
+      if (!page.has_value()) continue;
+      const std::optional<std::uint32_t> referrer =
           wum::PageFromReferrer(record.referrer);
       streams[wum::UserKeyFor(record.client_ip, record.user_agent, identity)]
           .push_back(wum::ReferredRequest{
               static_cast<wum::PageId>(*page),
-              referrer.ok() ? static_cast<wum::PageId>(*referrer)
+              referrer.has_value() ? static_cast<wum::PageId>(*referrer)
                             : wum::kInvalidPage,
               record.timestamp});
     }

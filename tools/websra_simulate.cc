@@ -25,17 +25,15 @@ constexpr char kUsage[] =
     "  [--agents N=10000] [--seed S] [--stp P=0.05] [--lpp P=0.30] "
     "[--nip P=0.30]\n"
     "  [--proxy-group K=1] [--start-window SECONDS=604800] [--combined]\n"
-    "  [--metrics-out FILE] [--metrics-every SEC [--metrics-series FILE]]\n"
-    "  [--trace-out FILE] [--log-level debug|info|warn|error|off]\n"
+    "  [--metrics-out FILE] [--trace-out FILE]\n"
+    "  [--log-level debug|info|warn|error|off]\n"
     "  [--format text|binary]\n"
     "\n"
     "Writes a websra topology file, a Common Log Format access log\n"
     "(Combined format with --combined) and, optionally, the simulator's\n"
     "ground-truth sessions for websra_evaluate. --metrics-out dumps the\n"
-    "simulator's generation-throughput metrics (wum::obs snapshot, CSV\n"
-    "when FILE ends in .csv, JSON otherwise) and summarizes them on\n"
-    "stdout. --metrics-every appends a snapshot every SEC seconds to\n"
-    "--metrics-series (default metrics.series.jsonl). --trace-out writes\n"
+    "simulator's generation-throughput metrics (a wum::obs JSON\n"
+    "snapshot) and summarizes them on stdout. --trace-out writes\n"
     "a Chrome trace-event JSON of the generation phases (site, workload,\n"
     "log, truth) for Perfetto. --log-level (default warn) controls the\n"
     "structured key=value diagnostics on stderr. --format selects the\n"
@@ -87,8 +85,8 @@ wum::Status Run(const wum_tools::Flags& flags) {
   WUM_ASSIGN_OR_RETURN(std::uint64_t seed, flags.GetUint("seed", 20060102));
   wum::Rng rng(seed);
 
-  // Observability (shared websra_* flags): --metrics-out/--metrics-every
-  // activate the registry, --trace-out records the generation phases as
+  // Observability (shared websra_* flags): --metrics-out activates the
+  // registry, --trace-out records the generation phases as
   // coarse spans, --log-level tunes the structured diagnostics.
   WUM_ASSIGN_OR_RETURN(wum_tools::ToolRuntime runtime,
                        wum_tools::ToolRuntime::Start(flags, features));
@@ -151,8 +149,8 @@ wum::Status Run(const wum_tools::Flags& flags) {
               << truth_path << "\n";
   }
   // Same end-of-run surface as websra_sessionize: summary table on
-  // stdout whenever metrics are on, plus the --metrics-out file, the
-  // --trace-out export and the reporter's final snapshot.
+  // stdout whenever metrics are on, plus the --metrics-out file and the
+  // --trace-out export.
   return runtime.Finish(flags);
 }
 

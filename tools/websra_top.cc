@@ -1,7 +1,7 @@
 // websra_top: a live terminal dashboard over the observability endpoint
 // of a running websra daemon. Polls GET /metrics (Prometheus text) from
-// `websra_serve --http-port` or `websra_sessionize --http-port`, or
-// reads the same exposition from a snapshot file, and renders per-shard
+// `websra_serve --http-port`, or reads the same exposition from a
+// snapshot file, and renders per-shard
 // throughput, ingest->emit latency, watermark lag and queue depths.
 //
 // `--once --format json` emits one deterministic machine-readable
@@ -37,8 +37,8 @@ std::string Usage() {
          "       websra_top --lint EXPOSITION\n"
          "  [--interval-ms N=2000] [--once] [--format text|json]\n"
          "\n"
-         "Polls the /metrics endpoint a websra daemon exposes with\n"
-         "--http-port (see docs/observability.md) and renders a\n"
+         "Polls the /metrics endpoint `websra_serve --http-port` exposes\n"
+         "(see docs/observability.md) and renders a\n"
          "refreshing dashboard: per-shard records/sec, p99 ingest->emit\n"
          "latency, event-time watermarks and lag, queue depths, dead\n"
          "letters, connection and mining stats. Rates come from\n"
