@@ -581,10 +581,14 @@ Status LogServer::DegradeConnection(Connection* conn, const char* reason,
 }
 
 Status LogServer::PumpConnection(Connection* conn) {
-  const std::uint64_t shed_before = engine_->TotalStats().records_shed;
+  // Only TryOfferBatch sheds, so the before/after stats snapshots that
+  // attribute shed records to this producer are taken under kShed only.
+  const bool shedding = engine_->offer_policy() == OfferPolicy::kShed;
+  const std::uint64_t shed_before =
+      shedding ? engine_->TotalStats().records_shed : 0;
   const Status status = driver_->Pump(&conn->lines, &conn->parser);
   const std::uint64_t shed_delta =
-      engine_->TotalStats().records_shed - shed_before;
+      shedding ? engine_->TotalStats().records_shed - shed_before : 0;
   if (shed_delta > 0) {
     // The engine counted the drop; keep the conservation invariant
     // (emitted + dead-lettered == accepted) auditable by attributing

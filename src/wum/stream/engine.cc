@@ -34,7 +34,8 @@ std::string EngineStatsToString(const EngineStats& stats) {
 /// per-shard ShardEmit decides what a final failure means. When a shard
 /// has a RetryingSink the attempts (and their backoff waits) run inside
 /// the hub lock — when the shared sink is down, every shard is stalled
-/// on it anyway.
+/// on it anyway, and so is a kBlock producer draining a small batch
+/// inline, which waits for this lock like any shard.
 class StreamEngine::EmitHub {
  public:
   EmitHub(SessionSink* sink, ErrorPolicy policy)
@@ -125,12 +126,12 @@ struct StreamEngine::Shard {
   obs::Counter dead_letter_mirror;
   obs::Counter shed_mirror;
 
-  // Accept-time stamp (NowMicros) of the batch the worker is currently
-  // draining; 0 between batches and during the Finish flush, so stale
-  // stamps never pollute the latency histogram. Written by the driver's
-  // on_batch_start/on_batch_drained hooks (worker thread), read by
-  // ShardEmit::Accept — same thread while streaming, the producer
-  // thread during Finish, hence the atomic.
+  // Offer-time stamp (NowMicros) of the batch being drained; 0 between
+  // batches and during the Finish flush, so stale stamps never pollute
+  // the latency histogram. Written by the driver's on_batch_start/
+  // on_batch_drained hooks and read by ShardEmit::Accept, both on the
+  // draining thread: the worker, or the producer for an inline drain
+  // and the Finish flush — hence the atomic.
   std::atomic<double> batch_accept_stamp_us{0.0};
   // Ingest-to-emit latency: batch accept at the engine's front door to
   // session delivery at the emit hub.
@@ -436,6 +437,8 @@ void StreamEngine::StartWorkers() {
         obs::HistogramIn(registry_, prefix + "drain_latency_us");
     driver_metrics.blocked_wait_us =
         obs::CounterIn(registry_, prefix + "blocked_wait_us");
+    driver_metrics.inline_batches =
+        obs::CounterIn(registry_, prefix + "inline_batches");
     driver_metrics.tracer = tracer_;
     driver_metrics.trace_shard = shard->index;
     DriverHooks hooks;
@@ -447,9 +450,9 @@ void StreamEngine::StartWorkers() {
       shard_ptr->batch_accept_stamp_us.store(0.0, std::memory_order_relaxed);
     };
     if (registry_ != nullptr) {
-      // Installing the hook is what switches on producer-side accept
-      // stamping in the driver, so an uninstrumented engine never reads
-      // the clock per batch.
+      // Installing the hook is what switches on offer-time stamping in
+      // the driver, so an uninstrumented engine never reads the clock
+      // per batch.
       hooks.on_batch_start = [shard_ptr](double accept_stamp_us) {
         shard_ptr->batch_accept_stamp_us.store(accept_stamp_us,
                                                std::memory_order_relaxed);
@@ -586,20 +589,19 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
       shard.filtered_mirror.Increment(dropped);
       records_seen_ += dropped;
     }
-    if (staging_[shard.index].records.empty()) continue;
-    // The queue gets an exact-size copy (two allocations), so it holds no
-    // growth slack, and the staging batch keeps its buffers for the next
-    // call.
-    ShardBatch handoff = staging_[shard.index];
-    staging_[shard.index].clear();
-    const std::uint64_t count = handoff.records.size();
+    ShardBatch& staged = staging_[shard.index];
+    if (staged.records.empty()) continue;
+    // The driver drains a small batch for an idle shard in place, or
+    // queues an exact-size copy; either way `staged` keeps its buffers
+    // for the next call.
+    const std::uint64_t count = staged.records.size();
     bool accepted = true;
     Status status;
     {
       obs::ScopedSpan span(tracer_, "enqueue", shard.index, records_seen_);
       status = offer_policy_ == OfferPolicy::kShed
-                   ? shard.driver->TryOfferBatch(&handoff, &accepted)
-                   : shard.driver->OfferBatch(&handoff);
+                   ? shard.driver->TryOfferBatch(&staged, &accepted)
+                   : shard.driver->OfferBatch(&staged);
     }
     if (!status.ok() && error_policy_ == ErrorPolicy::kFailFast) {
       // The failing sub-batch's records are not counted consumed —
@@ -612,9 +614,9 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
     if (!status.ok()) {
       // kDegrade: the records were routed to a dead shard — quarantine
       // them and keep the producer (and the other shards) going.
-      for (const ShardRecord& record : handoff.records) {
+      for (const ShardRecord& record : staged.records) {
         QuarantineRecord(shard, DeadLetter::Stage::kShardDead, status,
-                         handoff.KeyOf(record), record);
+                         staged.KeyOf(record), record);
       }
     } else if (!accepted) {
       // Shedding is per hand-off: the whole sub-batch is dropped when
@@ -626,6 +628,7 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
       shard.offered.fetch_add(count, std::memory_order_relaxed);
       shard.records_in.Increment(count);
     }
+    staged.clear();
     records_seen_ += count;
   }
   return Status::OK();

@@ -11,7 +11,11 @@
 // Everything before the shard queue runs on the producer thread over
 // the zero-copy LogRecordRef views: the add_filter filters drop records
 // before any copy, and each kept record is resolved into the three
-// fields a shard reads (see ShardBatch).
+// fields a shard reads (see ShardBatch). Under OfferPolicy::kBlock a
+// shard's batch of at most ThreadedDriver::kInlineDrainMaxRecords
+// records skips the queue when the shard is idle: the producer drains
+// it itself, which costs less than waking the worker for a few
+// records. Larger batches, and every hand-off under kShed, are queued.
 //
 // Records are hash-partitioned by user identity (client IP, or IP+UA per
 // UserIdentity), so one user's records always land on the same shard and
@@ -85,10 +89,15 @@ enum class ErrorPolicy {
 
 /// What Offer does when the target shard's queue is full.
 enum class OfferPolicy {
-  /// Block the producer until the shard catches up (the default).
+  /// Block the producer until the shard catches up (the default). The
+  /// producer also drains an idle shard's small batch itself, so a slow
+  /// SessionSink can stall it: for that batch's emissions, and while it
+  /// waits for the emit hub's lock, which any other shard's emission
+  /// (retry backoff included) may hold.
   kBlock,
   /// Drop the record on the floor and count it in records_shed — load
-  /// shedding for producers that must never stall.
+  /// shedding for producers that must never stall. Nothing is drained
+  /// on the producer thread, so a slow SessionSink never delays it.
   kShed,
 };
 
@@ -379,9 +388,11 @@ class StreamEngine {
   /// Zero-copy batch ingest, the hot path: one pass over the refs that
   /// applies the add_filter filters and resolves each kept record into
   /// its shard's ShardBatch (the only point the viewed bytes — the user
-  /// key — are copied), then one queue hand-off per shard per batch. The
-  /// refs need only stay valid for the duration of the call. Blocks when
-  /// a shard's queue is full (OfferPolicy::kBlock); under kShed an
+  /// key — are copied), then one hand-off per shard per batch: queued,
+  /// or under kBlock drained on this thread when the batch is small and
+  /// the shard idle (see ThreadedDriver::OfferBatch). The refs need only
+  /// stay valid for the duration of the call. Blocks when a shard's
+  /// queue is full (OfferPolicy::kBlock); under kShed an
   /// entire per-shard sub-batch is shed when its queue is full — a batch
   /// of one record therefore sheds per record, exactly like the
   /// historical Offer. Returns FailedPrecondition after Finish, or the
@@ -520,8 +531,9 @@ class StreamEngine {
   std::unique_ptr<EmitHub> emit_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Per-shard staging batches for OfferBatch's partition pass (indexed
-  /// by shard). Producer thread only. Each hands off an exact-size copy
-  /// and keeps its own buffers for the next call.
+  /// by shard). Producer thread only. An inline drain reads one in
+  /// place; a queued hand-off takes an exact-size copy. Either way it
+  /// keeps its own buffers for the next call.
   std::vector<ShardBatch> staging_;
   /// Filter drops of the batch in flight, per shard (producer thread).
   std::vector<std::uint64_t> staging_filtered_;

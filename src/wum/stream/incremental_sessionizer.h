@@ -180,8 +180,9 @@ class SessionizeSink : public RecordSink {
   std::atomic<std::uint64_t> sessions_emitted_{0};
   std::atomic<std::uint64_t> skipped_non_page_urls_{0};
   std::atomic<std::uint64_t> records_absorbed_{0};
-  // Single writer (the shard worker); read cross-thread by scrape
-  // probes, so plain load/store max is exact.
+  // One writer at a time (whichever thread drains the shard's batch,
+  // serialized by its driver); read cross-thread by scrape probes, so
+  // plain load/store max is exact.
   std::atomic<std::uint64_t> watermark_seconds_{0};
 };
 

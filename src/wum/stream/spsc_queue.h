@@ -102,12 +102,21 @@ class SpscQueue {
     return PushOutcome::kOk;
   }
 
-  /// Blocks until an item is available or the queue is closed and
-  /// drained; nullopt signals end of stream. The popped item's weight is
-  /// released immediately (the consumer processes it outside the lock).
-  std::optional<T> Pop() {
+  /// Blocks until an item is queued (true) or the queue is closed and
+  /// drained (false, end of stream), without taking the item: a consumer
+  /// that must acquire something else before popping (the driver's
+  /// drain mutex) waits here, then pops with TryPop.
+  bool WaitNonEmpty() {
     std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
+    return !items_.empty();
+  }
+
+  /// Non-blocking pop: the front item, or nullopt when the queue is
+  /// empty. The item's weight is released immediately (the consumer
+  /// processes it outside the lock).
+  std::optional<T> TryPop() {
+    std::unique_lock<std::mutex> lock(mutex_);
     if (items_.empty()) return std::nullopt;
     Entry entry = std::move(items_.front());
     items_.pop_front();
@@ -117,7 +126,7 @@ class SpscQueue {
   }
 
   /// Producer signals end of stream (idempotent). Consumers drain the
-  /// remaining items and then observe nullopt.
+  /// remaining items and then see WaitNonEmpty return false.
   void Close() {
     std::lock_guard<std::mutex> lock(mutex_);
     closed_ = true;

@@ -43,82 +43,78 @@ void ThreadedDriver::NoteDrained(std::uint64_t count) {
   }
 }
 
-void ThreadedDriver::PushStamp() {
-  if (hooks_.on_batch_start == nullptr) return;
-  const double now = obs::internal::NowMicros();
-  std::lock_guard<std::mutex> lock(stamp_mutex_);
-  stamps_.push_back(now);
-}
-
-void ThreadedDriver::UnpushStamp() {
-  if (hooks_.on_batch_start == nullptr) return;
-  std::lock_guard<std::mutex> lock(stamp_mutex_);
-  if (!stamps_.empty()) stamps_.pop_back();
-}
-
-double ThreadedDriver::PopStamp() {
-  std::lock_guard<std::mutex> lock(stamp_mutex_);
-  if (stamps_.empty()) return 0.0;
-  const double stamp = stamps_.front();
-  stamps_.pop_front();
-  return stamp;
-}
-
 void ThreadedDriver::Run() {
-  while (true) {
-    std::optional<ShardBatch> batch = queue_.Pop();
-    if (!batch.has_value()) return;  // closed and drained
-    if (hooks_.on_batch_start != nullptr) {
-      hooks_.on_batch_start(PopStamp());
-    }
-    // Per-record semantics inside the batch are identical to the old
-    // record-at-a-time loop: a sticky error set mid-batch routes every
-    // later record of that batch (and of later batches) to the discard
-    // hook, never into the sink. Drained records are counted once
-    // per batch — WaitIdle/WaitDrained only observe the total, and the
-    // worker never blocks mid-batch, so the coarser publication is
-    // indistinguishable to a waiter.
-    const std::uint64_t drained_before =
-        drained_.load(std::memory_order_relaxed);
-    std::uint64_t handled = 0;
-    for (const ShardRecord& record : batch->records) {
-      ++handled;
-      const std::string_view user_key = batch->KeyOf(record);
-      if (failed_.load(std::memory_order_relaxed)) {
-        // Drain after failure: keep consuming so the producer never
-        // wedges on a full queue, reporting each discarded record when
-        // asked.
-        if (hooks_.on_discard != nullptr) {
-          hooks_.on_discard(user_key, record, first_error());
-        }
-        continue;
-      }
-      Status status;
-      {
-        obs::ScopedTimer timer(metrics_.drain_latency_us);
-        obs::ScopedSpan span(metrics_.tracer, "drain", metrics_.trace_shard,
-                             drained_before + handled - 1);
-        status = sink_->Accept(user_key, record);
-      }
-      if (status.ok()) continue;
-      if (hooks_.on_record_error != nullptr &&
-          hooks_.on_record_error(user_key, record, status)) {
-        continue;  // quarantined; the shard lives on
-      }
-      obs::LogError("driver.failed")("shard", metrics_.trace_shard)(
-          "error", status.ToString());
-      {
-        std::lock_guard<std::mutex> lock(status_mutex_);
-        if (first_error_.ok()) first_error_ = std::move(status);
-      }
-      failed_.store(true, std::memory_order_release);
-      // Rouse a producer blocked on the full queue so it observes the
-      // sticky error instead of waiting for space that may never come.
-      queue_.WakeAll();
-    }
-    if (hooks_.on_batch_drained != nullptr) hooks_.on_batch_drained();
-    NoteDrained(handled);
+  while (queue_.WaitNonEmpty()) {
+    std::lock_guard<std::mutex> lock(drain_mutex_);
+    // The worker is the only consumer, so the batch it waited for is
+    // still there.
+    std::optional<ShardBatch> batch = queue_.TryPop();
+    if (batch.has_value()) DrainBatch(*batch);
   }
+}
+
+void ThreadedDriver::DrainBatch(const ShardBatch& batch) {
+  if (hooks_.on_batch_start != nullptr) {
+    hooks_.on_batch_start(batch.offered_at_us);
+  }
+  // A sticky error set mid-batch routes every later record of that
+  // batch (and of later batches) to the discard hook, never into the
+  // sink. Drained records are counted once per batch — WaitIdle/
+  // WaitDrained only observe the total, and a drain never blocks
+  // mid-batch, so the coarser publication is indistinguishable to a
+  // waiter.
+  const std::uint64_t drained_before =
+      drained_.load(std::memory_order_relaxed);
+  std::uint64_t handled = 0;
+  for (const ShardRecord& record : batch.records) {
+    ++handled;
+    const std::string_view user_key = batch.KeyOf(record);
+    if (failed_.load(std::memory_order_relaxed)) {
+      // Drain after failure: keep consuming so the producer never
+      // wedges on a full queue, reporting each discarded record when
+      // asked.
+      if (hooks_.on_discard != nullptr) {
+        hooks_.on_discard(user_key, record, first_error());
+      }
+      continue;
+    }
+    Status status;
+    {
+      obs::ScopedTimer timer(metrics_.drain_latency_us);
+      obs::ScopedSpan span(metrics_.tracer, "drain", metrics_.trace_shard,
+                           drained_before + handled - 1);
+      status = sink_->Accept(user_key, record);
+    }
+    if (status.ok()) continue;
+    if (hooks_.on_record_error != nullptr &&
+        hooks_.on_record_error(user_key, record, status)) {
+      continue;  // quarantined; the shard lives on
+    }
+    obs::LogError("driver.failed")("shard", metrics_.trace_shard)(
+        "error", status.ToString());
+    {
+      std::lock_guard<std::mutex> lock(status_mutex_);
+      if (first_error_.ok()) first_error_ = std::move(status);
+    }
+    failed_.store(true, std::memory_order_release);
+    // Rouse a producer blocked on the full queue so it observes the
+    // sticky error instead of waiting for space that may never come.
+    queue_.WakeAll();
+  }
+  if (hooks_.on_batch_drained != nullptr) hooks_.on_batch_drained();
+  NoteDrained(handled);
+}
+
+bool ThreadedDriver::TryDrainInline(const ShardBatch& batch) {
+  std::unique_lock<std::mutex> lock(drain_mutex_, std::try_to_lock);
+  // Holding drain_mutex_ with an empty queue means every earlier batch
+  // has been popped and fully drained: only this thread pushes, and the
+  // worker pops and drains under the same lock.
+  if (!lock.owns_lock() || queue_.size() != 0) return false;
+  pushed_ += batch.records.size();
+  metrics_.inline_batches.Increment();
+  DrainBatch(batch);
+  return true;
 }
 
 Status ThreadedDriver::CheckOfferable() {
@@ -137,19 +133,28 @@ void ThreadedDriver::NoteDepth(std::size_t depth) {
   }
 }
 
-Status ThreadedDriver::OfferBatch(ShardBatch* batch) {
-  WUM_RETURN_NOT_OK(CheckOfferable());
-  if (batch->records.empty()) return Status::OK();
+void ThreadedDriver::StampOffer(ShardBatch* batch) const {
+  if (hooks_.on_batch_start != nullptr) {
+    batch->offered_at_us = obs::internal::NowMicros();
+  }
+}
+
+Status ThreadedDriver::Enqueue(ShardBatch* batch, bool block,
+                               bool* accepted) {
+  *accepted = false;
   const std::size_t weight = batch->records.size();
+  // The queue gets an exact-size copy (two allocations), so it holds no
+  // growth slack, and the caller's batch keeps its buffers for the next
+  // call. Both pushes move from the copy only on success.
+  ShardBatch handoff = *batch;
   std::size_t depth = 0;
-  PushStamp();
-  switch (queue_.TryPush(std::move(*batch), weight, &depth)) {
+  switch (queue_.TryPush(std::move(handoff), weight, &depth)) {
     case SpscQueue<ShardBatch>::PushOutcome::kOk:
       break;
     case SpscQueue<ShardBatch>::PushOutcome::kClosed:
-      UnpushStamp();
       return Status::FailedPrecondition("queue closed");
     case SpscQueue<ShardBatch>::PushOutcome::kFull: {
+      if (!block) return Status::OK();
       blocked_enqueues_.fetch_add(1, std::memory_order_relaxed);
       metrics_.blocked_enqueues.Increment();
       // Time the stall only on this already-blocked path; the fast
@@ -158,7 +163,7 @@ Status ThreadedDriver::OfferBatch(ShardBatch* batch) {
       const double wait_start = timed ? obs::internal::NowMicros() : 0.0;
       const SpscQueue<ShardBatch>::BlockingPushOutcome outcome =
           queue_.PushUnless(
-              std::move(*batch),
+              std::move(handoff),
               [this] { return failed_.load(std::memory_order_acquire); },
               weight, &depth);
       if (timed) {
@@ -169,18 +174,31 @@ Status ThreadedDriver::OfferBatch(ShardBatch* batch) {
         case SpscQueue<ShardBatch>::BlockingPushOutcome::kOk:
           break;
         case SpscQueue<ShardBatch>::BlockingPushOutcome::kClosed:
-          UnpushStamp();
           return Status::FailedPrecondition("queue closed");
         case SpscQueue<ShardBatch>::BlockingPushOutcome::kAborted:
-          UnpushStamp();
           return first_error();
       }
       break;
     }
   }
+  *accepted = true;
   pushed_ += weight;
   NoteDepth(depth);
+  batch->clear();
   return Status::OK();
+}
+
+Status ThreadedDriver::OfferBatch(ShardBatch* batch) {
+  WUM_RETURN_NOT_OK(CheckOfferable());
+  if (batch->records.empty()) return Status::OK();
+  StampOffer(batch);
+  if (batch->records.size() <= kInlineDrainMaxRecords &&
+      TryDrainInline(*batch)) {
+    batch->clear();
+    return Status::OK();
+  }
+  bool accepted = false;
+  return Enqueue(batch, /*block=*/true, &accepted);
 }
 
 Status ThreadedDriver::TryOfferBatch(ShardBatch* batch, bool* accepted) {
@@ -190,23 +208,8 @@ Status ThreadedDriver::TryOfferBatch(ShardBatch* batch, bool* accepted) {
     *accepted = true;
     return Status::OK();
   }
-  const std::size_t weight = batch->records.size();
-  std::size_t depth = 0;
-  PushStamp();
-  switch (queue_.TryPush(std::move(*batch), weight, &depth)) {
-    case SpscQueue<ShardBatch>::PushOutcome::kOk:
-      break;
-    case SpscQueue<ShardBatch>::PushOutcome::kClosed:
-      UnpushStamp();
-      return Status::FailedPrecondition("queue closed");
-    case SpscQueue<ShardBatch>::PushOutcome::kFull:
-      UnpushStamp();
-      return Status::OK();
-  }
-  *accepted = true;
-  pushed_ += weight;
-  NoteDepth(depth);
-  return Status::OK();
+  StampOffer(batch);
+  return Enqueue(batch, /*block=*/false, accepted);
 }
 
 Status ThreadedDriver::WaitIdle() {

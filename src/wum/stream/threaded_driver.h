@@ -1,8 +1,12 @@
 // Two-thread driver: the caller's thread produces records while a worker
 // thread feeds them to a RecordSink, decoupled by a bounded queue. This
 // is the "reactive" deployment shape — the ingest path (the web server
-// appending to its log) never waits on session reconstruction, which is
-// the paper's argument for reactive over proactive processing.
+// appending to its log) keeps reading while sessions are reconstructed,
+// which is the paper's argument for reactive over proactive processing.
+// On the blocking path (OfferBatch, which the engine uses under
+// OfferPolicy::kBlock) it waits only for an idle shard's batch of at
+// most kInlineDrainMaxRecords (64) records, which it drains itself:
+// sessionizing a few records costs less than waking the worker.
 
 #ifndef WUM_STREAM_THREADED_DRIVER_H_
 #define WUM_STREAM_THREADED_DRIVER_H_
@@ -10,7 +14,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -48,6 +51,9 @@ struct ShardRecord {
 struct ShardBatch {
   std::string keys;
   std::vector<ShardRecord> records;
+  /// obs::internal::NowMicros() when the batch was offered to its
+  /// driver; 0 unless the driver's on_batch_start hook is installed.
+  double offered_at_us = 0.0;
 
   /// Resolves `ref` into a shard record: its user key (see
   /// AppendUserKey) is written once into the arena, and its URL becomes
@@ -60,12 +66,14 @@ struct ShardBatch {
   void clear() {
     keys.clear();
     records.clear();
+    offered_at_us = 0.0;
   }
 };
 
-/// The driver's consumer: receives every drained record on the worker
-/// thread. The sharded engine plugs its SessionizeSink in here; tests
-/// plug in fakes.
+/// The driver's consumer: receives every drained record, on the worker
+/// thread or on the producer thread for an inline drain (see
+/// ThreadedDriver::OfferBatch) — never on both at once. The sharded
+/// engine plugs its SessionizeSink in here; tests plug in fakes.
 class RecordSink {
  public:
   virtual ~RecordSink() = default;
@@ -93,16 +101,21 @@ struct DriverMetrics {
   obs::Counter blocked_wait_us;
   /// Mirrors queue_high_watermark() into a registry gauge.
   obs::Gauge queue_high_watermark;
-  /// Wall time the worker spends draining one record through the sink
-  /// (sessionizer + emission), in microseconds.
+  /// Wall time spent draining one record through the sink (sessionizer +
+  /// emission), in microseconds.
   obs::Histogram drain_latency_us;
+  /// Batches OfferBatch drained on the producer thread instead of
+  /// queueing them for the worker.
+  obs::Counter inline_batches;
   /// Optional span tracer: each drained record becomes a "drain" span
   /// tagged shard=trace_shard, seq=<records drained before it>.
   obs::Tracer tracer;
   std::uint64_t trace_shard = 0;
 };
 
-/// Failure-domain hooks, called on the worker thread. Both optional;
+/// Failure-domain hooks, called on whichever thread drains the batch:
+/// the worker, or the producer for an inline drain — one at a time, in
+/// offer order. All optional;
 /// without them every sink error is sticky and fatal to the driver
 /// (the historical fail-fast behavior). The sharded engine installs
 /// them in ErrorPolicy::kDegrade mode to quarantine records instead.
@@ -117,16 +130,15 @@ struct DriverHooks {
   /// entered the sink).
   std::function<void(std::string_view, const ShardRecord&, const Status&)>
       on_discard;
-  /// Every record of the batch just popped has been handled (processed,
-  /// quarantined or discarded). Runs on the worker thread, before the
-  /// drained count is published.
+  /// Every record of the batch just drained has been handled (processed,
+  /// quarantined or discarded). Runs before the drained count is
+  /// published.
   std::function<void()> on_batch_drained;
-  /// Called on the worker thread just before a batch's records drain,
-  /// with the obs::internal::NowMicros() stamp captured when the
-  /// producer offered the batch (0 when the stamp was lost to a race).
-  /// Installing this hook is what turns on accept-time stamping; when
-  /// absent the offer path never reads the clock. The sharded engine
-  /// uses it to measure ingest→emit latency at the emit hub.
+  /// Called just before a batch's records drain, with the batch's
+  /// offered_at_us stamp. Installing this hook is what turns on
+  /// offer-time stamping; when absent the offer path never reads the
+  /// clock. The sharded engine uses it to measure ingest→emit latency at
+  /// the emit hub.
   std::function<void(double accept_stamp_us)> on_batch_start;
 };
 
@@ -145,19 +157,32 @@ class ThreadedDriver {
   ThreadedDriver(const ThreadedDriver&) = delete;
   ThreadedDriver& operator=(const ThreadedDriver&) = delete;
 
-  /// Enqueues a batch of records with one queue hand-off; blocks when
-  /// the queue is full (counted once in blocked_enqueues). On OK the
-  /// batch has been moved into the queue; on any error it is left
-  /// untouched in `*batch` so the caller can quarantine or retry the
-  /// records. Returns FailedPrecondition after Finish, or the sink's
-  /// first error — including while blocked: a producer waiting on a
-  /// full queue whose worker just died is woken and handed the sticky
-  /// error instead of waiting forever. An empty batch is a no-op.
+  /// Batches up to this size may drain on the producer thread (see
+  /// OfferBatch). Larger ones always go to the worker, so a bulk
+  /// producer keeps its parallelism.
+  static constexpr std::size_t kInlineDrainMaxRecords = 64;
+
+  /// Hands a batch of records to the sink. When the batch holds at most
+  /// kInlineDrainMaxRecords records, the queue is empty and the worker
+  /// is not mid-batch, the batch drains right here on the calling thread
+  /// (counted in inline_batches) — per-shard FIFO order holds because
+  /// nothing older is pending. Otherwise an exact-size copy is queued
+  /// with one hand-off, blocking while the queue is full (counted once
+  /// in blocked_enqueues). On OK `*batch` is cleared and keeps its
+  /// buffers for reuse; on any error its records are left in `*batch`
+  /// so the caller can quarantine or retry them. Returns FailedPrecondition
+  /// after Finish, or the sink's first error — including while blocked:
+  /// a producer waiting on a full queue whose worker just died is woken
+  /// and handed the sticky error instead of waiting forever. A sink
+  /// error inside an inline drain becomes that sticky error: the call
+  /// that drained still returns OK (its records were handled) and the
+  /// next one returns the error. An empty batch is a no-op.
   Status OfferBatch(ShardBatch* batch);
 
-  /// Non-blocking variant: when the queue is full, sets `*accepted` to
-  /// false and returns OK without enqueueing (the batch stays in
-  /// `*batch`; shed accounting is the caller's). Otherwise behaves like
+  /// Non-blocking variant that never drains inline, so the producer
+  /// never waits on the sink: when the queue is full, sets `*accepted`
+  /// to false and returns OK without enqueueing (the batch stays in
+  /// `*batch`; shed accounting is the caller's). Otherwise queues like
   /// OfferBatch with `*accepted = true`.
   Status TryOfferBatch(ShardBatch* batch, bool* accepted);
 
@@ -166,7 +191,7 @@ class ThreadedDriver {
   Status Finish();
 
   /// Quiescence barrier: blocks the producer until every record it ever
-  /// enqueued has been fully handled by the worker (processed,
+  /// offered has been fully handled (processed,
   /// quarantined or discarded) and the queue is empty, or the worker
   /// recorded its sticky error — in which case that error is returned.
   /// On OK the chain below the driver is at rest and will stay at rest
@@ -175,7 +200,7 @@ class ThreadedDriver {
   Status WaitIdle();
 
   /// Drain barrier that ignores the sticky error: blocks until every
-  /// record ever enqueued has been handled (processed, quarantined or
+  /// record ever offered has been handled (processed, quarantined or
   /// discarded), even on a dead driver whose worker is still discarding
   /// its queue. After it returns the discard hook is quiet, so
   /// quarantine accounting for everything offered so far is complete —
@@ -189,7 +214,8 @@ class ThreadedDriver {
     return blocked_enqueues_.load(std::memory_order_relaxed);
   }
 
-  /// Largest queue depth observed right after an enqueue.
+  /// Largest queue depth observed right after an enqueue (an inline
+  /// drain enqueues nothing).
   std::size_t queue_high_watermark() const {
     return queue_high_watermark_.load(std::memory_order_relaxed);
   }
@@ -208,26 +234,39 @@ class ThreadedDriver {
 
  private:
   void Run();
+  /// Feeds every record of `batch` to the sink (or the discard hook once
+  /// the driver failed), then publishes the drained count. Caller holds
+  /// drain_mutex_: the worker for a popped batch, the producer for an
+  /// inline drain.
+  void DrainBatch(const ShardBatch& batch);
+  /// OfferBatch's inline path: drains `batch` on the calling thread and
+  /// returns true when the worker is idle and the queue empty; false
+  /// (nothing done) otherwise.
+  bool TryDrainInline(const ShardBatch& batch);
   Status CheckOfferable();
+  /// Sets batch->offered_at_us when on_batch_start is installed.
+  void StampOffer(ShardBatch* batch) const;
+  /// Queues an exact-size copy of `*batch`, counts it and clears
+  /// `*batch` (*accepted = true). When the queue is full it waits for
+  /// space if `block`, else returns OK with *accepted false and `*batch`
+  /// untouched.
+  Status Enqueue(ShardBatch* batch, bool block, bool* accepted);
   void NoteDepth(std::size_t depth);
-  /// Producer side of the accept-stamp channel (no-ops without the
-  /// on_batch_start hook): push before enqueueing, take back on an
-  /// enqueue that failed or shed.
-  void PushStamp();
-  void UnpushStamp();
-  /// Worker side: the stamp for the batch just popped (0 when absent).
-  double PopStamp();
-  /// Worker side of WaitIdle: counts `count` fully handled records and
-  /// wakes a waiting producer when one is registered.
+  /// Counts `count` fully handled records and wakes a waiting producer
+  /// when one is registered.
   void NoteDrained(std::uint64_t count);
 
   SpscQueue<ShardBatch> queue_;
   RecordSink* sink_;
   DriverMetrics metrics_;
   DriverHooks hooks_;
-  std::thread worker_;
+  // Held by whoever drains a batch. The worker waits for a non-empty
+  // queue without it, then pops and drains under it; the producer
+  // drains inline only when try_lock wins and the queue is still empty,
+  // so every batch it could overtake has already drained.
+  std::mutex drain_mutex_;
   mutable std::mutex status_mutex_;
-  Status first_error_;   // sticky first failure from the worker
+  Status first_error_;   // sticky first failure of the sink
   // Mirrors !first_error_.ok(); readable without the mutex so blocked
   // producers (PushUnless) and the drain path can poll it cheaply.
   std::atomic<bool> failed_{false};
@@ -235,7 +274,7 @@ class ThreadedDriver {
   std::atomic<std::uint64_t> blocked_enqueues_{0};
   std::atomic<std::size_t> queue_high_watermark_{0};
   // WaitIdle state. pushed_ is touched only by the producer thread;
-  // drained_ only by the worker; both are read cross-thread under
+  // drained_ only under drain_mutex_; both are read cross-thread under
   // idle_mutex_'s condvar protocol. The seq_cst store of idle_waiting_
   // (producer) against the seq_cst drained_ increment + idle_waiting_
   // load (worker) guarantees the worker either sees the waiter and
@@ -245,11 +284,8 @@ class ThreadedDriver {
   std::atomic<bool> idle_waiting_{false};
   std::mutex idle_mutex_;
   std::condition_variable idle_cv_;
-  // Accept stamps riding alongside the queue (same FIFO order: one
-  // producer pushes both, one worker pops both). Touched once per
-  // *batch* and only when on_batch_start is installed.
-  std::mutex stamp_mutex_;
-  std::deque<double> stamps_;
+  // Last, so every member Run() touches exists before it starts.
+  std::thread worker_;
 };
 
 }  // namespace wum

@@ -131,7 +131,10 @@ TEST(StreamEngineTest, StatsAccountForEveryRecordAcrossShards) {
   EXPECT_EQ(total.records_in, static_cast<std::uint64_t>(kUsers * kRequests));
   EXPECT_EQ(total.records_dropped, 0u);
   EXPECT_EQ(total.sessions_emitted, sessions.entries().size());
-  EXPECT_GT(total.queue_high_watermark, 0u);
+  // Every single-record Offer found its shard idle and drained inline,
+  // so nothing was ever queued. InlineBatchesCountSmallHandOffsOnly
+  // checks the watermark of a queued hand-off.
+  EXPECT_EQ(total.queue_high_watermark, 0u);
 
   // Per-shard counters sum to the totals, and every user's records
   // landed on exactly one shard (records_in per shard is a multiple of
@@ -317,6 +320,49 @@ TEST(StreamEngineTest, MetricsMatchEngineStats) {
   EXPECT_EQ(records_in_total, total.records_in);
   EXPECT_EQ(total.records_in, 17u * 7u);
   EXPECT_EQ(total.records_dropped, 17u * 2u);
+}
+
+// Under kBlock a small batch for an idle shard drains on the producer
+// thread and counts in engine.shard<k>.inline_batches; a batch above the
+// gate is always queued for the worker.
+TEST(StreamEngineTest, InlineBatchesCountSmallHandOffsOnly) {
+  WebGraph graph = MakeFigure1Topology();
+  CollectingSessionSink sessions;
+  obs::MetricRegistry registry;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions().set_num_shards(1).set_metrics(&registry).use_smart_sra(
+          &graph),
+      &sessions);
+  ASSERT_TRUE(engine.ok());
+  constexpr std::uint64_t kSingles = 10;
+  for (std::uint64_t u = 0; u < kSingles; ++u) {
+    ASSERT_TRUE(
+        (*engine)->Offer(PageRecord("10.0.0." + std::to_string(u), 0, 0)).ok());
+  }
+  EXPECT_EQ(registry.Snapshot().CounterOrZero("engine.shard0.inline_batches"),
+            kSingles);
+
+  constexpr std::size_t kAboveGate = ThreadedDriver::kInlineDrainMaxRecords + 1;
+  std::vector<LogRecord> records;
+  for (std::size_t u = 0; u < kAboveGate; ++u) {
+    records.push_back(PageRecord("10.1.0." + std::to_string(u), 0, 0));
+  }
+  std::vector<LogRecordRef> refs;
+  for (const LogRecord& record : records) refs.push_back(ViewOf(record));
+  ASSERT_TRUE((*engine)->OfferBatch(refs).ok());
+  ASSERT_TRUE((*engine)->Finish().ok());
+
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.CounterOrZero("engine.shard0.inline_batches"), kSingles);
+  const obs::MetricsSnapshot::GaugeValue* watermark =
+      snapshot.FindGauge("engine.shard0.queue_high_watermark");
+  ASSERT_NE(watermark, nullptr);
+  EXPECT_EQ(watermark->value, kAboveGate);
+  // EngineStats carries the driver's watermark too.
+  EXPECT_EQ((*engine)->ShardStats()[0].queue_high_watermark, kAboveGate);
+  EXPECT_EQ((*engine)->TotalStats().queue_high_watermark, kAboveGate);
+  EXPECT_EQ((*engine)->TotalStats().records_in, kSingles + kAboveGate);
+  EXPECT_EQ(sessions.entries().size(), kSingles + kAboveGate);
 }
 
 // add_filter drops run on the producer: a dropped record is accepted

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "wum/obs/metrics.h"
 #include "wum/stream/incremental_sessionizer.h"
 #include "wum/stream/spsc_queue.h"
 #include "wum/topology/site_generator.h"
@@ -25,12 +28,28 @@ LogRecord PageRecord(const std::string& ip, std::uint32_t page,
   return record;
 }
 
-/// Enqueues `record` as a batch of one.
+/// Offers `record` as a batch of one.
 Status OfferOne(ThreadedDriver* driver, const LogRecord& record) {
   ShardBatch batch;
   batch.Append(ViewOf(record), UserIdentity::kClientIp);
   return driver->OfferBatch(&batch);
 }
+
+/// One batch of `count` page-1 records of user "ip", timestamped
+/// first_timestamp, first_timestamp + 1, ...
+ShardBatch MakeBatch(std::size_t count, TimeSeconds first_timestamp) {
+  ShardBatch batch;
+  for (std::size_t i = 0; i < count; ++i) {
+    batch.Append(ViewOf(PageRecord("ip", 1, first_timestamp +
+                                                static_cast<TimeSeconds>(i))),
+                 UserIdentity::kClientIp);
+  }
+  return batch;
+}
+
+/// The smallest batch OfferBatch always queues for the worker — the way
+/// to park the worker in a gated sink without parking the caller too.
+constexpr std::size_t kAboveGate = ThreadedDriver::kInlineDrainMaxRecords + 1;
 
 class CountingSink : public RecordSink {
  public:
@@ -82,22 +101,30 @@ TEST(ShardBatchTest, AppendResolvesKeyPageAndTimestamp) {
   EXPECT_TRUE(batch.keys.empty());
 }
 
+/// The consumer side as the driver's worker runs it: wait for an item
+/// (nullopt once the queue is closed and drained), then take it.
+std::optional<int> WaitAndPop(SpscQueue<int>& queue) {
+  if (!queue.WaitNonEmpty()) return std::nullopt;
+  return queue.TryPop();
+}
+
 TEST(SpscQueueTest, FifoOrder) {
   SpscQueue<int> queue(4);
   queue.Push(1);
   queue.Push(2);
   queue.Push(3);
-  EXPECT_EQ(queue.Pop(), 1);
-  EXPECT_EQ(queue.Pop(), 2);
-  EXPECT_EQ(queue.Pop(), 3);
+  EXPECT_EQ(WaitAndPop(queue), 1);
+  EXPECT_EQ(WaitAndPop(queue), 2);
+  EXPECT_EQ(WaitAndPop(queue), 3);
+  EXPECT_EQ(queue.TryPop(), std::nullopt);  // empty, not closed
 }
 
 TEST(SpscQueueTest, CloseDrainsThenSignalsEnd) {
   SpscQueue<int> queue(4);
   queue.Push(7);
   queue.Close();
-  EXPECT_EQ(queue.Pop(), 7);
-  EXPECT_EQ(queue.Pop(), std::nullopt);
+  EXPECT_EQ(WaitAndPop(queue), 7);
+  EXPECT_EQ(WaitAndPop(queue), std::nullopt);
   EXPECT_FALSE(queue.Push(8));  // closed
 }
 
@@ -109,7 +136,7 @@ TEST(SpscQueueTest, BlockingHandoffAcrossThreads) {
     queue.Close();
   });
   int expected = 0;
-  while (auto item = queue.Pop()) {
+  while (auto item = WaitAndPop(queue)) {
     EXPECT_EQ(*item, expected++);
   }
   producer.join();
@@ -201,9 +228,11 @@ TEST(ThreadedDriverTest, BlockedOfferObservesWorkerDeath) {
   GateThenFailSink sink;
   ThreadedDriver driver(&sink, /*queue_capacity=*/1);
 
-  // Worker pops record 0 and parks inside the sink; record 1 then fills
-  // the capacity-1 queue.
-  ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 0)).ok());
+  // Worker pops a batch above the inline gate and parks inside the sink
+  // on its record 0; record 1 is then queued (the worker is mid-batch)
+  // and fills the capacity-1 queue.
+  ShardBatch parking = MakeBatch(kAboveGate, 0);
+  ASSERT_TRUE(driver.OfferBatch(&parking).ok());
   sink.WaitEntered();
   ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 1)).ok());
 
@@ -264,7 +293,9 @@ TEST(ThreadedDriverTest, UnhandledErrorDiscardsRemainderThroughHook) {
   };
   {
     ThreadedDriver driver(&sink, 8, DriverMetrics{}, hooks);
-    ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 0)).ok());
+    // The worker parks on record 0 of a batch above the inline gate.
+    ShardBatch parking = MakeBatch(kAboveGate, 0);
+    ASSERT_TRUE(driver.OfferBatch(&parking).ok());
     sink.WaitEntered();
     // Queue up records the worker will only ever drain.
     ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 1)).ok());
@@ -272,7 +303,8 @@ TEST(ThreadedDriverTest, UnhandledErrorDiscardsRemainderThroughHook) {
     sink.Release();
     EXPECT_TRUE(driver.Finish().IsInternal());
   }
-  EXPECT_EQ(discarded.load(), 2);
+  // The rest of the parking batch, then the two queued records.
+  EXPECT_EQ(discarded.load(), static_cast<int>(kAboveGate - 1) + 2);
 }
 
 // Regression: after a worker death WaitIdle returns on the sticky error
@@ -297,7 +329,9 @@ TEST(ThreadedDriverTest, WaitDrainedOutlastsDiscardsAfterDeath) {
     discarded.fetch_add(1);
   };
   ThreadedDriver driver(&sink, 16, DriverMetrics{}, hooks);
-  ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 0)).ok());
+  // The worker parks on record 0 of a batch above the inline gate.
+  ShardBatch parking = MakeBatch(kAboveGate, 0);
+  ASSERT_TRUE(driver.OfferBatch(&parking).ok());
   sink.WaitEntered();
   constexpr int kQueued = 10;
   for (int i = 1; i <= kQueued; ++i) {
@@ -306,8 +340,188 @@ TEST(ThreadedDriverTest, WaitDrainedOutlastsDiscardsAfterDeath) {
   sink.Release();  // record 0 fails; the rest only ever drain
   EXPECT_TRUE(driver.WaitIdle().IsInternal());
   driver.WaitDrained();
-  EXPECT_EQ(discarded.load(), kQueued);
+  // The rest of the parking batch, then the queued records.
+  EXPECT_EQ(discarded.load(), static_cast<int>(kAboveGate - 1) + kQueued);
   EXPECT_TRUE(driver.Finish().IsInternal());
+}
+
+/// Records the timestamp and the calling thread of every Accept. When
+/// gated, the first Accept parks until Release and then succeeds.
+class RecordingSink : public RecordSink {
+ public:
+  explicit RecordingSink(bool gated = false) : gated_(gated) {}
+
+  Status Accept(std::string_view, const ShardRecord& record) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (gated_ && !entered_) {
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    }
+    timestamps_.push_back(record.timestamp);
+    threads_.push_back(std::this_thread::get_id());
+    return Status::OK();
+  }
+  Status Finish() override { return Status::OK(); }
+
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+  std::vector<TimeSeconds> timestamps() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return timestamps_;
+  }
+  std::vector<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return threads_;
+  }
+
+ private:
+  const bool gated_;
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+  std::vector<TimeSeconds> timestamps_;
+  std::vector<std::thread::id> threads_;
+};
+
+/// Every entry of `threads` is `id`.
+bool AllOn(const std::vector<std::thread::id>& threads, std::thread::id id) {
+  return std::all_of(threads.begin(), threads.end(),
+                     [id](std::thread::id thread) { return thread == id; });
+}
+
+// A batch at the gate into an idle driver drains on the caller's thread
+// before OfferBatch returns, leaving nothing for WaitIdle to wait on.
+TEST(ThreadedDriverTest, SmallBatchIntoIdleDriverDrainsOnCaller) {
+  RecordingSink sink;
+  obs::MetricRegistry registry;
+  DriverMetrics metrics;
+  metrics.inline_batches = registry.GetCounter("inline_batches");
+  ThreadedDriver driver(&sink, 16, metrics);
+  ShardBatch batch = MakeBatch(ThreadedDriver::kInlineDrainMaxRecords, 0);
+  ASSERT_TRUE(driver.OfferBatch(&batch).ok());
+  EXPECT_TRUE(batch.records.empty());  // cleared for reuse
+  EXPECT_EQ(sink.timestamps().size(), ThreadedDriver::kInlineDrainMaxRecords);
+  EXPECT_TRUE(AllOn(sink.threads(), std::this_thread::get_id()));
+  EXPECT_TRUE(driver.WaitIdle().ok());
+  EXPECT_EQ(driver.queue_high_watermark(), 0u);
+  EXPECT_EQ(registry.Snapshot().CounterOrZero("inline_batches"), 1u);
+  ASSERT_TRUE(driver.Finish().ok());
+}
+
+// A batch above the gate always drains on the worker, even when the
+// driver is idle.
+TEST(ThreadedDriverTest, BatchAboveGateDrainsOnWorker) {
+  RecordingSink sink;
+  ThreadedDriver driver(&sink, 1024);
+  for (int round = 0; round < 3; ++round) {
+    ShardBatch batch = MakeBatch(kAboveGate, round * 1000);
+    ASSERT_TRUE(driver.OfferBatch(&batch).ok());
+    ASSERT_TRUE(driver.WaitIdle().ok());
+  }
+  ASSERT_TRUE(driver.Finish().ok());
+  const std::vector<std::thread::id> threads = sink.threads();
+  ASSERT_EQ(threads.size(), 3 * kAboveGate);
+  EXPECT_NE(threads[0], std::this_thread::get_id());
+  EXPECT_TRUE(AllOn(threads, threads[0]));
+  EXPECT_EQ(driver.queue_high_watermark(), kAboveGate);
+}
+
+// TryOfferBatch (the kShed path) never drains inline: its caller must
+// never wait on the sink.
+TEST(ThreadedDriverTest, TryOfferBatchNeverDrainsInline) {
+  RecordingSink sink;
+  ThreadedDriver driver(&sink, 16);
+  for (int i = 0; i < 5; ++i) {
+    ShardBatch batch = MakeBatch(1, i);
+    bool accepted = false;
+    ASSERT_TRUE(driver.TryOfferBatch(&batch, &accepted).ok());
+    EXPECT_TRUE(accepted);
+    EXPECT_TRUE(batch.records.empty());
+    ASSERT_TRUE(driver.WaitIdle().ok());
+  }
+  ASSERT_TRUE(driver.Finish().ok());
+  const std::vector<std::thread::id> threads = sink.threads();
+  ASSERT_EQ(threads.size(), 5u);
+  EXPECT_NE(threads[0], std::this_thread::get_id());
+  EXPECT_TRUE(AllOn(threads, threads[0]));
+}
+
+// While the worker is parked mid-batch, small offers are queued behind
+// it rather than overtaking it inline: the sink sees offer order.
+TEST(ThreadedDriverTest, SmallOfferQueuesBehindBusyWorker) {
+  RecordingSink sink(/*gated=*/true);
+  ThreadedDriver driver(&sink, 1024);
+  ShardBatch parking = MakeBatch(kAboveGate, 0);
+  ASSERT_TRUE(driver.OfferBatch(&parking).ok());
+  sink.WaitEntered();  // the worker holds record 0 of the parking batch
+  TimeSeconds next = static_cast<TimeSeconds>(kAboveGate);
+  for (int i = 0; i < 4; ++i) {
+    ShardBatch small = MakeBatch(3, next);
+    next += 3;
+    ASSERT_TRUE(driver.OfferBatch(&small).ok());
+  }
+  EXPECT_EQ(driver.queue_depth(), 12u);  // all four queued, none inlined
+  sink.Release();
+  ASSERT_TRUE(driver.WaitIdle().ok());
+  ASSERT_TRUE(driver.Finish().ok());
+
+  std::vector<TimeSeconds> expected(static_cast<std::size_t>(next));
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    expected[i] = static_cast<TimeSeconds>(i);
+  }
+  EXPECT_EQ(sink.timestamps(), expected);
+  const std::vector<std::thread::id> threads = sink.threads();
+  EXPECT_NE(threads.back(), std::this_thread::get_id());
+  EXPECT_TRUE(AllOn(threads, threads[0]));
+}
+
+// Small and large batches interleave, so inline drains race the worker
+// finishing the batches queued before them: every record still reaches
+// the sink in offer order, each exactly once.
+TEST(ThreadedDriverTest, MixedOfferSizesKeepFifoOrder) {
+  RecordingSink sink;
+  ThreadedDriver driver(&sink, 256);
+  TimeSeconds next = 0;
+  for (int i = 0; i < 2000; ++i) {
+    // Sizes cycle through 1..130, straddling the inline gate.
+    const std::size_t size = 1 + static_cast<std::size_t>(i * 37) % 130;
+    ShardBatch batch = MakeBatch(size, next);
+    next += static_cast<TimeSeconds>(size);
+    ASSERT_TRUE(driver.OfferBatch(&batch).ok());
+  }
+  ASSERT_TRUE(driver.Finish().ok());
+  const std::vector<TimeSeconds> timestamps = sink.timestamps();
+  ASSERT_EQ(timestamps.size(), static_cast<std::size_t>(next));
+  for (std::size_t i = 0; i < timestamps.size(); ++i) {
+    ASSERT_EQ(timestamps[i], static_cast<TimeSeconds>(i));
+  }
+}
+
+// A sink error inside an inline drain becomes the sticky error: the call
+// that drained returns OK (its records were handled), the next call and
+// Finish return the error.
+TEST(ThreadedDriverTest, InlineSinkErrorSurfacesOnNextCall) {
+  FailingSink sink;  // fails on page 13
+  ThreadedDriver driver(&sink, 16);
+  ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 0)).ok());
+  EXPECT_TRUE(OfferOne(&driver, PageRecord("ip", 13, 1)).ok());
+  EXPECT_TRUE(driver.failed());
+  EXPECT_TRUE(driver.first_error().IsInternal());
+  EXPECT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 2)).IsInternal());
+  EXPECT_TRUE(driver.WaitIdle().IsInternal());
+  EXPECT_TRUE(driver.Finish().IsInternal());
+  EXPECT_EQ(sink.accepted.load(), 1);
 }
 
 TEST(ThreadedDriverTest, EndToEndStreamingSessionization) {
