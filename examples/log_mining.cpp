@@ -7,17 +7,22 @@
 // The log file is produced here by the agent simulator (plus injected
 // noise records so the cleaning stage has something to do), but the same
 // code consumes any CLF log whose URLs follow the /pages/p<id>.html
-// convention.
+// convention. Like websra_sessionize it reads the log twice and never
+// holds it: a counting and crawler-spotting pass, then a cleaning pass.
+//
+// Usage: log_mining [LOG_PATH]  (default /tmp/websra_example_access.log)
 
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <memory>
+#include <span>
 
 #include "wum/clf/clf_parser.h"
 #include "wum/clf/clf_writer.h"
 #include "wum/clf/log_filter.h"
 #include "wum/clf/user_partitioner.h"
+#include "wum/ingest/driver.h"
 #include "wum/mining/apriori_all.h"
 #include "wum/session/smart_sra.h"
 #include "wum/simulator/workload.h"
@@ -76,69 +81,59 @@ wum::Status WriteNoisyLog(const wum::WebGraph& graph,
   return wum::Status::OK();
 }
 
-}  // namespace
-
-int main() {
-  const std::string log_path = "/tmp/websra_example_access.log";
+wum::Status Run(const std::string& log_path) {
   wum::Rng rng(424242);
   wum::SiteGeneratorOptions site;  // Table 5 site
-  wum::Result<wum::WebGraph> graph = wum::GenerateUniformSite(site, &rng);
-  if (!graph.ok()) {
-    std::cerr << graph.status().ToString() << "\n";
-    return 1;
-  }
+  WUM_ASSIGN_OR_RETURN(wum::WebGraph graph,
+                       wum::GenerateUniformSite(site, &rng));
   std::size_t agents_written = 0;
-  wum::Status wrote =
-      WriteNoisyLog(*graph, log_path, &rng, &agents_written);
-  if (!wrote.ok()) {
-    std::cerr << wrote.ToString() << "\n";
-    return 1;
-  }
+  WUM_RETURN_NOT_OK(WriteNoisyLog(graph, log_path, &rng, &agents_written));
 
-  // --- Parse ---------------------------------------------------------
-  std::ifstream file(log_path);
+  // --- Parse, and spot crawlers ---------------------------------------
   wum::ClfParser parser;
-  std::vector<wum::LogRecord> records;
-  wum::Status parsed = parser.ParseStream(&file, &records);
-  if (!parsed.ok()) {
-    std::cerr << parsed.ToString() << "\n";
-    return 1;
-  }
+  auto robot_filter = std::make_unique<wum::RobotFilter>();
+  WUM_RETURN_NOT_OK(wum::ingest::ParseFile(
+      log_path, &parser, [&](std::span<const wum::LogRecordRef> records) {
+        for (const wum::LogRecordRef& record : records) {
+          robot_filter->Observe(record);
+        }
+        return wum::Status::OK();
+      }));
   std::cout << "parsed " << parser.stats().records_parsed << " records ("
             << parser.stats().lines_rejected << " malformed lines)\n";
 
-  // --- Clean ---------------------------------------------------------
+  // --- Clean and identify users ---------------------------------------
   wum::FilterChain chain = wum::FilterChain::Standard();
-  auto robot_filter = std::make_unique<wum::RobotFilter>();
-  robot_filter->ObserveForRobots(records);
   chain.Add(std::move(robot_filter));
-  std::vector<wum::LogRecord> cleaned = chain.Apply(records);
-  std::cout << "cleaning kept " << cleaned.size() << " page views:";
+  wum::UserPartitioner partitioner(graph.num_pages());
+  std::size_t cleaned = 0;
+  wum::ClfParser plain;
+  WUM_RETURN_NOT_OK(wum::ingest::ParseFile(
+      log_path, &plain,
+      [&](std::span<const wum::LogRecordRef> records) -> wum::Status {
+        for (const wum::LogRecordRef& record : records) {
+          if (!chain.Keep(record)) continue;
+          ++cleaned;
+          WUM_RETURN_NOT_OK(partitioner.Add(record));
+        }
+        return wum::Status::OK();
+      }));
+  std::cout << "cleaning kept " << cleaned << " page views:";
   for (const auto& stat : chain.stats()) {
     std::cout << " " << stat.name << "-dropped=" << stat.dropped;
   }
   std::cout << "\n";
-
-  // --- Identify users and reconstruct sessions ------------------------
-  wum::Result<wum::PartitionResult> partition =
-      wum::PartitionByUser(cleaned, graph->num_pages());
-  if (!partition.ok()) {
-    std::cerr << partition.status().ToString() << "\n";
-    return 1;
-  }
-  std::cout << "identified " << partition->streams.size()
+  const wum::PartitionResult partition = std::move(partitioner).Finish();
+  std::cout << "identified " << partition.streams.size()
             << " users by IP (simulated " << agents_written << ")\n";
 
-  wum::SmartSra smart_sra(&graph.ValueOrDie());
+  // --- Reconstruct sessions -------------------------------------------
+  wum::SmartSra smart_sra(&graph);
   std::vector<std::vector<wum::PageId>> session_sequences;
-  for (const wum::UserStream& user : partition->streams) {
-    wum::Result<std::vector<wum::Session>> sessions =
-        smart_sra.Reconstruct(user.requests);
-    if (!sessions.ok()) {
-      std::cerr << sessions.status().ToString() << "\n";
-      return 1;
-    }
-    for (const wum::Session& session : *sessions) {
+  for (const wum::UserStream& user : partition.streams) {
+    WUM_ASSIGN_OR_RETURN(std::vector<wum::Session> sessions,
+                         smart_sra.Reconstruct(user.requests));
+    for (const wum::Session& session : sessions) {
       session_sequences.push_back(session.PageSequence());
     }
   }
@@ -151,16 +146,12 @@ int main() {
       std::max<std::size_t>(3, session_sequences.size() / 400);
   mining.mode = wum::MatchMode::kContiguous;
   wum::AprioriAllMiner miner(mining);
-  wum::Result<std::vector<wum::SequentialPattern>> patterns =
-      miner.Mine(session_sequences);
-  if (!patterns.ok()) {
-    std::cerr << patterns.status().ToString() << "\n";
-    return 1;
-  }
+  WUM_ASSIGN_OR_RETURN(std::vector<wum::SequentialPattern> patterns,
+                       miner.Mine(session_sequences));
   std::vector<wum::SequentialPattern> maximal = wum::FilterMaximalPatterns(
-      *patterns, wum::MatchMode::kContiguous);
+      patterns, wum::MatchMode::kContiguous);
   std::cout << "\nfrequent navigation paths (support >= "
-            << mining.min_support << "): " << patterns->size() << " total, "
+            << mining.min_support << "): " << patterns.size() << " total, "
             << maximal.size() << " maximal; longest maximal paths:\n";
   std::sort(maximal.begin(), maximal.end(),
             [](const wum::SequentialPattern& a,
@@ -172,6 +163,18 @@ int main() {
             });
   for (std::size_t i = 0; i < maximal.size() && i < 8; ++i) {
     std::cout << "  " << wum::PatternToString(maximal[i]) << "\n";
+  }
+  return wum::Status::OK();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const wum::Status status =
+      Run(argc > 1 ? argv[1] : "/tmp/websra_example_access.log");
+  if (!status.ok()) {
+    std::cerr << status.ToString() << "\n";
+    return 1;
   }
   return 0;
 }

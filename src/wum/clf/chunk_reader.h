@@ -45,11 +45,9 @@ class ChunkReader {
   ///
   /// Lifetime: in buffered mode the view is invalidated by the next
   /// Next() call; in mmap mode it lives until the reader is destroyed.
-  /// Callers that keep LogRecordRefs across chunks must Materialize().
+  /// Callers consume a chunk's LogRecordRefs before asking for the next
+  /// chunk (wum::ingest::ParseFile), which is safe in both modes.
   std::optional<std::string_view> Next();
-
-  /// True when the file is served from a memory mapping.
-  bool memory_mapped() const { return mapping_ != nullptr; }
 
  private:
   ChunkReader() = default;

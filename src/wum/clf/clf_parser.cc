@@ -1,7 +1,6 @@
 #include "wum/clf/clf_parser.h"
 
 #include "wum/common/string_util.h"
-#include "wum/obs/log.h"
 
 namespace wum {
 namespace {
@@ -153,23 +152,32 @@ Result<LogRecord> ParseClfLine(std::string_view line) {
   return record.Materialize();
 }
 
-Result<LogRecordRef> ClfParser::AccountLine(std::string_view line) {
-  ++stats_.lines_seen;
-  lines_seen_.Increment();
-  Result<LogRecordRef> parsed = [&] {
-    // Span per line, seq = the 1-based line number (shard is always 0:
-    // parsing runs upstream of partitioning).
-    obs::ScopedSpan span(tracer_, "parse", 0, stats_.lines_seen);
-    return ParseClfLineRef(line);
-  }();
-  if (parsed.ok()) {
-    ++stats_.records_parsed;
-    records_parsed_.Increment();
-  } else {
+Status ClfParser::ParseChunk(std::string_view chunk,
+                             std::vector<LogRecordRef>* records) {
+  while (!chunk.empty()) {
+    // A chunk need not end in '\n': the final line of a file (or of a
+    // line-aligned ChunkReader chunk) parses like any other.
+    const std::size_t end = chunk.find('\n');
+    const std::string_view line = chunk.substr(0, end);  // npos: the rest
+    chunk = end == std::string_view::npos ? std::string_view()
+                                          : chunk.substr(end + 1);
+    ++stats_.lines_seen;
+    lines_seen_.Increment();
+    if (StripWhitespace(line).empty()) continue;
+    Result<LogRecordRef> parsed = [&] {
+      // Span per line, seq = the 1-based line number (shard is always 0:
+      // parsing runs upstream of partitioning).
+      obs::ScopedSpan span(tracer_, "parse", 0, stats_.lines_seen);
+      return ParseClfLineRef(line);
+    }();
+    if (parsed.ok()) {
+      ++stats_.records_parsed;
+      records_parsed_.Increment();
+      records->push_back(*parsed);
+      continue;
+    }
     ++stats_.lines_rejected;
     lines_rejected_.Increment();
-    obs::LogWarn("clf.reject")("line", stats_.lines_seen)(
-        "error", parsed.status().message());
     if (reject_handler_ != nullptr) {
       reject_handler_(stats_.lines_seen, line, parsed.status());
     }
@@ -180,44 +188,6 @@ Result<LogRecordRef> ClfParser::AccountLine(std::string_view line) {
                                      parsed.status().message());
     }
   }
-  return parsed;
-}
-
-Status ClfParser::ParseChunk(std::string_view chunk,
-                             std::vector<LogRecordRef>* records) {
-  while (!chunk.empty()) {
-    const std::size_t newline = chunk.find('\n');
-    // A chunk need not end in '\n': the final line of a file (or of a
-    // line-aligned ChunkReader chunk) parses like any other.
-    const std::string_view line = newline == std::string_view::npos
-                                      ? chunk
-                                      : chunk.substr(0, newline);
-    chunk = newline == std::string_view::npos ? std::string_view()
-                                              : chunk.substr(newline + 1);
-    if (StripWhitespace(line).empty()) {
-      ++stats_.lines_seen;
-      lines_seen_.Increment();
-      continue;
-    }
-    Result<LogRecordRef> parsed = AccountLine(line);
-    if (parsed.ok()) records->push_back(*parsed);
-  }
-  return Status::OK();
-}
-
-Status ClfParser::ParseStream(std::istream* in,
-                              std::vector<LogRecord>* records) {
-  std::string line;
-  while (std::getline(*in, line)) {
-    if (StripWhitespace(line).empty()) {
-      ++stats_.lines_seen;
-      lines_seen_.Increment();
-      continue;
-    }
-    Result<LogRecordRef> parsed = AccountLine(line);
-    if (parsed.ok()) records->push_back(parsed->Materialize());
-  }
-  if (in->bad()) return Status::IoError("stream read failure");
   return Status::OK();
 }
 

@@ -5,7 +5,6 @@
 #define WUM_CLF_CLF_PARSER_H_
 
 #include <functional>
-#include <istream>
 #include <string>
 #include <vector>
 
@@ -26,11 +25,11 @@ namespace wum {
 Result<LogRecordRef> ParseClfLineRef(std::string_view line);
 
 /// Owned-record convenience over ParseClfLineRef: parses then
-/// Materialize()s. Use for slow paths and tests; batch ingestion should
-/// prefer ParseClfLineRef / ClfParser::ParseChunk.
+/// Materialize()s. For tests and single-line slow paths; ingestion goes
+/// through ClfParser::ParseChunk and never owns a record.
 Result<LogRecord> ParseClfLine(std::string_view line);
 
-/// Stream parser with malformed-line accounting.
+/// Chunk parser with malformed-line accounting.
 class ClfParser {
  public:
   struct Stats {
@@ -55,8 +54,10 @@ class ClfParser {
 
   /// Called once per rejected line with its 1-based number, raw text and
   /// parse error. Generic on purpose: callers route rejects wherever they
-  /// like (e.g. a stream-layer DeadLetterQueue) without this package
-  /// depending on theirs.
+  /// like (e.g. a stream-layer DeadLetterQueue, a "clf.reject" log line)
+  /// without this package depending on theirs. Without a handler a
+  /// reject only counts, so re-parsing a log already accounted for
+  /// reports nothing twice.
   using RejectHandler = std::function<void(
       std::uint64_t line_number, std::string_view raw_line,
       const Status& reason)>;
@@ -72,29 +73,19 @@ class ClfParser {
   /// then never read).
   void set_tracer(obs::Tracer tracer) { tracer_ = tracer; }
 
-  /// Parses every line of `in`; appends good records to `*records`.
-  /// IO failure is the only error condition — malformed lines are
-  /// tallied in stats().
-  Status ParseStream(std::istream* in, std::vector<LogRecord>* records);
-
   /// Zero-copy batch parse: splits `chunk` on '\n' (a final unterminated
   /// line parses too, so line-aligned ChunkReader chunks compose into
   /// exactly the stream's lines) and appends a LogRecordRef viewing into
-  /// `chunk` for every well-formed line. Accounting — stats(), metric
-  /// counters, reject handler, line numbering — is identical to feeding
-  /// the same lines through ParseStream, and numbering continues across
-  /// successive chunks. The refs are only valid while `chunk`'s buffer
-  /// is; Materialize() anything that must outlive it.
+  /// `chunk` for every well-formed line. Every line counts in stats();
+  /// blank lines are skipped, malformed ones are tallied and reported,
+  /// never an error. Line numbering continues across chunks. The refs
+  /// are only valid while `chunk`'s buffer is.
   Status ParseChunk(std::string_view chunk, std::vector<LogRecordRef>* records);
 
   const Stats& stats() const { return stats_; }
 
  private:
   static constexpr std::size_t kMaxSampleErrors = 8;
-
-  /// Shared per-line bookkeeping for ParseStream/ParseChunk: counts the
-  /// line, parses it, and routes rejects to the handler and samples.
-  Result<LogRecordRef> AccountLine(std::string_view line);
 
   RejectHandler reject_handler_;
   obs::Tracer tracer_;

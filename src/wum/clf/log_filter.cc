@@ -1,8 +1,5 @@
 #include "wum/clf/log_filter.h"
 
-#include <algorithm>
-#include <functional>
-
 #include "wum/common/string_util.h"
 
 namespace wum {
@@ -52,22 +49,12 @@ bool MethodFilter::Keep(const LogRecordRef& record) const {
   return record.method == HttpMethod::kGet;
 }
 
-void RobotFilter::ObserveForRobots(const std::vector<LogRecord>& records) {
-  for (const LogRecord& record : records) {
-    if (record.url == "/robots.txt") {
-      auto it = std::lower_bound(robot_ips_.begin(), robot_ips_.end(),
-                                 record.client_ip);
-      if (it == robot_ips_.end() || *it != record.client_ip) {
-        robot_ips_.insert(it, record.client_ip);
-      }
-    }
-  }
+void RobotFilter::Observe(const LogRecordRef& record) {
+  if (record.url == "/robots.txt") robot_ips_.emplace(record.client_ip);
 }
 
 bool RobotFilter::Keep(const LogRecordRef& record) const {
-  if (record.url == "/robots.txt") return false;
-  return !std::binary_search(robot_ips_.begin(), robot_ips_.end(),
-                             record.client_ip, std::less<>());
+  return record.url != "/robots.txt" && !robot_ips_.contains(record.client_ip);
 }
 
 void FilterChain::Add(std::unique_ptr<LogFilter> filter) {
@@ -75,23 +62,14 @@ void FilterChain::Add(std::unique_ptr<LogFilter> filter) {
   filters_.push_back(std::move(filter));
 }
 
-std::vector<LogRecord> FilterChain::Apply(
-    const std::vector<LogRecord>& records) {
-  std::vector<LogRecord> kept;
-  kept.reserve(records.size());
-  for (const LogRecord& record : records) {
-    const LogRecordRef ref = ViewOf(record);
-    bool keep = true;
-    for (std::size_t i = 0; i < filters_.size(); ++i) {
-      if (!filters_[i]->Keep(ref)) {
-        ++stats_[i].dropped;
-        keep = false;
-        break;
-      }
+bool FilterChain::Keep(const LogRecordRef& record) {
+  for (std::size_t i = 0; i < filters_.size(); ++i) {
+    if (!filters_[i]->Keep(record)) {
+      ++stats_[i].dropped;
+      return false;
     }
-    if (keep) kept.push_back(record);
   }
-  return kept;
+  return true;
 }
 
 FilterChain FilterChain::Standard() {

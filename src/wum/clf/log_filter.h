@@ -6,7 +6,9 @@
 #ifndef WUM_CLF_LOG_FILTER_H_
 #define WUM_CLF_LOG_FILTER_H_
 
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,8 +17,8 @@
 namespace wum {
 
 /// Predicate over log records; true means "keep". Filters read the
-/// zero-copy view, so the streaming engine runs them on parsed refs
-/// before any copy and batch code passes ViewOf(record).
+/// zero-copy view, so every caller runs them on parsed refs before any
+/// copy.
 class LogFilter {
  public:
   virtual ~LogFilter() = default;
@@ -55,17 +57,20 @@ class MethodFilter : public LogFilter {
 };
 
 /// Drops requests for "/robots.txt" and from clients that requested it
-/// (a standard crawler fingerprint). Stateful: feed records in log order.
+/// (a standard crawler fingerprint). Observe every record of a first
+/// pass over the log before filtering, so a crawler's page views logged
+/// before its /robots.txt request are dropped too.
 class RobotFilter : public LogFilter {
  public:
   std::string name() const override { return "robot"; }
   bool Keep(const LogRecordRef& record) const override;
 
-  /// Registers crawler IPs from a first pass over the log.
-  void ObserveForRobots(const std::vector<LogRecord>& records);
+  /// Registers `record`'s client as a crawler if it requests
+  /// /robots.txt. Copies the IP; `record` need not outlive the call.
+  void Observe(const LogRecordRef& record);
 
  private:
-  std::vector<std::string> robot_ips_;  // sorted
+  std::set<std::string, std::less<>> robot_ips_;
 };
 
 /// Applies a conjunction of filters, tallying drops per filter.
@@ -73,15 +78,15 @@ class FilterChain {
  public:
   void Add(std::unique_ptr<LogFilter> filter);
 
-  /// Returns the records passing every filter, in order.
-  std::vector<LogRecord> Apply(const std::vector<LogRecord>& records);
+  /// True when `record` passes every filter; otherwise tallies the drop
+  /// against the first filter that rejects it.
+  bool Keep(const LogRecordRef& record);
 
   struct FilterStats {
     std::string name;
     std::uint64_t dropped = 0;
   };
   const std::vector<FilterStats>& stats() const { return stats_; }
-  std::size_t size() const { return filters_.size(); }
 
   /// The conventional cleaning chain: method + status + extension.
   static FilterChain Standard();

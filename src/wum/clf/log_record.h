@@ -59,9 +59,10 @@ struct LogRecord {
 /// Zero-copy view of one access-log line: the string fields are
 /// std::string_views into the buffer the line was parsed from (see
 /// ClfParser::ParseChunk). A ref is valid only while that buffer is —
-/// for a ChunkReader chunk, until the next Next() call. Anything that
-/// outlives the buffer (dead-letter payloads, checkpoint journals,
-/// collected test fixtures) must call Materialize() first.
+/// for a ByteSource chunk, until the next Next() call. Every ingest path
+/// consumes a chunk's refs before the next chunk and copies only what it
+/// keeps: UserPartitioner a user key and a PageRequest, the engine a
+/// ShardRecord, RobotFilter a crawler IP.
 struct LogRecordRef {
   std::string_view client_ip;
   TimeSeconds timestamp = 0;
@@ -73,8 +74,8 @@ struct LogRecordRef {
   std::string_view referrer;
   std::string_view user_agent;
 
-  /// Copies the viewed fields into an owned LogRecord (the slow path —
-  /// the hot path hands refs to StreamEngine::OfferBatch instead).
+  /// Copies the viewed fields into an owned LogRecord (ParseClfLine's
+  /// single-line slow path; no ingest path owns records).
   LogRecord Materialize() const;
 
   friend auto operator<=>(const LogRecordRef&, const LogRecordRef&) = default;

@@ -1,12 +1,11 @@
 #include "wum/clf/user_partitioner.h"
 
 #include <algorithm>
-#include <map>
 
 namespace wum {
 
-std::string UserKeyFor(const std::string& client_ip,
-                       const std::string& user_agent, UserIdentity identity) {
+std::string UserKeyFor(std::string_view client_ip, std::string_view user_agent,
+                       UserIdentity identity) {
   std::string key;
   AppendUserKey(client_ip, user_agent, identity, &key);
   return key;
@@ -31,42 +30,35 @@ std::pair<std::string_view, std::string_view> SplitUserKey(
   return {key.substr(0, split), key.substr(split + 1)};
 }
 
-Result<PartitionResult> PartitionByUser(const std::vector<LogRecord>& records,
-                                        std::size_t num_pages,
-                                        UserIdentity identity) {
-  PartitionResult result;
-  std::map<std::string, UserStream> by_user;
-  for (const LogRecord& record : records) {
-    const std::optional<std::uint32_t> page = PageFromUrl(record.url);
-    if (!page.has_value()) {
-      ++result.skipped_non_page_urls;
-      continue;
-    }
-    if (*page >= num_pages) {
-      return Status::InvalidArgument(
-          "log references page " + std::to_string(*page) +
-          " outside the topology (" + std::to_string(num_pages) + " pages)");
-    }
-    const std::string key =
-        UserKeyFor(record.client_ip, record.user_agent, identity);
-    UserStream& stream = by_user[key];
-    if (stream.requests.empty()) {
-      stream.user_key = key;
-      stream.client_ip = record.client_ip;
-      if (identity == UserIdentity::kClientIpAndUserAgent) {
-        stream.user_agent = record.user_agent;
-      }
-    }
-    stream.requests.push_back(
-        PageRequest{static_cast<PageId>(*page), record.timestamp});
+Status UserPartitioner::Add(const LogRecordRef& record) {
+  const std::optional<std::uint32_t> page = PageFromUrl(record.url);
+  if (!page.has_value()) {
+    ++skipped_non_page_urls_;
+    return Status::OK();
   }
-  result.streams.reserve(by_user.size());
-  for (auto& [key, stream] : by_user) {
-    std::stable_sort(stream.requests.begin(), stream.requests.end(),
+  if (*page >= num_pages_) {
+    return Status::InvalidArgument(
+        "log references page " + std::to_string(*page) +
+        " outside the topology (" + std::to_string(num_pages_) + " pages)");
+  }
+  key_.clear();
+  AppendUserKey(record.client_ip, record.user_agent, identity_, &key_);
+  // try_emplace copies the key only for a user's first record.
+  by_user_.try_emplace(key_).first->second.push_back(
+      PageRequest{static_cast<PageId>(*page), record.timestamp});
+  return Status::OK();
+}
+
+PartitionResult UserPartitioner::Finish() && {
+  PartitionResult result;
+  result.skipped_non_page_urls = skipped_non_page_urls_;
+  result.streams.reserve(by_user_.size());
+  for (auto& [key, requests] : by_user_) {
+    std::stable_sort(requests.begin(), requests.end(),
                      [](const PageRequest& a, const PageRequest& b) {
                        return a.timestamp < b.timestamp;
                      });
-    result.streams.push_back(std::move(stream));
+    result.streams.push_back(UserStream{key, std::move(requests)});
   }
   return result;
 }

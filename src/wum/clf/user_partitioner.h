@@ -7,6 +7,8 @@
 #define WUM_CLF_USER_PARTITIONER_H_
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -27,8 +29,8 @@ enum class UserIdentity {
 };
 
 /// Composite identity key ("ip" or "ip\x1fuser-agent").
-std::string UserKeyFor(const std::string& client_ip,
-                       const std::string& user_agent, UserIdentity identity);
+std::string UserKeyFor(std::string_view client_ip, std::string_view user_agent,
+                       UserIdentity identity);
 
 /// Appends the key `UserKeyFor` would build to `*out`, without a
 /// temporary string (the streaming engine's per-batch key arena).
@@ -75,27 +77,42 @@ inline std::uint64_t UserHashFor(std::string_view client_ip,
 
 /// One user's request stream in timestamp order.
 struct UserStream {
-  /// Identity key the stream was grouped by (see UserKeyFor).
+  /// Identity key (UserKeyFor; SplitUserKey recovers the IP and agent).
   std::string user_key;
-  std::string client_ip;
-  std::string user_agent;  // empty under kClientIp
   std::vector<PageRequest> requests;
 };
 
-/// Partitions records by client IP and converts canonical URLs to page
-/// ids. Records whose URL is not a canonical page URL are skipped and
-/// counted. Streams are sorted by timestamp (stable, preserving log order
-/// for equal stamps); the stream list is sorted by IP for determinism.
+/// Streams are sorted by timestamp (stable, preserving log order for
+/// equal stamps); the stream list is sorted by user key for determinism.
 struct PartitionResult {
   std::vector<UserStream> streams;
   std::uint64_t skipped_non_page_urls = 0;
 };
 
-/// `num_pages` bounds valid page ids; out-of-range pages are rejected
-/// with InvalidArgument (they indicate a topology/log mismatch).
-Result<PartitionResult> PartitionByUser(
-    const std::vector<LogRecord>& records, std::size_t num_pages,
-    UserIdentity identity = UserIdentity::kClientIp);
+/// Groups cleaned records into per-user request streams of page ids.
+/// Records whose URL is not a canonical page URL are skipped and counted.
+/// Add copies only the user key (once per user) and a PageRequest, so no
+/// ref outlives the call and the log never has to stay in memory.
+class UserPartitioner {
+ public:
+  /// `num_pages` bounds valid page ids.
+  explicit UserPartitioner(std::size_t num_pages,
+                           UserIdentity identity = UserIdentity::kClientIp)
+      : num_pages_(num_pages), identity_(identity) {}
+
+  /// Files `record` under its user. A page outside the topology is
+  /// InvalidArgument (a topology/log mismatch).
+  Status Add(const LogRecordRef& record);
+
+  PartitionResult Finish() &&;
+
+ private:
+  std::size_t num_pages_;
+  UserIdentity identity_;
+  std::map<std::string, std::vector<PageRequest>, std::less<>> by_user_;
+  std::string key_;  // Add's reusable key buffer
+  std::uint64_t skipped_non_page_urls_ = 0;
+};
 
 }  // namespace wum
 

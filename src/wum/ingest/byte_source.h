@@ -61,9 +61,6 @@ class FileSource final : public ByteSource {
   Result<std::optional<std::string_view>> Next() override;
   bool exhausted() const override { return exhausted_; }
 
-  /// True when the underlying file is served from a memory mapping.
-  bool memory_mapped() const { return reader_.memory_mapped(); }
-
  private:
   explicit FileSource(ChunkReader reader) : reader_(std::move(reader)) {}
 

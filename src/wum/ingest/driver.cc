@@ -5,6 +5,32 @@
 
 namespace wum::ingest {
 
+namespace {
+
+/// The one read loop of every front end: parses each chunk `source` has
+/// right now into `*refs` and hands them to `consume`.
+Status ParseEachChunk(ByteSource* source, ClfParser* parser,
+                      std::vector<LogRecordRef>* refs,
+                      const RefConsumer& consume) {
+  while (true) {
+    WUM_ASSIGN_OR_RETURN(std::optional<std::string_view> chunk,
+                         source->Next());
+    if (!chunk.has_value()) return Status::OK();
+    refs->clear();
+    WUM_RETURN_NOT_OK(parser->ParseChunk(*chunk, refs));
+    WUM_RETURN_NOT_OK(consume(*refs));
+  }
+}
+
+}  // namespace
+
+Status ParseFile(const std::string& path, ClfParser* parser,
+                 const RefConsumer& consume) {
+  WUM_ASSIGN_OR_RETURN(FileSource source, FileSource::Open(path));
+  std::vector<LogRecordRef> refs;
+  return ParseEachChunk(&source, parser, &refs, consume);
+}
+
 Status IngestOptions::Validate() const {
   if (batch_records == 0) {
     return Status::InvalidArgument("IngestOptions: batch_records must be >= 1");
@@ -26,14 +52,10 @@ Result<IngestDriver> IngestDriver::Create(StreamEngine* engine,
 }
 
 Status IngestDriver::Pump(ByteSource* source, ClfParser* parser) {
-  while (true) {
-    WUM_ASSIGN_OR_RETURN(std::optional<std::string_view> chunk,
-                         source->Next());
-    if (!chunk.has_value()) return Status::OK();
-    refs_.clear();
-    WUM_RETURN_NOT_OK(parser->ParseChunk(*chunk, &refs_));
-    WUM_RETURN_NOT_OK(OfferRefs(refs_));
-  }
+  return ParseEachChunk(source, parser, &refs_,
+                        [this](std::span<const LogRecordRef> refs) {
+                          return OfferRefs(refs);
+                        });
 }
 
 Status IngestDriver::OfferRefs(std::span<const LogRecordRef> refs) {
@@ -63,7 +85,6 @@ Status IngestDriver::CheckpointNow() {
   }
   WUM_RETURN_NOT_OK(
       engine_->Checkpoint(options_.checkpoint_dir, options_.sink_state));
-  ++checkpoints_taken_;
   return Status::OK();
 }
 

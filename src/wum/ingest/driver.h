@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,6 +24,15 @@
 #include "wum/stream/engine.h"
 
 namespace wum::ingest {
+
+/// Takes one chunk's parsed refs; they are valid only during the call.
+using RefConsumer = std::function<Status(std::span<const LogRecordRef>)>;
+
+/// One pass over the file at `path` that never holds the log: parses
+/// each line-aligned chunk with `parser` and hands its refs to `consume`
+/// before reading the next (IngestDriver::Pump's loop, over a file).
+Status ParseFile(const std::string& path, ClfParser* parser,
+                 const RefConsumer& consume);
 
 struct IngestOptions {
   /// Max records per StreamEngine::OfferBatch call. The engine copies a
@@ -73,9 +83,6 @@ class IngestDriver {
   /// included — this mirrors StreamEngine::records_seen growth).
   std::uint64_t records_offered() const { return records_offered_; }
 
-  /// Checkpoints taken (cadence plus explicit).
-  std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
-
  private:
   IngestDriver(StreamEngine* engine, IngestOptions options)
       : engine_(engine), options_(std::move(options)) {}
@@ -83,7 +90,6 @@ class IngestDriver {
   StreamEngine* engine_;
   IngestOptions options_;
   std::uint64_t records_offered_ = 0;
-  std::uint64_t checkpoints_taken_ = 0;
   std::vector<LogRecordRef> refs_;  // Pump's reusable parse buffer.
 };
 

@@ -262,14 +262,17 @@ Status LogServer::AcceptPending(Fd* listener, bool admin) {
     }
     m_accepted_.Increment();
     tracer_.Instant("accept", 0, conn->serial);
-    if (!admin && dead_letters_ != nullptr) {
-      // Malformed lines quarantine to the shared dead-letter channel,
-      // tagged with the producer they came from.
+    if (!admin) {
+      // Malformed lines are logged and quarantine to the shared
+      // dead-letter channel, if any, tagged with their producer.
       Connection* raw = conn.get();
       DeadLetterQueue* letters = dead_letters_;
       conn->parser.set_reject_handler(
           [raw, letters](std::uint64_t line_number, std::string_view raw_line,
                          const Status& reason) {
+            obs::LogWarn("clf.reject")("line", line_number)(
+                "error", reason.message());
+            if (letters == nullptr) return;
             DeadLetter letter;
             letter.stage = DeadLetter::Stage::kParse;
             letter.reason = reason;

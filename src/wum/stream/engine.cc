@@ -385,7 +385,7 @@ StreamEngine::StreamEngine(EngineOptions options,
   obs::MetricRegistry* registry = options.metrics_;
   for (const EngineOptions::FilterFactory& make_filter :
        options.filter_factories_) {
-    filters_.push_back(make_filter());
+    filters_.Add(make_filter());
   }
   staging_.resize(options.num_shards_);
   staging_filtered_.resize(options.num_shards_, 0);
@@ -564,12 +564,7 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
   for (const LogRecordRef& ref : batch) {
     const std::size_t index = ShardIndexFor(ref);
     tracer_.Instant("partition", shards_[index]->index, seq++);
-    const bool keep = std::all_of(
-        filters_.begin(), filters_.end(),
-        [&ref](const std::unique_ptr<LogFilter>& filter) {
-          return filter->Keep(ref);
-        });
-    if (!keep) {
+    if (!filters_.Keep(ref)) {
       ++staging_filtered_[index];
       continue;
     }

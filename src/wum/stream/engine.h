@@ -539,7 +539,7 @@ class StreamEngine {
   std::vector<std::uint64_t> staging_filtered_;
   /// The add_filter chain, one instance per factory, run only by the
   /// producer thread.
-  std::vector<std::unique_ptr<LogFilter>> filters_;
+  FilterChain filters_;
   bool finished_ = false;
   /// Probe handle from RegisterScrapeProbe (0 = none registered).
   std::size_t scrape_probe_id_ = 0;

@@ -158,8 +158,9 @@ TEST(ClfStreamParserTest, SampleErrorsCarryLineNumberAndField) {
   stream << FormatClfLine(SampleRecord()) << '\n'
          << "h - - [02/Jan/2006:15:04:05 +0000] \"GET /x HTTP/1.1\" abc 1\n";
   ClfParser parser;
-  std::vector<LogRecord> records;
-  ASSERT_TRUE(parser.ParseStream(&stream, &records).ok());
+  const std::string text = stream.str();
+  std::vector<LogRecordRef> records;
+  ASSERT_TRUE(parser.ParseChunk(text, &records).ok());
   ASSERT_EQ(parser.stats().sample_errors.size(), 1u);
   EXPECT_NE(parser.stats().sample_errors[0].find("line 2"),
             std::string::npos);
@@ -174,8 +175,9 @@ TEST(ClfStreamParserTest, MetricsMirrorStats) {
          << FormatClfLine(SampleRecord()) << '\n';
   obs::MetricRegistry registry;
   ClfParser parser(&registry);
-  std::vector<LogRecord> records;
-  ASSERT_TRUE(parser.ParseStream(&stream, &records).ok());
+  const std::string text = stream.str();
+  std::vector<LogRecordRef> records;
+  ASSERT_TRUE(parser.ParseChunk(text, &records).ok());
   const obs::MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.CounterOrZero("clf.lines_seen"),
             parser.stats().lines_seen);
@@ -276,8 +278,9 @@ TEST(ClfStreamParserTest, CountsGoodAndBadLines) {
          << FormatClfLine(SampleRecord()) << '\n'
          << "another bad one\n";
   ClfParser parser;
-  std::vector<LogRecord> records;
-  ASSERT_TRUE(parser.ParseStream(&stream, &records).ok());
+  const std::string text = stream.str();
+  std::vector<LogRecordRef> records;
+  ASSERT_TRUE(parser.ParseChunk(text, &records).ok());
   EXPECT_EQ(records.size(), 2u);
   EXPECT_EQ(parser.stats().lines_seen, 5u);
   EXPECT_EQ(parser.stats().records_parsed, 2u);
@@ -291,8 +294,9 @@ TEST(ClfStreamParserTest, SampleErrorsCapped) {
   std::stringstream stream;
   for (int i = 0; i < 20; ++i) stream << "bad\n";
   ClfParser parser;
-  std::vector<LogRecord> records;
-  ASSERT_TRUE(parser.ParseStream(&stream, &records).ok());
+  const std::string text = stream.str();
+  std::vector<LogRecordRef> records;
+  ASSERT_TRUE(parser.ParseChunk(text, &records).ok());
   EXPECT_EQ(parser.stats().lines_rejected, 20u);
   EXPECT_EQ(parser.stats().sample_errors.size(), 8u);
 }

@@ -66,15 +66,18 @@ TEST(EndToEndTest, ThreadedStreamingEqualsBatchReconstruction) {
   WorldState world = MakeWorld(314159, 120);
 
   // Batch path: partition the log records, run batch Smart-SRA.
-  Result<PartitionResult> partition =
-      PartitionByUser(world.log, world.graph.num_pages());
-  ASSERT_TRUE(partition.ok());
+  UserPartitioner partitioner(world.graph.num_pages());
+  for (const LogRecord& record : world.log) {
+    ASSERT_TRUE(partitioner.Add(ViewOf(record)).ok());
+  }
   SmartSra batch(&world.graph);
   SessionsByUser batch_sessions;
-  for (const UserStream& user : partition->streams) {
+  for (const UserStream& user : std::move(partitioner).Finish().streams) {
     Result<std::vector<Session>> sessions = batch.Reconstruct(user.requests);
     ASSERT_TRUE(sessions.ok());
-    batch_sessions[user.client_ip] = std::move(sessions).ValueOrDie();
+    const std::string ip(
+        SplitUserKey(user.user_key, UserIdentity::kClientIp).first);
+    batch_sessions[ip] = std::move(sessions).ValueOrDie();
   }
 
   // Streaming path: cleaned records through the threaded driver into
@@ -96,7 +99,8 @@ TEST(EndToEndTest, ThreadedStreamingEqualsBatchReconstruction) {
   cleaning.Add(std::make_unique<StatusFilter>());
   {
     ThreadedDriver driver(&sessionize, 64);
-    for (const LogRecord& record : cleaning.Apply(world.log)) {
+    for (const LogRecord& record : world.log) {
+      if (!cleaning.Keep(ViewOf(record))) continue;
       ShardBatch batch;
       batch.Append(ViewOf(record), UserIdentity::kClientIp);
       ASSERT_TRUE(driver.OfferBatch(&batch).ok());
@@ -114,15 +118,15 @@ TEST(EndToEndTest, ThreadedStreamingEqualsBatchReconstruction) {
 // the engine series must agree with the legacy EngineStats totals.
 TEST(EndToEndTest, MetricsSnapshotRoundTripsThroughFile) {
   WorldState world = MakeWorld(96024, 80);
-  std::stringstream clf_text;
+  std::string clf_text;
   for (const LogRecord& record : world.log) {
-    clf_text << FormatClfLine(record) << '\n';
+    clf_text += FormatClfLine(record) + '\n';
   }
 
   obs::MetricRegistry registry;
   ClfParser parser(&registry);
-  std::vector<LogRecord> records;
-  ASSERT_TRUE(parser.ParseStream(&clf_text, &records).ok());
+  std::vector<LogRecordRef> records;
+  ASSERT_TRUE(parser.ParseChunk(clf_text, &records).ok());
 
   std::size_t sessions_seen = 0;
   CallbackSessionSink sink(
@@ -137,9 +141,7 @@ TEST(EndToEndTest, MetricsSnapshotRoundTripsThroughFile) {
           .use_smart_sra(&world.graph),
       &sink);
   ASSERT_TRUE(engine.ok());
-  for (const LogRecord& record : records) {
-    ASSERT_TRUE((*engine)->Offer(record).ok());
-  }
+  ASSERT_TRUE((*engine)->OfferBatch(records).ok());
   ASSERT_TRUE((*engine)->Finish().ok());
 
   const obs::MetricsSnapshot snapshot = registry.Snapshot();

@@ -7,6 +7,16 @@
 namespace wum {
 namespace {
 
+/// The records of `records` that `chain` keeps, in order.
+std::vector<LogRecord> KeptBy(FilterChain* chain,
+                              const std::vector<LogRecord>& records) {
+  std::vector<LogRecord> kept;
+  for (const LogRecord& record : records) {
+    if (chain->Keep(ViewOf(record))) kept.push_back(record);
+  }
+  return kept;
+}
+
 LogRecord RecordFor(const std::string& url, int status = 200,
                     HttpMethod method = HttpMethod::kGet,
                     const std::string& ip = "10.0.0.1") {
@@ -107,7 +117,7 @@ TEST(RobotFilterTest, DropsClientsThatFetchedRobotsTxt) {
       RecordFor("/pages/p1.html", 200, HttpMethod::kGet, "10.0.0.1"),
   };
   RobotFilter filter;
-  filter.ObserveForRobots(history);
+  for (const LogRecord& record : history) filter.Observe(ViewOf(record));
   EXPECT_FALSE(filter.Keep(ViewOf(
       RecordFor("/pages/p1.html", 200, HttpMethod::kGet, "6.6.6.6"))));
   EXPECT_TRUE(filter.Keep(ViewOf(
@@ -118,10 +128,39 @@ TEST(RobotFilterTest, ObserveIsIdempotent) {
   std::vector<LogRecord> history = {
       RecordFor("/robots.txt", 200, HttpMethod::kGet, "6.6.6.6")};
   RobotFilter filter;
-  filter.ObserveForRobots(history);
-  filter.ObserveForRobots(history);
+  filter.Observe(ViewOf(history[0]));
+  filter.Observe(ViewOf(history[0]));
   EXPECT_FALSE(
       filter.Keep(ViewOf(RecordFor("/x", 200, HttpMethod::kGet, "6.6.6.6"))));
+}
+
+TEST(RobotFilterTest, ObserveCopiesTheIp) {
+  RobotFilter filter;
+  {
+    const LogRecord robots =
+        RecordFor("/robots.txt", 200, HttpMethod::kGet, "6.6.6.6");
+    filter.Observe(ViewOf(robots));
+  }
+  EXPECT_FALSE(
+      filter.Keep(ViewOf(RecordFor("/x", 200, HttpMethod::kGet, "6.6.6.6"))));
+}
+
+// Observation is a full first pass, so a crawler's page view logged
+// before its /robots.txt request is dropped like the ones after it.
+TEST(RobotFilterTest, DropsCrawlerPagesLoggedBeforeRobotsTxt) {
+  const std::vector<LogRecord> log = {
+      RecordFor("/pages/p1.html", 200, HttpMethod::kGet, "6.6.6.6"),
+      RecordFor("/robots.txt", 200, HttpMethod::kGet, "6.6.6.6"),
+      RecordFor("/pages/p2.html", 200, HttpMethod::kGet, "6.6.6.6"),
+      RecordFor("/pages/p1.html", 200, HttpMethod::kGet, "10.0.0.1"),
+  };
+  RobotFilter filter;
+  for (const LogRecord& record : log) filter.Observe(ViewOf(record));
+  std::vector<bool> kept;
+  for (const LogRecord& record : log) {
+    kept.push_back(filter.Keep(ViewOf(record)));
+  }
+  EXPECT_EQ(kept, (std::vector<bool>{false, false, false, true}));
 }
 
 TEST(FilterChainTest, AppliesConjunction) {
@@ -132,7 +171,7 @@ TEST(FilterChainTest, AppliesConjunction) {
       RecordFor("/pages/p2.html", 404),                     // status
       RecordFor("/pages/p3.html", 200, HttpMethod::kPost),  // method
   };
-  std::vector<LogRecord> kept = chain.Apply(records);
+  std::vector<LogRecord> kept = KeptBy(&chain, records);
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(kept[0].url, "/pages/p1.html");
 }
@@ -146,7 +185,7 @@ TEST(FilterChainTest, StatsCountDropsPerFilter) {
       RecordFor("/d.gif"),
       RecordFor("/e.html"),
   };
-  chain.Apply(records);
+  KeptBy(&chain, records);
   ASSERT_EQ(chain.stats().size(), 3u);
   EXPECT_EQ(chain.stats()[0].name, "method");
   EXPECT_EQ(chain.stats()[0].dropped, 1u);
@@ -159,7 +198,7 @@ TEST(FilterChainTest, StatsCountDropsPerFilter) {
 TEST(FilterChainTest, EmptyChainKeepsEverything) {
   FilterChain chain;
   std::vector<LogRecord> records = {RecordFor("/x.gif", 500)};
-  EXPECT_EQ(chain.Apply(records).size(), 1u);
+  EXPECT_EQ(KeptBy(&chain, records).size(), 1u);
 }
 
 TEST(FilterChainTest, OrderPreserved) {
@@ -168,7 +207,7 @@ TEST(FilterChainTest, OrderPreserved) {
       RecordFor("/pages/p2.html"),
       RecordFor("/pages/p1.html"),
   };
-  std::vector<LogRecord> kept = chain.Apply(records);
+  std::vector<LogRecord> kept = KeptBy(&chain, records);
   ASSERT_EQ(kept.size(), 2u);
   EXPECT_EQ(kept[0].url, "/pages/p2.html");
   EXPECT_EQ(kept[1].url, "/pages/p1.html");

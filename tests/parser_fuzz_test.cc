@@ -88,9 +88,10 @@ TEST(ParserFuzzTest, ClfStreamNeverFailsOnGarbage) {
     for (int i = 0; i < lines; ++i) {
       stream << RandomGarbage(&rng, 120) << '\n';
     }
+    const std::string text = stream.str();
     ClfParser parser;
-    std::vector<LogRecord> records;
-    EXPECT_TRUE(parser.ParseStream(&stream, &records).ok());
+    std::vector<LogRecordRef> records;
+    EXPECT_TRUE(parser.ParseChunk(text, &records).ok());
     EXPECT_EQ(parser.stats().records_parsed, records.size());
   }
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -17,9 +18,9 @@
 #include "wum/clf/log_filter.h"
 #include "wum/clf/user_partitioner.h"
 #include "wum/common/table.h"
-#include "wum/ingest/byte_source.h"
 #include "wum/ingest/driver.h"
 #include "wum/mine/path_miner.h"
+#include "wum/obs/log.h"
 #include "wum/obs/metrics.h"
 #include "wum/session/instrumented_sessionizer.h"
 #include "wum/session/referrer_heuristic.h"
@@ -51,6 +52,11 @@ std::string Usage() {
          "unless --keep-robots), groups requests per user, reconstructs\n"
          "sessions and writes them as a websra session file. The referrer\n"
          "heuristic needs a Combined-format log.\n"
+         "\n"
+         "The log is read twice and never held in memory: an accounting\n"
+         "pass counts and dead-letters malformed lines and spots crawlers,\n"
+         "then a cleaning pass filters each chunk and hands the kept page\n"
+         "views straight to the reconstruction.\n"
          "\n"
          "--streaming replays the cleaned log through the sharded\n"
          "StreamEngine (--threads worker shards, hash-partitioned by user\n"
@@ -99,7 +105,13 @@ std::string Usage() {
 
 using wum_tools::CheckpointConfig;
 
-/// Streaming path: the cleaned records flow through the sharded engine;
+using wum::ingest::RefConsumer;
+
+/// The cleaning pass: re-reads the log and hands every chunk's kept refs
+/// to the consumer.
+using CleaningPass = std::function<wum::Status(const RefConsumer&)>;
+
+/// Streaming path: the cleaning pass feeds the sharded engine;
 /// sessions are collected (serialized by the engine) and sorted by user
 /// key so the output file is deterministic regardless of shard timing.
 ///
@@ -109,7 +121,7 @@ using wum_tools::CheckpointConfig;
 /// truncates the journal back to that committed length before
 /// continuing — sessions emitted after the last checkpoint of a killed
 /// run are re-emitted by the replay, never duplicated.
-wum::Status RunStreaming(const std::vector<wum::LogRecord>& cleaned,
+wum::Status RunStreaming(const CleaningPass& clean,
                          const wum::WebGraph& graph,
                          const std::string& heuristic_name,
                          wum::UserIdentity identity,
@@ -231,12 +243,9 @@ wum::Status RunStreaming(const std::vector<wum::LogRecord>& cleaned,
       wum::ingest::IngestDriver driver,
       wum::ingest::IngestDriver::Create(engine.get(),
                                         std::move(ingest_options)));
-  std::vector<wum::LogRecordRef> refs;
-  refs.reserve(cleaned.size());
-  for (const wum::LogRecord& record : cleaned) {
-    refs.push_back(wum::ViewOf(record));
-  }
-  WUM_RETURN_NOT_OK(driver.OfferRefs(refs));
+  WUM_RETURN_NOT_OK(clean([&driver](std::span<const wum::LogRecordRef> refs) {
+    return driver.OfferRefs(refs);
+  }));
   WUM_RETURN_NOT_OK(engine->Finish());
   if (engine->mining() != nullptr) {
     std::cout << engine->mining()->PatternsJson() << "\n";
@@ -261,6 +270,77 @@ wum::Status RunStreaming(const std::vector<wum::LogRecord>& cleaned,
                    [](const wum::UserSession& a, const wum::UserSession& b) {
                      return a.user_key < b.user_key;
                    });
+  return wum::Status::OK();
+}
+
+/// Batch path: the cleaning pass feeds a UserPartitioner (and, for the
+/// referrer heuristic, per-user referred requests); each user's stream
+/// is then reconstructed whole.
+wum::Status RunBatch(const CleaningPass& clean, const wum::WebGraph& graph,
+                     const std::string& heuristic_name,
+                     wum::UserIdentity identity,
+                     wum::TimeThresholds thresholds,
+                     wum::obs::MetricRegistry* metrics,
+                     std::vector<wum::UserSession>* output) {
+  const bool referrer = heuristic_name == "referrer";
+  wum::UserPartitioner partitioner(graph.num_pages(), identity);
+  std::map<std::string, std::vector<wum::ReferredRequest>> referred;
+  WUM_RETURN_NOT_OK(clean([&](std::span<const wum::LogRecordRef> chunk) {
+    for (const wum::LogRecordRef& ref : chunk) {
+      WUM_RETURN_NOT_OK(partitioner.Add(ref));
+      if (!referrer) continue;
+      const std::optional<std::uint32_t> page = wum::PageFromUrl(ref.url);
+      if (!page.has_value()) continue;
+      const std::optional<std::uint32_t> from =
+          wum::PageFromReferrer(ref.referrer);
+      referred[wum::UserKeyFor(ref.client_ip, ref.user_agent, identity)]
+          .push_back(wum::ReferredRequest{
+              static_cast<wum::PageId>(*page),
+              from.has_value() ? static_cast<wum::PageId>(*from)
+                               : wum::kInvalidPage,
+              ref.timestamp});
+    }
+    return wum::Status::OK();
+  }));
+  const wum::PartitionResult partition = std::move(partitioner).Finish();
+  std::cout << "identified " << partition.streams.size() << " users ("
+            << partition.skipped_non_page_urls << " non-page URLs skipped)\n";
+
+  // Reconstruct.
+  const auto emit = [output](const std::string& key,
+                             std::vector<wum::Session> sessions) {
+    for (wum::Session& session : sessions) {
+      output->push_back(wum::UserSession{key, std::move(session)});
+    }
+  };
+  if (referrer) {
+    wum::ReferrerSessionizer::Options options;
+    options.thresholds = thresholds;
+    wum::ReferrerSessionizer heuristic(&graph, options);
+    for (auto& [key, stream] : referred) {
+      std::stable_sort(stream.begin(), stream.end(),
+                       [](const wum::ReferredRequest& a,
+                          const wum::ReferredRequest& b) {
+                         return a.timestamp < b.timestamp;
+                       });
+      WUM_ASSIGN_OR_RETURN(std::vector<wum::Session> sessions,
+                           heuristic.Reconstruct(stream));
+      emit(key, std::move(sessions));
+    }
+  } else {
+    wum::HeuristicContext context;
+    context.graph = &graph;
+    context.thresholds = thresholds;
+    WUM_ASSIGN_OR_RETURN(std::unique_ptr<wum::Sessionizer> inner,
+                         wum::HeuristicRegistry::Default().CreateBatch(
+                             heuristic_name, context));
+    wum::InstrumentedSessionizer heuristic(std::move(inner), metrics);
+    for (const wum::UserStream& user : partition.streams) {
+      WUM_ASSIGN_OR_RETURN(std::vector<wum::Session> sessions,
+                           heuristic.Reconstruct(user.requests));
+      emit(user.user_key, std::move(sessions));
+    }
+  }
   return wum::Status::OK();
 }
 
@@ -327,35 +407,46 @@ wum::Status Run(const wum_tools::Flags& flags) {
   // plus the parsed durability flags.
   WUM_ASSIGN_OR_RETURN(wum_tools::ToolRuntime runtime,
                        wum_tools::ToolRuntime::Start(flags, features));
+  const std::string heuristic_name =
+      flags.GetString("heuristic", "smart-sra");
+  const bool streaming = flags.Has("streaming");
   const std::optional<CheckpointConfig>& checkpoint = runtime.checkpoint();
-  if (checkpoint.has_value() && !flags.Has("streaming")) {
+  if (checkpoint.has_value() && !streaming) {
     return wum::Status::InvalidArgument(
         "--checkpoint-dir requires --streaming");
   }
   wum::obs::MetricRegistry* metrics = runtime.metrics();
   runtime.SetBuildLabel(
-      "config", "heuristic=" + flags.GetString("heuristic", "smart-sra") +
-                    " identity=" + identity_name +
-                    (flags.Has("streaming") ? " streaming" : " batch"));
+      "config", "heuristic=" + heuristic_name + " identity=" + identity_name +
+                    (streaming ? " streaming" : " batch"));
   WUM_ASSIGN_OR_RETURN(std::optional<wum::mine::MinerOptions> mining,
                        wum_tools::GetMiningFlags(flags));
-  if (mining.has_value() && !flags.Has("streaming")) {
+  if (mining.has_value() && !streaming) {
     return wum::Status::InvalidArgument("--mine-topk requires --streaming");
   }
 
-  // Parse. Malformed lines are quarantined to the dead-letter channel;
-  // more than --max-parse-errors of them aborts the run (default 0:
-  // fail fast on the first one).
+  if (!streaming && flags.Has("threads")) {
+    return wum::Status::InvalidArgument("--threads requires --streaming");
+  }
+  WUM_ASSIGN_OR_RETURN(std::uint64_t threads, flags.GetUint("threads", 4));
+  if (threads == 0) {
+    return wum::Status::InvalidArgument("--threads must be >= 1");
+  }
+
+  // The accounting pass: malformed lines go to the dead-letter channel,
+  // and more than --max-parse-errors (default 0) of them abort the run
+  // before any engine or output exists. It also spots crawlers; the robot
+  // filter joins the cleaning chain unless --keep-robots.
   WUM_ASSIGN_OR_RETURN(std::uint64_t max_parse_errors,
                        flags.GetUint("max-parse-errors", 0));
-  WUM_ASSIGN_OR_RETURN(wum::ingest::FileSource log_source,
-                       wum::ingest::FileSource::Open(log_path));
   wum::ClfParser parser(metrics);
   parser.set_tracer(runtime.tracer());
   wum::DeadLetterQueue dead_letters;
   parser.set_reject_handler([&dead_letters](std::uint64_t line_number,
                                             std::string_view raw_line,
                                             const wum::Status& reason) {
+    wum::obs::LogWarn("clf.reject")("line", line_number)("error",
+                                                         reason.message());
     wum::DeadLetter letter;
     letter.stage = wum::DeadLetter::Stage::kParse;
     letter.reason = reason;
@@ -363,25 +454,12 @@ wum::Status Run(const wum_tools::Flags& flags) {
         "line " + std::to_string(line_number) + ": " + std::string(raw_line);
     dead_letters.Offer(std::move(letter));
   });
-  // Zero-copy ingest through the shared ByteSource surface:
-  // line-aligned chunks straight out of the (usually memory-mapped)
-  // log, batch-parsed into views — the same source contract the TCP
-  // server's per-connection buffers implement. The records are owned
-  // because the cleaning chain and robot observer scan them long after
-  // the chunk buffer moves on.
-  std::vector<wum::LogRecord> records;
-  std::vector<wum::LogRecordRef> parsed_refs;
-  while (true) {
-    WUM_ASSIGN_OR_RETURN(std::optional<std::string_view> chunk,
-                         log_source.Next());
-    if (!chunk.has_value()) break;
-    parsed_refs.clear();
-    WUM_RETURN_NOT_OK(parser.ParseChunk(*chunk, &parsed_refs));
-    records.reserve(records.size() + parsed_refs.size());
-    for (const wum::LogRecordRef& ref : parsed_refs) {
-      records.push_back(ref.Materialize());
-    }
-  }
+  auto robots = std::make_unique<wum::RobotFilter>();
+  WUM_RETURN_NOT_OK(wum::ingest::ParseFile(
+      log_path, &parser, [&robots](std::span<const wum::LogRecordRef> chunk) {
+        for (const wum::LogRecordRef& ref : chunk) robots->Observe(ref);
+        return wum::Status::OK();
+      }));
   if (parser.stats().lines_rejected > max_parse_errors) {
     std::string message =
         std::to_string(parser.stats().lines_rejected) +
@@ -395,100 +473,44 @@ wum::Status Run(const wum_tools::Flags& flags) {
   std::cout << "parsed " << parser.stats().records_parsed << " records, "
             << parser.stats().lines_rejected << " malformed lines\n";
 
-  // Clean.
+  // The cleaning pass: a plain parser (the accounting is done), the
+  // standard chain, and each chunk's kept refs to the one consumer.
   wum::FilterChain chain = wum::FilterChain::Standard();
-  if (!flags.Has("keep-robots")) {
-    auto robots = std::make_unique<wum::RobotFilter>();
-    robots->ObserveForRobots(records);
-    chain.Add(std::move(robots));
-  }
-  std::vector<wum::LogRecord> cleaned = chain.Apply(records);
-  std::cout << "cleaning kept " << cleaned.size() << " page views\n";
+  if (!flags.Has("keep-robots")) chain.Add(std::move(robots));
+  std::size_t cleaned = 0;
+  const CleaningPass clean = [&](const RefConsumer& consume) -> wum::Status {
+    wum::ClfParser plain;
+    std::vector<wum::LogRecordRef> kept;
+    WUM_RETURN_NOT_OK(wum::ingest::ParseFile(
+        log_path, &plain, [&](std::span<const wum::LogRecordRef> chunk) {
+          kept.clear();
+          for (const wum::LogRecordRef& ref : chunk) {
+            if (chain.Keep(ref)) kept.push_back(ref);
+          }
+          cleaned += kept.size();
+          return consume(kept);
+        }));
+    std::cout << "cleaning kept " << cleaned << " page views\n";
+    return wum::Status::OK();
+  };
 
-  const std::string heuristic_name =
-      flags.GetString("heuristic", "smart-sra");
+  // Batch and streaming differ only in what the cleaning pass feeds.
   std::vector<wum::UserSession> output;
-
-  // Streaming path: sharded StreamEngine instead of batch reconstruction.
-  if (flags.Has("streaming")) {
-    WUM_ASSIGN_OR_RETURN(std::uint64_t threads, flags.GetUint("threads", 4));
-    if (threads == 0) {
-      return wum::Status::InvalidArgument("--threads must be >= 1");
-    }
-    WUM_RETURN_NOT_OK(RunStreaming(cleaned, graph, heuristic_name, identity,
+  if (streaming) {
+    WUM_RETURN_NOT_OK(RunStreaming(clean, graph, heuristic_name, identity,
                                    thresholds,
                                    static_cast<std::size_t>(threads), metrics,
                                    runtime.trace(), checkpoint, mining,
                                    &output));
-    WUM_RETURN_NOT_OK(wum::WriteSessionsFile(output, out_path, format));
-    std::cout << "wrote " << output.size() << " sessions (" << heuristic_name
-              << ", streaming) to " << out_path << "\n";
-    PrintRunSummary(parser.stats(), dead_letters, cleaned.size(),
-                    output.size());
-    return runtime.Finish(flags);
-  }
-  if (flags.Has("threads")) {
-    return wum::Status::InvalidArgument("--threads requires --streaming");
-  }
-
-  // Identify users.
-  WUM_ASSIGN_OR_RETURN(wum::PartitionResult partition,
-                       wum::PartitionByUser(cleaned, graph.num_pages(),
-                                            identity));
-  std::cout << "identified " << partition.streams.size() << " users ("
-            << partition.skipped_non_page_urls << " non-page URLs skipped)\n";
-
-  // Reconstruct.
-  if (heuristic_name == "referrer") {
-    // Rebuild per-user referred streams from the cleaned records.
-    std::map<std::string, std::vector<wum::ReferredRequest>> streams;
-    for (const wum::LogRecord& record : cleaned) {
-      const std::optional<std::uint32_t> page = wum::PageFromUrl(record.url);
-      if (!page.has_value()) continue;
-      const std::optional<std::uint32_t> referrer =
-          wum::PageFromReferrer(record.referrer);
-      streams[wum::UserKeyFor(record.client_ip, record.user_agent, identity)]
-          .push_back(wum::ReferredRequest{
-              static_cast<wum::PageId>(*page),
-              referrer.has_value() ? static_cast<wum::PageId>(*referrer)
-                            : wum::kInvalidPage,
-              record.timestamp});
-    }
-    wum::ReferrerSessionizer::Options options;
-    options.thresholds = thresholds;
-    wum::ReferrerSessionizer heuristic(&graph, options);
-    for (auto& [key, stream] : streams) {
-      std::stable_sort(stream.begin(), stream.end(),
-                       [](const wum::ReferredRequest& a,
-                          const wum::ReferredRequest& b) {
-                         return a.timestamp < b.timestamp;
-                       });
-      WUM_ASSIGN_OR_RETURN(std::vector<wum::Session> sessions,
-                           heuristic.Reconstruct(stream));
-      for (wum::Session& session : sessions) {
-        output.push_back(wum::UserSession{key, std::move(session)});
-      }
-    }
   } else {
-    wum::HeuristicContext context;
-    context.graph = &graph;
-    context.thresholds = thresholds;
-    WUM_ASSIGN_OR_RETURN(std::unique_ptr<wum::Sessionizer> inner,
-                         wum::HeuristicRegistry::Default().CreateBatch(
-                             heuristic_name, context));
-    wum::InstrumentedSessionizer heuristic(std::move(inner), metrics);
-    for (const wum::UserStream& user : partition.streams) {
-      WUM_ASSIGN_OR_RETURN(std::vector<wum::Session> sessions,
-                           heuristic.Reconstruct(user.requests));
-      for (wum::Session& session : sessions) {
-        output.push_back(wum::UserSession{user.user_key, std::move(session)});
-      }
-    }
+    WUM_RETURN_NOT_OK(RunBatch(clean, graph, heuristic_name, identity,
+                               thresholds, metrics, &output));
   }
   WUM_RETURN_NOT_OK(wum::WriteSessionsFile(output, out_path, format));
   std::cout << "wrote " << output.size() << " sessions (" << heuristic_name
-            << ") to " << out_path << "\n";
-  PrintRunSummary(parser.stats(), dead_letters, cleaned.size(), output.size());
+            << (streaming ? ", streaming" : "") << ") to " << out_path
+            << "\n";
+  PrintRunSummary(parser.stats(), dead_letters, cleaned, output.size());
   return runtime.Finish(flags);
 }
 
