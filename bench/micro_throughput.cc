@@ -22,7 +22,6 @@
 #include "wum/mine/options.h"
 #include "wum/mining/apriori_all.h"
 #include "wum/obs/metrics.h"
-#include "wum/obs/trace.h"
 #include "wum/stream/engine.h"
 #include "wum/session/navigation_heuristic.h"
 #include "wum/session/smart_sra.h"
@@ -314,64 +313,6 @@ void BM_StreamEngineShardedLatencyTracking(benchmark::State& state) {
 BENCHMARK(BM_StreamEngineShardedLatencyTracking)
     ->Arg(1)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// Tracing cost of the same workload. state.range(1) selects the mode:
-// 0 attaches no recorder, so every ScopedSpan in the pipeline takes its
-// disabled single-branch no-op path without ever reading the clock —
-// this arm must stay within ~2% of the null-registry
-// BM_StreamEngineSharded baseline; 1 attaches a live TraceRecorder, so
-// the spread against the 0 arm is the enabled-mode recording cost (two
-// clock reads plus a lock-free ring push per stage). The fixture's
-// ~37k-record replay exceeds the default per-thread ring capacity, so
-// the enabled arm also exercises the drop-oldest overwrite path
-// (dropped events are surfaced in the trace_dropped counter).
-void BM_StreamEngineShardedTracing(benchmark::State& state) {
-  const Fixture& fixture = Fixture::Get();
-  const std::size_t shards = static_cast<std::size_t>(state.range(0));
-  const bool enabled = state.range(1) != 0;
-  std::size_t records = 0;
-  std::uint64_t events = 0;
-  std::uint64_t dropped = 0;
-  for (auto _ : state) {
-    std::unique_ptr<obs::TraceRecorder> recorder;
-    if (enabled) recorder = std::make_unique<obs::TraceRecorder>();
-    CallbackSessionSink sink(
-        [](const std::string&, Session) { return Status::OK(); });
-    EngineOptions options;
-    options.set_num_shards(shards)
-        .set_queue_capacity(4096)
-        .set_trace(recorder.get())
-        .use_smart_sra(&fixture.graph);
-    Result<std::unique_ptr<StreamEngine>> engine =
-        StreamEngine::Create(std::move(options), &sink);
-    if (!engine.ok()) {
-      state.SkipWithError("create failed");
-      break;
-    }
-    if (!OfferAllBatched(engine->get(), fixture.log_refs)) {
-      state.SkipWithError("offer failed");
-      break;
-    }
-    if (!(*engine)->Finish().ok()) state.SkipWithError("finish failed");
-    if (recorder != nullptr) {
-      events += recorder->events_recorded();
-      dropped += recorder->events_dropped();
-    }
-    records += fixture.log.size();
-  }
-  state.counters["trace_events"] =
-      benchmark::Counter(static_cast<double>(events));
-  state.counters["trace_dropped"] =
-      benchmark::Counter(static_cast<double>(dropped));
-  state.SetItemsProcessed(static_cast<std::int64_t>(records));
-}
-BENCHMARK(BM_StreamEngineShardedTracing)
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

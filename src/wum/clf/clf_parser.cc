@@ -164,12 +164,7 @@ Status ClfParser::ParseChunk(std::string_view chunk,
     ++stats_.lines_seen;
     lines_seen_.Increment();
     if (StripWhitespace(line).empty()) continue;
-    Result<LogRecordRef> parsed = [&] {
-      // Span per line, seq = the 1-based line number (shard is always 0:
-      // parsing runs upstream of partitioning).
-      obs::ScopedSpan span(tracer_, "parse", 0, stats_.lines_seen);
-      return ParseClfLineRef(line);
-    }();
+    Result<LogRecordRef> parsed = ParseClfLineRef(line);
     if (parsed.ok()) {
       ++stats_.records_parsed;
       records_parsed_.Increment();

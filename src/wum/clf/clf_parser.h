@@ -11,7 +11,6 @@
 #include "wum/clf/log_record.h"
 #include "wum/common/result.h"
 #include "wum/obs/metrics.h"
-#include "wum/obs/trace.h"
 
 namespace wum {
 
@@ -68,11 +67,6 @@ class ClfParser {
     reject_handler_ = std::move(handler);
   }
 
-  /// With an enabled tracer, every line becomes a "parse" span whose
-  /// seq is the 1-based line number (disabled by default; the clock is
-  /// then never read).
-  void set_tracer(obs::Tracer tracer) { tracer_ = tracer; }
-
   /// Zero-copy batch parse: splits `chunk` on '\n' (a final unterminated
   /// line parses too, so line-aligned ChunkReader chunks compose into
   /// exactly the stream's lines) and appends a LogRecordRef viewing into
@@ -88,7 +82,6 @@ class ClfParser {
   static constexpr std::size_t kMaxSampleErrors = 8;
 
   RejectHandler reject_handler_;
-  obs::Tracer tracer_;
   Stats stats_;
   obs::Counter lines_seen_;
   obs::Counter records_parsed_;

@@ -152,7 +152,6 @@ LogServer::LogServer(ServerOptions options, StreamEngine* engine,
       dead_letters_(dead_letters),
       client_offsets_(std::move(resumed_offsets)),
       read_buffer_(std::max<std::size_t>(options_.read_buffer_bytes, 1)),
-      tracer_(obs::TracerIn(options_.trace)),
       m_accepted_(obs::CounterIn(options_.metrics,
                                  "net.connections_accepted")),
       m_closed_(obs::CounterIn(options_.metrics, "net.connections_closed")),
@@ -261,7 +260,6 @@ Status LogServer::AcceptPending(Fd* listener, bool admin) {
                                  options_.client_quota.effective_burst(), now);
     }
     m_accepted_.Increment();
-    tracer_.Instant("accept", 0, conn->serial);
     if (!admin) {
       // Malformed lines are logged and quarantine to the shared
       // dead-letter channel, if any, tagged with their producer.
@@ -318,7 +316,6 @@ Status LogServer::AcceptHttpPending() {
     conn->accepted_at_ms = now;
     conn->last_activity_ms = now;
     m_accepted_.Increment();
-    tracer_.Instant("accept", 0, conn->serial);
     obs::LogDebug("net.accept")("serial", conn->serial)("kind", "http");
     ArmDeadline(conn.get());
     connections_.push_back(std::move(conn));
@@ -331,7 +328,6 @@ Status LogServer::AcceptHttpPending() {
 void LogServer::RefuseConnection(Fd accepted, const char* reason) {
   ++stats_.connections_refused;
   m_refused_.Increment();
-  tracer_.Instant("refuse", 0, stats_.connections_refused);
   obs::LogWarn("net.refuse")("reason", reason);
   // Tell the peer why before the door shuts — zero write deadline; a
   // peer whose socket cannot take one BUSY line learns from the close.
@@ -505,7 +501,6 @@ Status LogServer::HandleDeadline(Connection* conn, std::uint64_t now_ms) {
 Status LogServer::ExpireConnection(Connection* conn, const char* reason) {
   ++stats_.connections_expired;
   m_expired_.Increment();
-  tracer_.Instant("expire", 0, conn->serial);
   obs::LogWarn("net.expire")("serial", conn->serial)("reason", reason)(
       "client", conn->client_id.empty() ? "anonymous" : conn->client_id);
   // Best-effort protocol farewell with a zero write deadline: the peer
@@ -775,7 +770,13 @@ Status LogServer::AdminPatterns(Connection* conn, std::string_view args) {
     return Status::OK();
   }
   // PATTERNS [k] [len]: both operands optional, k defaults to the
-  // configured top_k, len 0 merges every mined length.
+  // configured top_k, len 0 merges every mined length. A length outside
+  // the mined range is a usage error, never an empty (and so plausible)
+  // pattern list.
+  const mine::MinerOptions& options = mining->options();
+  const std::string usage = "ERR usage: PATTERNS [k] [len] (len 0 or " +
+                            std::to_string(options.min_length) + ".." +
+                            std::to_string(options.max_length) + ")\n";
   std::uint64_t operands[2] = {0, 0};
   std::size_t parsed = 0;
   while (!args.empty()) {
@@ -789,13 +790,19 @@ Status LogServer::AdminPatterns(Connection* conn, std::string_view args) {
         std::from_chars(token.data(), token.data() + token.size(), value);
     if (ec != std::errc() || end != token.data() + token.size() ||
         parsed >= 2) {
-      Reply(conn, "ERR usage: PATTERNS [k] [len]\n");
+      Reply(conn, usage);
       return Status::OK();
     }
     operands[parsed++] = value;
   }
+  const std::uint64_t length = operands[1];
+  if (length != 0 &&
+      (length < options.min_length || length > options.max_length)) {
+    Reply(conn, usage);
+    return Status::OK();
+  }
   Reply(conn, mining->PatternsJson(static_cast<std::size_t>(operands[0]),
-                                   static_cast<std::size_t>(operands[1])) +
+                                   static_cast<std::size_t>(length)) +
                   "\n");
   return Status::OK();
 }
@@ -978,7 +985,6 @@ std::string LogServer::StatuszJson() {
 }
 
 Status LogServer::HandleHttpReadable(Connection* conn) {
-  obs::ScopedSpan span(tracer_, "http", 0, conn->serial);
   Result<ReadResult> read_result =
       ReadSome(conn->fd, read_buffer_.data(), read_buffer_.size());
   if (!read_result.ok()) {
@@ -1040,7 +1046,6 @@ Status LogServer::HandleReadable(Connection* conn, bool* made_progress) {
     if (made_progress != nullptr) *made_progress = false;
     return HandleHttpReadable(conn);
   }
-  obs::ScopedSpan span(tracer_, "read", 0, conn->serial);
   if (made_progress != nullptr) *made_progress = false;
   const std::uint64_t now = NowMs();
   std::size_t capacity = read_buffer_.size();

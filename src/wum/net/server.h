@@ -76,7 +76,6 @@
 #include "wum/net/socket.h"
 #include "wum/net/timer_wheel.h"
 #include "wum/obs/metrics.h"
-#include "wum/obs/trace.h"
 #include "wum/stream/dead_letter.h"
 #include "wum/stream/engine.h"
 
@@ -181,7 +180,6 @@ struct ServerOptions {
   std::function<Result<std::string>()> on_quiesce;
 
   obs::MetricRegistry* metrics = nullptr;
-  obs::TraceRecorder* trace = nullptr;
 };
 
 /// One engine, many producers. Start() binds both listeners (so the
@@ -322,7 +320,6 @@ class LogServer {
   ServeStats stats_;
   TimerWheel wheel_;
 
-  obs::Tracer tracer_;
   obs::Counter m_accepted_;
   obs::Counter m_closed_;
   obs::Counter m_handshakes_;

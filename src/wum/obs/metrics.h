@@ -37,8 +37,9 @@ class MetricRegistry;
 
 namespace internal {
 
-/// Clock source used by every obs timing primitive (ScopedTimer,
-/// ScopedSpan, Tracer::Instant). Returns monotonic microseconds.
+/// Clock source used by every obs timing primitive (ScopedTimer, and the
+/// engine's batch and ingest-to-emit stamps). Returns monotonic
+/// microseconds.
 using ClockMicrosFn = double (*)();
 
 /// Monotonic "now" in microseconds. Reads the test override when one is
@@ -62,7 +63,8 @@ std::uint64_t NowEpochSeconds();
 /// Tests only.
 void SetEpochClockForTesting(EpochSecondsFn fn);
 
-/// JSON string escaping shared by the metrics and trace exporters.
+/// JSON string escaping shared by the metrics exporter, the log sink and
+/// the server's JSON replies.
 std::string EscapeJson(const std::string& text);
 
 /// Shortest round-trip rendering of a finite double ("0" when not

@@ -152,14 +152,8 @@ Status StreamEngine::ShardEmit::Accept(const std::string& user_key,
                                        Session session) {
   const std::uint64_t covered =
       static_cast<std::uint64_t>(session.requests.size());
-  Status status;
-  {
-    // seq = sessions delivered by this shard before this one.
-    obs::ScopedSpan span(engine_->tracer_, "emit", shard_->index,
-                         delivered_sessions_.load(std::memory_order_relaxed));
-    status = engine_->emit_->Emit(user_key, std::move(session),
-                                  shard_->retrying.get());
-  }
+  Status status = engine_->emit_->Emit(user_key, std::move(session),
+                                       shard_->retrying.get());
   if (status.ok()) {
     delivered_sessions_.fetch_add(1, std::memory_order_relaxed);
     delivered_records_.fetch_add(covered, std::memory_order_relaxed);
@@ -363,7 +357,6 @@ StreamEngine::StreamEngine(EngineOptions options,
       emit_(std::make_unique<EmitHub>(sink, options.error_policy_)),
       queue_capacity_(options.queue_capacity_),
       registry_(options.metrics_),
-      tracer_(obs::TracerIn(options.trace_)),
       heuristic_name_(options.selection_ ==
                               EngineOptions::Selection::kNamed
                           ? options.heuristic_name_
@@ -404,8 +397,8 @@ StreamEngine::StreamEngine(EngineOptions options,
         obs::HistogramIn(registry, prefix + "ingest_to_emit_latency_us");
     if (options.retry_.has_value()) {
       shard->retrying = std::make_unique<RetryingSink>(
-          sink, *options.retry_, obs::CounterIn(registry, prefix + "retries"),
-          tracer_, i);
+          sink, *options.retry_,
+          obs::CounterIn(registry, prefix + "retries"), i);
     }
     shard->emit = std::make_unique<ShardEmit>(
         this, shard.get(),
@@ -413,10 +406,6 @@ StreamEngine::StreamEngine(EngineOptions options,
     SessionizeMetrics sessionize_metrics;
     sessionize_metrics.skipped_non_page_urls =
         obs::CounterIn(registry, prefix + "skipped_non_page_urls");
-    sessionize_metrics.sessionize_latency_us =
-        obs::HistogramIn(registry, prefix + "sessionize_latency_us");
-    sessionize_metrics.tracer = tracer_;
-    sessionize_metrics.trace_shard = i;
     shard->sessionize = std::make_unique<SessionizeSink>(
         factory, shard->emit.get(), options.num_pages_,
         std::move(sessionize_metrics));
@@ -439,8 +428,7 @@ void StreamEngine::StartWorkers() {
         obs::CounterIn(registry_, prefix + "blocked_wait_us");
     driver_metrics.inline_batches =
         obs::CounterIn(registry_, prefix + "inline_batches");
-    driver_metrics.tracer = tracer_;
-    driver_metrics.trace_shard = shard->index;
+    driver_metrics.shard = shard->index;
     DriverHooks hooks;
     Shard* shard_ptr = shard.get();
     hooks.on_batch_drained = [shard_ptr] {
@@ -504,11 +492,8 @@ void StreamEngine::Quarantine(Shard& shard, DeadLetter letter) {
   shard.dead_letters.fetch_add(letter.records_covered,
                                std::memory_order_relaxed);
   shard.dead_letter_mirror.Increment(letter.records_covered);
-  // seq = records quarantined by this shard so far (the letter's own
-  // records included). Rate limiting keeps a shard-death drain from
-  // flooding the log with one warning per discarded record.
-  tracer_.Instant("dead_letter", shard.index,
-                  shard.dead_letters.load(std::memory_order_relaxed));
+  // Rate limiting keeps a shard-death drain from flooding the log with
+  // one warning per discarded record.
   obs::LogWarn("engine.quarantine")("shard", shard.index)(
       "stage", DeadLetterStageName(letter.stage))(
       "records", letter.records_covered)("error", letter.reason.ToString());
@@ -556,14 +541,8 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
   // Filter and partition pass: route every ref to the shard its user
   // hashes to, drop it there if a filter rejects it, otherwise resolve it
   // into that shard's staging batch.
-  // seq = 0-based input offset of each record for the routing instant;
-  // the per-shard enqueue span carries the offset of the first record
-  // not yet counted (== records_seen_ at hand-off, matching the
-  // single-record path at batch size 1).
-  std::uint64_t seq = records_seen_;
   for (const LogRecordRef& ref : batch) {
     const std::size_t index = ShardIndexFor(ref);
-    tracer_.Instant("partition", shards_[index]->index, seq++);
     if (!filters_.Keep(ref)) {
       ++staging_filtered_[index];
       continue;
@@ -591,13 +570,10 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
     // for the next call.
     const std::uint64_t count = staged.records.size();
     bool accepted = true;
-    Status status;
-    {
-      obs::ScopedSpan span(tracer_, "enqueue", shard.index, records_seen_);
-      status = offer_policy_ == OfferPolicy::kShed
-                   ? shard.driver->TryOfferBatch(&staged, &accepted)
-                   : shard.driver->OfferBatch(&staged);
-    }
+    const Status status =
+        offer_policy_ == OfferPolicy::kShed
+            ? shard.driver->TryOfferBatch(&staged, &accepted)
+            : shard.driver->OfferBatch(&staged);
     if (!status.ok() && error_policy_ == ErrorPolicy::kFailFast) {
       // The failing sub-batch's records are not counted consumed —
       // same as the historical Offer returning before ++records_seen_.
@@ -738,9 +714,6 @@ Status StreamEngine::Checkpoint(const std::string& dir,
     WUM_RETURN_NOT_OK(emit_->first_error());
   }
   obs::ScopedTimer timer(ckpt_latency_us_);
-  // seq = the epoch being committed; shard 0 stands in for "whole
-  // engine" (the checkpoint spans every shard).
-  obs::ScopedSpan span(tracer_, "checkpoint", 0, next_epoch_);
   // Quiescence barrier: every record ever offered must be fully settled
   // (processed, quarantined or discarded) before any state is read.
   for (std::unique_ptr<Shard>& shard : shards_) {

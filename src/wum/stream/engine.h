@@ -57,7 +57,6 @@
 #include "wum/common/time.h"
 #include "wum/mine/options.h"
 #include "wum/obs/metrics.h"
-#include "wum/obs/trace.h"
 #include "wum/stream/dead_letter.h"
 #include "wum/stream/fault.h"
 #include "wum/stream/incremental_sessionizer.h"
@@ -217,19 +216,6 @@ class EngineOptions {
     return *this;
   }
 
-  /// Optional span tracer (see docs/observability.md). When set, the
-  /// engine records a span or instant event for every pipeline stage a
-  /// record passes through — partition, enqueue, drain, sessionize,
-  /// emit, retry, dead_letter, checkpoint — each tagged with its shard
-  /// and a stage-specific sequence number, exportable as Chrome
-  /// trace-event JSON via TraceRecorder::WriteChromeTrace. `recorder`
-  /// must outlive the engine. When left null the handles stay disabled
-  /// and the span paths never read the clock.
-  EngineOptions& set_trace(obs::TraceRecorder* recorder) {
-    trace_ = recorder;
-    return *this;
-  }
-
   /// Appends a cleaning filter (applied in call order). The engine
   /// builds one instance per factory and runs it on the producer thread
   /// over each offered record's views, before the record is resolved
@@ -310,7 +296,6 @@ class EngineOptions {
   UserSessionizerFactory custom_factory_;
   std::vector<FilterFactory> filter_factories_;
   obs::MetricRegistry* metrics_ = nullptr;
-  obs::TraceRecorder* trace_ = nullptr;
   ErrorPolicy error_policy_ = ErrorPolicy::kFailFast;
   OfferPolicy offer_policy_ = OfferPolicy::kBlock;
   DeadLetterQueue* dead_letters_ = nullptr;
@@ -547,7 +532,6 @@ class StreamEngine {
   // Checkpoint/resume state. records_seen_ is producer-thread only.
   std::size_t queue_capacity_;
   obs::MetricRegistry* registry_;
-  obs::Tracer tracer_;
   std::string heuristic_name_;  // registry name or "custom"
   TimeThresholds thresholds_;
   std::string resume_dir_;

@@ -90,29 +90,23 @@ std::chrono::microseconds RetryBackoff(const RetryOptions& options,
 }
 
 RetryingSink::RetryingSink(SessionSink* sink, RetryOptions options,
-                           obs::Counter retries_mirror, obs::Tracer tracer,
-                           std::uint64_t trace_shard)
+                           obs::Counter retries_mirror, std::uint64_t shard)
     : sink_(sink),
       options_(std::move(options)),
       retries_mirror_(retries_mirror),
-      tracer_(tracer),
-      trace_shard_(trace_shard) {
+      shard_(shard) {
   if (options_.max_attempts < 1) options_.max_attempts = 1;
 }
 
 Status RetryingSink::Accept(const std::string& user_key, Session session) {
   Status status;
   for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
-    // First attempts are the happy path and are covered by the "emit"
-    // span; only re-attempts (backoff wait + delivery) get their own.
-    obs::ScopedSpan span(attempt > 1 ? tracer_ : obs::Tracer(), "retry",
-                         trace_shard_, static_cast<std::uint64_t>(attempt));
     if (attempt > 1) {
       retries_.fetch_add(1, std::memory_order_relaxed);
       retries_mirror_.Increment();
       const std::chrono::microseconds delay =
           RetryBackoff(options_, attempt - 1);
-      obs::LogWarn("sink.retry")("shard", trace_shard_)("attempt", attempt)(
+      obs::LogWarn("sink.retry")("shard", shard_)("attempt", attempt)(
           "delay_us", static_cast<std::uint64_t>(delay.count()))(
           "error", status.ToString());
       if (options_.sleep != nullptr) {
@@ -131,7 +125,7 @@ Status RetryingSink::Accept(const std::string& user_key, Session session) {
     if (status.ok()) return status;
   }
   exhausted_.fetch_add(1, std::memory_order_relaxed);
-  obs::LogError("sink.exhausted")("shard", trace_shard_)(
+  obs::LogError("sink.exhausted")("shard", shard_)(
       "attempts", options_.max_attempts)("error", status.ToString());
   return status;
 }

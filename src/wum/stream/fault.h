@@ -24,7 +24,6 @@
 
 #include "wum/common/random.h"
 #include "wum/obs/metrics.h"
-#include "wum/obs/trace.h"
 #include "wum/stream/incremental_sessionizer.h"
 #include "wum/stream/session_sink.h"
 
@@ -118,12 +117,10 @@ std::chrono::microseconds RetryBackoff(const RetryOptions& options,
 class RetryingSink : public SessionSink {
  public:
   /// `sink` must outlive this object. `retries_mirror`, when enabled,
-  /// mirrors retries() into a registry counter. With an enabled
-  /// `tracer`, every re-attempt (backoff wait + the attempt itself)
-  /// becomes a "retry" span tagged shard=trace_shard, seq=<attempt>.
+  /// mirrors retries() into a registry counter. `shard` is the engine
+  /// shard this sink serves, for its log lines.
   RetryingSink(SessionSink* sink, RetryOptions options,
-               obs::Counter retries_mirror = {}, obs::Tracer tracer = {},
-               std::uint64_t trace_shard = 0);
+               obs::Counter retries_mirror = {}, std::uint64_t shard = 0);
 
   Status Accept(const std::string& user_key, Session session) override;
 
@@ -140,8 +137,7 @@ class RetryingSink : public SessionSink {
   SessionSink* sink_;
   RetryOptions options_;
   obs::Counter retries_mirror_;
-  obs::Tracer tracer_;
-  std::uint64_t trace_shard_ = 0;
+  std::uint64_t shard_ = 0;
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> exhausted_{0};
 };

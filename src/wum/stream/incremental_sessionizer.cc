@@ -128,9 +128,6 @@ Status SessionizeSink::Accept(std::string_view user_key,
   }
   user.last_timestamp = record.timestamp;
   user.has_seen_request = true;
-  obs::ScopedTimer timer(metrics_.sessionize_latency_us);
-  obs::ScopedSpan span(metrics_.tracer, "sessionize", metrics_.trace_shard,
-                       records_absorbed_.load(std::memory_order_relaxed));
   current_user_id_ = user_id;
   WUM_RETURN_NOT_OK(user.sessionizer->OnRequest(
       PageRequest{static_cast<PageId>(record.page), record.timestamp},

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "wum/obs/metrics.h"
-#include "wum/obs/trace.h"
 #include "wum/session/smart_sra.h"
 #include "wum/stream/session_sink.h"
 #include "wum/stream/string_interner.h"
@@ -35,13 +34,6 @@ struct SessionizeMetrics {
   obs::Counter sessions_emitted;
   /// Mirrors skipped_non_page_urls() into a registry counter.
   obs::Counter skipped_non_page_urls;
-  /// Wall time one record spends inside the per-user incremental
-  /// sessionizer (OnRequest plus any emissions), in microseconds.
-  obs::Histogram sessionize_latency_us;
-  /// Optional span tracer: each absorbed record becomes a "sessionize"
-  /// span tagged shard=trace_shard, seq=<records absorbed before it>.
-  obs::Tracer tracer;
-  std::uint64_t trace_shard = 0;
 };
 
 /// Per-user streaming sessionizer state machine. Implementations receive

@@ -63,8 +63,6 @@ void ThreadedDriver::DrainBatch(const ShardBatch& batch) {
   // WaitDrained only observe the total, and a drain never blocks
   // mid-batch, so the coarser publication is indistinguishable to a
   // waiter.
-  const std::uint64_t drained_before =
-      drained_.load(std::memory_order_relaxed);
   std::uint64_t handled = 0;
   for (const ShardRecord& record : batch.records) {
     ++handled;
@@ -81,8 +79,6 @@ void ThreadedDriver::DrainBatch(const ShardBatch& batch) {
     Status status;
     {
       obs::ScopedTimer timer(metrics_.drain_latency_us);
-      obs::ScopedSpan span(metrics_.tracer, "drain", metrics_.trace_shard,
-                           drained_before + handled - 1);
       status = sink_->Accept(user_key, record);
     }
     if (status.ok()) continue;
@@ -90,7 +86,7 @@ void ThreadedDriver::DrainBatch(const ShardBatch& batch) {
         hooks_.on_record_error(user_key, record, status)) {
       continue;  // quarantined; the shard lives on
     }
-    obs::LogError("driver.failed")("shard", metrics_.trace_shard)(
+    obs::LogError("driver.failed")("shard", metrics_.shard)(
         "error", status.ToString());
     {
       std::lock_guard<std::mutex> lock(status_mutex_);

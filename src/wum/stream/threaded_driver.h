@@ -25,7 +25,6 @@
 #include "wum/clf/user_partitioner.h"
 #include "wum/common/result.h"
 #include "wum/obs/metrics.h"
-#include "wum/obs/trace.h"
 #include "wum/stream/spsc_queue.h"
 
 namespace wum {
@@ -107,10 +106,8 @@ struct DriverMetrics {
   /// Batches OfferBatch drained on the producer thread instead of
   /// queueing them for the worker.
   obs::Counter inline_batches;
-  /// Optional span tracer: each drained record becomes a "drain" span
-  /// tagged shard=trace_shard, seq=<records drained before it>.
-  obs::Tracer tracer;
-  std::uint64_t trace_shard = 0;
+  /// Index of the shard this driver serves, for its log lines.
+  std::uint64_t shard = 0;
 };
 
 /// Failure-domain hooks, called on whichever thread drains the batch:

@@ -742,12 +742,15 @@ TEST(NetServerTest, AdminPatternsReportsMinedPaths) {
   EXPECT_EQ(pairs->rfind("{\"k\":2,\"length\":2,", 0), 0u) << *pairs;
   EXPECT_EQ(pairs->find("\"path\":[0,1,4]"), std::string::npos) << *pairs;
 
-  // Malformed operands are a usage error, not a dropped connection.
-  for (const char* bad : {"PATTERNS x", "PATTERNS 1 2 3", "PATTERNS -1"}) {
+  // Malformed operands, and a length the miner does not mine (the
+  // default range is 2..3), are a usage error naming the mined range,
+  // not a dropped connection or an empty pattern list.
+  for (const char* bad : {"PATTERNS x", "PATTERNS 1 2 3", "PATTERNS -1",
+                          "PATTERNS 5 7", "PATTERNS 5 1"}) {
     Result<std::string> reply =
         AdminCommand(harness.server->admin_port(), bad);
     ASSERT_TRUE(reply.ok()) << bad;
-    EXPECT_EQ(*reply, "ERR usage: PATTERNS [k] [len]") << bad;
+    EXPECT_EQ(*reply, "ERR usage: PATTERNS [k] [len] (len 0 or 2..3)") << bad;
   }
   // STATS now takes one optional operand (JSON); anything else is a
   // usage error, not a dropped connection.

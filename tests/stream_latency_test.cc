@@ -218,10 +218,54 @@ TEST_F(StreamLatencyTest, UninstrumentedEngineNeverReadsTheClock) {
             .ok());
   }
   ASSERT_TRUE((*engine)->Finish().ok());
-  // No registry, no tracer: the entire offer -> drain -> emit path must
+  // No registry: the entire offer -> drain -> emit path must
   // run without a single clock read (the "disabled handles" contract
   // that makes telemetry free when switched off).
   EXPECT_EQ(g_micros_calls.load(std::memory_order_relaxed), calls_before);
+}
+
+TEST_F(StreamLatencyTest, InstrumentedDrainReadsTheClockTwicePerRecord) {
+  WebGraph graph = MakeFigure1Topology();
+  obs::MetricRegistry registry;
+  CollectingSessionSink sink;
+  constexpr TimeSeconds kBase = 1'200'000'000;
+  constexpr std::size_t kRecords = 50;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions()
+          .set_num_shards(1)
+          .use_smart_sra(&graph)
+          .set_metrics(&registry),
+      &sink);
+  ASSERT_TRUE(engine.ok());
+  // One user, one page view a second: no page stay exceeds rho and the
+  // walk stays inside delta, so no session closes before Finish and the
+  // emit path never stamps an ingest-to-emit latency.
+  std::vector<LogRecord> records;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    records.push_back(PageRecord("10.4.0.1", static_cast<std::uint32_t>(i % 5),
+                                 kBase + static_cast<TimeSeconds>(i)));
+  }
+  std::vector<LogRecordRef> batch;
+  for (const LogRecord& record : records) batch.push_back(ViewOf(record));
+  const std::uint64_t calls_before =
+      g_micros_calls.load(std::memory_order_relaxed);
+  ASSERT_TRUE((*engine)->OfferBatch(batch).ok());
+  ASSERT_TRUE((*engine)->Finish().ok());
+  ASSERT_FALSE(sink.entries().empty());
+  // One accept stamp for the batch, then one drain timer (two reads)
+  // per record: a second timer nested inside the drained call would
+  // double the per-record reads.
+  EXPECT_EQ(g_micros_calls.load(std::memory_order_relaxed) - calls_before,
+            2 * kRecords + 1);
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  const obs::MetricsSnapshot::HistogramValue* drain =
+      snapshot.FindHistogram("engine.shard0.drain_latency_us");
+  ASSERT_NE(drain, nullptr);
+  EXPECT_EQ(drain->count, kRecords);
+  const obs::MetricsSnapshot::HistogramValue* latency =
+      snapshot.FindHistogram("engine.shard0.ingest_to_emit_latency_us");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, 0u);  // every session left in the Finish flush
 }
 
 TEST_F(StreamLatencyTest, WatermarkSurvivesCheckpointAndResume) {

@@ -1,11 +1,11 @@
 // ToolRuntime: the one observability + durability surface shared by the
-// websra_* tools. Every tool that takes --metrics-out/--trace-out/
-// --log-level (and, when durable, --checkpoint-dir/
-// --checkpoint-every-records/--resume) parses and starts them through
-// this runtime, so websra_sessionize, websra_simulate and websra_serve
-// present identical flags with identical semantics. A finite run reads
-// its metrics once, at exit (--metrics-out); the live daemon serves
-// them from its own poll loop (websra_serve --http-port).
+// websra_* tools. Every tool that takes --metrics-out/--log-level (and,
+// when durable, --checkpoint-dir/--checkpoint-every-records/--resume)
+// parses and starts them through this runtime, so websra_sessionize,
+// websra_simulate and websra_serve present identical flags with
+// identical semantics. A finite run reads its metrics once, at exit
+// (--metrics-out); the live daemon serves them from its own poll loop
+// (websra_serve --http-port).
 
 #ifndef WEBSRA_TOOLS_TOOL_RUNTIME_H_
 #define WEBSRA_TOOLS_TOOL_RUNTIME_H_
@@ -28,7 +28,6 @@
 #include "wum/common/table.h"
 #include "wum/obs/log.h"
 #include "wum/obs/metrics.h"
-#include "wum/obs/trace.h"
 
 // Build identity injected by tools/CMakeLists.txt; the fallbacks keep
 // non-CMake builds (clangd, one-off compiles) working.
@@ -82,14 +81,14 @@ struct RuntimeFeatures {
 };
 
 /// The started runtime: a metric registry the tool wires into its
-/// components, the optional trace recorder, and the parsed checkpoint
-/// configuration. Start() at the top of Run, Finish() at the bottom.
+/// components and the parsed checkpoint configuration. Start() at the
+/// top of Run, Finish() at the bottom.
 class ToolRuntime {
  public:
   /// The runtime's flag names, for Flags::CheckKnown. Splice into the
   /// tool's own set.
   static std::set<std::string> FlagNames(const RuntimeFeatures& features) {
-    std::set<std::string> names = {"metrics-out", "log-level", "trace-out"};
+    std::set<std::string> names = {"metrics-out", "log-level"};
     if (features.durability) {
       names.insert({"checkpoint-dir", "checkpoint-every-records", "resume"});
     }
@@ -105,8 +104,8 @@ class ToolRuntime {
   }
 
   /// Applies --log-level, activates the registry (--metrics-out or
-  /// always_metrics), starts the --trace-out recorder, and parses the
-  /// checkpoint flags when the tool is durable.
+  /// always_metrics), and parses the checkpoint flags when the tool is
+  /// durable.
   static wum::Result<ToolRuntime> Start(const Flags& flags,
                                         RuntimeFeatures features) {
     // A peer that disappears mid-reply must surface as EPIPE on the
@@ -147,11 +146,6 @@ class ToolRuntime {
                        : 0);
       });
     }
-    if (flags.Has("trace-out")) {
-      wum::obs::TraceRecorder::Options options;
-      options.metrics = runtime.metrics_;
-      runtime.trace_ = std::make_unique<wum::obs::TraceRecorder>(options);
-    }
     if (features.durability) {
       if (flags.Has("checkpoint-dir")) {
         CheckpointConfig config;
@@ -179,11 +173,6 @@ class ToolRuntime {
   /// clock). Non-null whenever always_metrics was requested.
   wum::obs::MetricRegistry* metrics() const { return metrics_; }
 
-  wum::obs::TraceRecorder* trace() const { return trace_.get(); }
-
-  /// Handle for instrumented components; disabled without --trace-out.
-  wum::obs::Tracer tracer() const { return wum::obs::TracerIn(trace_.get()); }
-
   /// Parsed --checkpoint-dir configuration; nullopt when absent (or the
   /// tool is not durable).
   const std::optional<CheckpointConfig>& checkpoint() const {
@@ -206,15 +195,9 @@ class ToolRuntime {
     registry_->SetInfo("build.info", build_labels_);
   }
 
-  /// End-of-run counterpart: exports the trace, writes --metrics-out and
-  /// prints the summary table whenever metrics were enabled.
+  /// End-of-run counterpart: writes --metrics-out and prints the
+  /// summary table whenever metrics were enabled.
   wum::Status Finish(const Flags& flags) {
-    if (trace_ != nullptr) {
-      WUM_ASSIGN_OR_RETURN(std::string path, flags.GetRequired("trace-out"));
-      WUM_RETURN_NOT_OK(trace_->WriteChromeTrace(path));
-      std::cout << "wrote trace (" << trace_->events_recorded() << " events, "
-                << trace_->events_dropped() << " dropped) to " << path << "\n";
-    }
     if (metrics_ != nullptr) {
       const wum::obs::MetricsSnapshot snapshot = metrics_->Snapshot();
       PrintMetricsSummary(snapshot);
@@ -235,7 +218,6 @@ class ToolRuntime {
   // runtime itself stays movable (Result-friendly).
   std::unique_ptr<wum::obs::MetricRegistry> registry_;
   wum::obs::MetricRegistry* metrics_ = nullptr;
-  std::unique_ptr<wum::obs::TraceRecorder> trace_;
   std::optional<CheckpointConfig> checkpoint_;
   std::vector<std::pair<std::string, std::string>> build_labels_;
 };

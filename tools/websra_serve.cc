@@ -49,7 +49,7 @@ std::string Usage() {
          "  [--read-timeout-ms N=0] [--write-timeout-ms N=10000]\n"
          "  [--client-quota-bps N=0] [--client-quota-burst N=0]\n"
          "  [--client-buffer-bytes N=0] [--ingest-budget-bytes N=0]\n"
-         "  [--format text|binary] [--metrics-out FILE] [--trace-out FILE]\n"
+         "  [--format text|binary] [--metrics-out FILE]\n"
          "  [--log-level debug|info|warn|error|off]\n"
          "  [--checkpoint-dir DIR] [--checkpoint-every-records N=100000]\n"
          "  [--resume]\n"
@@ -233,7 +233,6 @@ wum::Status Run(const wum_tools::Flags& flags) {
       .set_offer_policy(offer_policy)
       .set_dead_letters(&dead_letters)
       .set_metrics(runtime.metrics())
-      .set_trace(runtime.trace())
       .use_graph(&graph)
       .use_heuristic(flags.GetString("heuristic", "smart-sra"));
   WUM_ASSIGN_OR_RETURN(std::optional<wum::mine::MinerOptions> mining,
@@ -395,7 +394,6 @@ wum::Status Run(const wum_tools::Flags& flags) {
     };
   }
   server_options.metrics = runtime.metrics();
-  server_options.trace = runtime.trace();
   // QUIESCE: the engine has finished (all sessions emitted), so write
   // the output file and report the count in the admin reply.
   server_options.on_quiesce = [&]() -> wum::Result<std::string> {

@@ -41,7 +41,7 @@ std::string Usage() {
          "|referrer]\n"
          "  [--identity ip|ip-ua] [--delta MINUTES=30] [--rho MINUTES=10]\n"
          "  [--keep-robots] [--streaming] [--threads N=4]\n"
-         "  [--max-parse-errors N=0] [--metrics-out FILE] [--trace-out FILE]\n"
+         "  [--max-parse-errors N=0] [--metrics-out FILE]\n"
          "  [--log-level debug|info|warn|error|off]\n"
          "  [--format text|binary] [--checkpoint-dir DIR]\n"
          "  [--checkpoint-every-records N=100000] [--resume]\n"
@@ -78,11 +78,8 @@ std::string Usage() {
          "live, send it through websra_logclient to websra_serve and scrape\n"
          "the daemon's --http-port (see docs/observability.md).\n"
          "\n"
-         "--trace-out records every pipeline stage (parse, partition,\n"
-         "enqueue, drain, sessionize, emit, retry, dead_letter, checkpoint)\n"
-         "as spans and writes a Chrome trace-event JSON file: load it at\n"
-         "https://ui.perfetto.dev or chrome://tracing. --log-level (default\n"
-         "warn) controls the structured key=value diagnostics on stderr.\n"
+         "--log-level (default warn) controls the structured key=value\n"
+         "diagnostics on stderr.\n"
          "\n"
          "--format selects the session file serialization (text is the\n"
          "line-oriented default; binary is the compact CRC-framed format).\n"
@@ -127,7 +124,6 @@ wum::Status RunStreaming(const CleaningPass& clean,
                          wum::UserIdentity identity,
                          wum::TimeThresholds thresholds, std::size_t threads,
                          wum::obs::MetricRegistry* metrics,
-                         wum::obs::TraceRecorder* trace,
                          const std::optional<CheckpointConfig>& checkpoint,
                          const std::optional<wum::mine::MinerOptions>& mining,
                          std::vector<wum::UserSession>* output) {
@@ -142,7 +138,6 @@ wum::Status RunStreaming(const CleaningPass& clean,
       .set_thresholds(thresholds)
       .set_num_pages(graph.num_pages())
       .set_metrics(metrics)
-      .set_trace(trace)
       .use_graph(&graph)
       .use_heuristic(heuristic_name);
   if (mining.has_value()) {
@@ -403,7 +398,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
   }
 
   // The shared tool runtime: observability (one registry behind the
-  // parser, the engine and the sessionizer; trace recorder; log level)
+  // parser, the engine and the sessionizer; log level)
   // plus the parsed durability flags.
   WUM_ASSIGN_OR_RETURN(wum_tools::ToolRuntime runtime,
                        wum_tools::ToolRuntime::Start(flags, features));
@@ -440,7 +435,6 @@ wum::Status Run(const wum_tools::Flags& flags) {
   WUM_ASSIGN_OR_RETURN(std::uint64_t max_parse_errors,
                        flags.GetUint("max-parse-errors", 0));
   wum::ClfParser parser(metrics);
-  parser.set_tracer(runtime.tracer());
   wum::DeadLetterQueue dead_letters;
   parser.set_reject_handler([&dead_letters](std::uint64_t line_number,
                                             std::string_view raw_line,
@@ -500,8 +494,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
     WUM_RETURN_NOT_OK(RunStreaming(clean, graph, heuristic_name, identity,
                                    thresholds,
                                    static_cast<std::size_t>(threads), metrics,
-                                   runtime.trace(), checkpoint, mining,
-                                   &output));
+                                   checkpoint, mining, &output));
   } else {
     WUM_RETURN_NOT_OK(RunBatch(clean, graph, heuristic_name, identity,
                                thresholds, metrics, &output));

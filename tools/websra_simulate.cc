@@ -25,7 +25,7 @@ constexpr char kUsage[] =
     "  [--agents N=10000] [--seed S] [--stp P=0.05] [--lpp P=0.30] "
     "[--nip P=0.30]\n"
     "  [--proxy-group K=1] [--start-window SECONDS=604800] [--combined]\n"
-    "  [--metrics-out FILE] [--trace-out FILE]\n"
+    "  [--metrics-out FILE]\n"
     "  [--log-level debug|info|warn|error|off]\n"
     "  [--format text|binary]\n"
     "\n"
@@ -33,11 +33,10 @@ constexpr char kUsage[] =
     "(Combined format with --combined) and, optionally, the simulator's\n"
     "ground-truth sessions for websra_evaluate. --metrics-out dumps the\n"
     "simulator's generation-throughput metrics (a wum::obs JSON\n"
-    "snapshot) and summarizes them on stdout. --trace-out writes\n"
-    "a Chrome trace-event JSON of the generation phases (site, workload,\n"
-    "log, truth) for Perfetto. --log-level (default warn) controls the\n"
-    "structured key=value diagnostics on stderr. --format selects the\n"
-    "--truth-out serialization (downstream readers auto-detect either).\n";
+    "snapshot) and summarizes them on stdout. --log-level (default\n"
+    "warn) controls the structured key=value diagnostics on stderr.\n"
+    "--format selects the --truth-out serialization (downstream readers\n"
+    "auto-detect either).\n";
 
 wum::Result<wum::TopologyModel> ParseTopology(const std::string& name) {
   if (name == "uniform") return wum::TopologyModel::kUniform;
@@ -86,34 +85,23 @@ wum::Status Run(const wum_tools::Flags& flags) {
   wum::Rng rng(seed);
 
   // Observability (shared websra_* flags): --metrics-out activates the
-  // registry, --trace-out records the generation phases as
-  // coarse spans, --log-level tunes the structured diagnostics.
+  // registry, --log-level tunes the structured diagnostics.
   WUM_ASSIGN_OR_RETURN(wum_tools::ToolRuntime runtime,
                        wum_tools::ToolRuntime::Start(flags, features));
   wum::obs::MetricRegistry* metrics = runtime.metrics();
 
-  wum::Result<wum::WebGraph> generated = wum::Status::Internal("unreachable");
-  {
-    wum::obs::ScopedSpan span(runtime.tracer(), "generate-site", 0, site.num_pages);
-    generated = wum::GenerateSite(model, site, &rng);
-  }
-  WUM_ASSIGN_OR_RETURN(wum::WebGraph graph, std::move(generated));
+  WUM_ASSIGN_OR_RETURN(wum::WebGraph graph,
+                       wum::GenerateSite(model, site, &rng));
   WUM_RETURN_NOT_OK(wum::WriteGraphFile(graph, graph_path));
   std::cout << "wrote topology (" << graph.num_pages() << " pages, "
             << graph.num_edges() << " links) to " << graph_path << "\n";
 
-  wum::Result<wum::Workload> simulated = wum::Status::Internal("unreachable");
-  {
-    wum::obs::ScopedSpan span(runtime.tracer(), "simulate-workload", 0,
-                         population.num_agents);
-    simulated = wum::SimulateWorkload(graph, profile, population, &rng,
-                                      metrics);
-  }
-  WUM_ASSIGN_OR_RETURN(wum::Workload workload, std::move(simulated));
+  WUM_ASSIGN_OR_RETURN(
+      wum::Workload workload,
+      wum::SimulateWorkload(graph, profile, population, &rng, metrics));
   std::vector<wum::LogRecord> log =
       wum::CollectServerLog(workload.ToAgentRequests());
   {
-    wum::obs::ScopedSpan span(runtime.tracer(), "write-log", 0, log.size());
     std::ofstream out(log_path);
     if (!out) return wum::Status::IoError("cannot open " + log_path);
     wum::ClfWriter writer(&out, flags.Has("combined"));
@@ -143,14 +131,12 @@ wum::Status Run(const wum_tools::Flags& flags) {
                                           "'");
     }
     const std::string truth_path = flags.GetString("truth-out", "");
-    wum::obs::ScopedSpan span(runtime.tracer(), "write-truth", 0, truth.size());
     WUM_RETURN_NOT_OK(wum::WriteSessionsFile(truth, truth_path, format));
     std::cout << "wrote " << truth.size() << " ground-truth sessions to "
               << truth_path << "\n";
   }
   // Same end-of-run surface as websra_sessionize: summary table on
-  // stdout whenever metrics are on, plus the --metrics-out file and the
-  // --trace-out export.
+  // stdout whenever metrics are on, plus the --metrics-out file.
   return runtime.Finish(flags);
 }
 
