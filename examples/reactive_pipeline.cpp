@@ -3,8 +3,9 @@
 // ingest thread, then hash-partitioned by user across worker shards,
 // each running per-user incremental Smart-SRA — and completed sessions
 // are reported the moment they close, no offline batch pass. This is the deployment shape the
-// paper's title refers to: the server never waits on mining, and the
-// engine scales sessionization across cores.
+// paper's title refers to: each shard mines its own sessions right after
+// delivering them, and the engine scales sessionization and mining
+// across cores.
 
 #include <iostream>
 
@@ -53,13 +54,14 @@ int main() {
         return wum::Status::OK();
       });
 
-  // Online analytics: the wum::mine tap maintains bounded-memory top-k
-  // frequent navigation paths (SpaceSaving) as sessions close.
+  // Online analytics: one wum::mine miner per shard maintains
+  // bounded-memory top-k frequent navigation paths (SpaceSaving) as
+  // sessions close; queries merge the shards.
   wum::mine::MinerOptions mining;
   mining.top_k = 5;
 
   // The engine owns the whole chain: cleaning filters, per-user
-  // incremental Smart-SRA, and the mining tap on the emit hub. The
+  // incremental Smart-SRA, and a miner per shard fed after delivery. The
   // simulated log is in timestamp order, which is all the sessionizers
   // need (each user's records must arrive in order).
   wum::Result<std::unique_ptr<wum::StreamEngine>> engine =

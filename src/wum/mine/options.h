@@ -28,11 +28,9 @@ struct MinerOptions {
   std::size_t capacity = 0;
   /// 0 mines all time. Otherwise every summary halves its counts after
   /// this many offered paths (exponential decay), so estimates weight
-  /// the recent window; see docs/mining.md for the exact semantics.
+  /// the recent window. The engine's summaries are per shard, so each
+  /// decays after its own shard's offers; see docs/mining.md.
   std::uint64_t window_paths = 0;
-  /// Sessions buffered per MiningSink hand-off batch, so the serialized
-  /// emit path pays the mining cost once per batch, not per session.
-  std::size_t batch_sessions = 32;
 
   /// The capacity each summary actually uses (resolves the 0 default).
   std::size_t EffectiveCapacity() const {
@@ -44,8 +42,7 @@ struct MinerOptions {
 
 /// Rejects zero k / capacity-after-derivation, an empty or inverted
 /// length range, min_length < 1, a window smaller than the capacity
-/// (which would decay tracked paths faster than they can accumulate)
-/// and a zero batch size.
+/// (which would decay tracked paths faster than they can accumulate).
 Status ValidateMinerOptions(const MinerOptions& options);
 
 }  // namespace wum::mine

@@ -38,9 +38,6 @@ Status ValidateMinerOptions(const MinerOptions& options) {
         ") must be 0 or >= capacity (" + std::to_string(capacity) +
         "), else tracked paths decay away faster than they accumulate");
   }
-  if (options.batch_sessions == 0) {
-    return Status::InvalidArgument("mining batch_sessions must be >= 1");
-  }
   return Status::OK();
 }
 
@@ -50,8 +47,7 @@ PathMiner::PathMiner(const MinerOptions& options, const WebGraph* graph,
       graph_(graph),
       m_sessions_(obs::CounterIn(metrics, "mining.sessions")),
       m_paths_(obs::CounterIn(metrics, "mining.paths")),
-      m_topology_rejects_(obs::CounterIn(metrics, "mining.topology_rejects")),
-      g_tracked_(obs::GaugeIn(metrics, "mining.tracked")) {
+      m_topology_rejects_(obs::CounterIn(metrics, "mining.topology_rejects")) {
   const std::size_t capacity = options_.EffectiveCapacity();
   summaries_.reserve(options_.max_length - options_.min_length + 1);
   for (std::size_t length = options_.min_length;
@@ -99,7 +95,6 @@ void PathMiner::AddSession(const std::vector<PageId>& pages) {
   }
   m_paths_.Increment(offered);
   m_topology_rejects_.Increment(rejected);
-  if (g_tracked_.enabled()) g_tracked_.Set(tracked());
 }
 
 std::uint64_t PathMiner::paths_processed() const {
@@ -118,41 +113,11 @@ std::size_t PathMiner::tracked() const {
 
 std::vector<PatternEstimate> PathMiner::TopK(std::size_t k,
                                              std::size_t length) const {
-  if (k == 0) k = options_.top_k;
-  std::vector<PatternEstimate> all;
-  if (length == 0) {
-    all.reserve(tracked());
-    for (const StreamSummary& summary : summaries_) summary.AppendAll(&all);
-  } else if (length >= options_.min_length && length <= options_.max_length) {
-    SummaryFor(length).AppendAll(&all);
-  }
-  std::sort(all.begin(), all.end(), PatternOrderBefore);
-  if (all.size() > k) all.resize(k);
-  return all;
+  return MergeTopK(std::span<const PathMiner>(this, 1), k, length);
 }
 
 std::string PathMiner::PatternsJson(std::size_t k, std::size_t length) const {
-  if (k == 0) k = options_.top_k;
-  const std::vector<PatternEstimate> top = TopK(k, length);
-  std::string json = "{\"k\":" + std::to_string(k) +
-                     ",\"length\":" + std::to_string(length) +
-                     ",\"sessions\":" + std::to_string(sessions_seen_) +
-                     ",\"paths\":" + std::to_string(paths_processed()) +
-                     ",\"capacity\":" +
-                     std::to_string(options_.EffectiveCapacity()) +
-                     ",\"patterns\":[";
-  for (std::size_t i = 0; i < top.size(); ++i) {
-    if (i != 0) json += ',';
-    json += "{\"path\":[";
-    for (std::size_t p = 0; p < top[i].path.size(); ++p) {
-      if (p != 0) json += ',';
-      json += std::to_string(top[i].path[p]);
-    }
-    json += "],\"count\":" + std::to_string(top[i].count) +
-            ",\"error\":" + std::to_string(top[i].error) + "}";
-  }
-  json += "]}";
-  return json;
+  return MergedPatternsJson(std::span<const PathMiner>(this, 1), k, length);
 }
 
 Status PathMiner::SerializeState(std::vector<std::string>* frames) const {
@@ -199,142 +164,178 @@ Status PathMiner::RestoreState(std::span<const std::string> frames) {
     WUM_RETURN_NOT_OK(summaries_[i].Restore(&decoder));
     WUM_RETURN_NOT_OK(decoder.ExpectEnd());
   }
-  if (g_tracked_.enabled()) g_tracked_.Set(tracked());
   return Status::OK();
 }
 
-MiningSink::MiningSink(SessionSink* downstream, const MinerOptions& options,
+namespace {
+
+/// Appends one length's merged entries over `miners` to `out`
+/// (MergeTopK's rule). Works in place on packed keys, so a query makes
+/// no allocation per entry.
+void MergeLength(std::span<const PathMiner> miners, std::size_t length,
+                 std::vector<PackedEstimate>* out) {
+  const std::uint64_t shards = miners.size();
+  std::vector<PackedEstimate>& all = *out;
+  const std::size_t first = all.size();
+  std::vector<std::uint64_t> floor(shards, 0);
+  std::uint64_t floor_total = 0;
+  for (std::uint64_t s = 0; s < shards; ++s) {
+    const StreamSummary& summary = miners[s].summary(length);
+    const std::size_t begin = all.size();
+    summary.AppendPacked(&all);
+    // What shard s adds for a path it does not track: once its summary
+    // is full, its minimum count (the first appended; no untracked path
+    // occurred more often there), before that 0 (it never evicted).
+    if (summary.tracked() == summary.capacity()) {
+      floor[s] = all[begin].count;
+      floor_total += floor[s];
+    }
+    // The merged first-seen; s stays recoverable as first_seen % shards.
+    for (std::size_t i = begin; i < all.size(); ++i) {
+      all[i].first_seen = all[i].first_seen * shards + s;
+    }
+  }
+  std::sort(all.begin() + first, all.end(),
+            [](const PackedEstimate& a, const PackedEstimate& b) {
+              return a.key != b.key ? a.key < b.key
+                                    : a.first_seen < b.first_seen;
+            });
+  std::size_t kept = first;
+  for (std::size_t begin = first; begin < all.size();) {
+    PackedEstimate merged = all[begin];  // its first_seen is the minimum
+    std::uint64_t untracked_floor =
+        floor_total - floor[merged.first_seen % shards];
+    std::size_t end = begin + 1;
+    for (; end < all.size() && all[end].key == merged.key; ++end) {
+      merged.count += all[end].count;
+      merged.error += all[end].error;
+      untracked_floor -= floor[all[end].first_seen % shards];
+    }
+    merged.count += untracked_floor;
+    merged.error += untracked_floor;
+    all[kept++] = merged;
+    begin = end;
+  }
+  all.resize(kept);
+}
+
+}  // namespace
+
+std::vector<PatternEstimate> MergeTopK(std::span<const PathMiner> miners,
+                                       std::size_t k, std::size_t length) {
+  const MinerOptions& options = miners.front().options();
+  if (k == 0) k = options.top_k;
+  std::size_t tracked = 0;
+  for (const PathMiner& miner : miners) tracked += miner.tracked();
+  std::vector<PackedEstimate> merged;
+  merged.reserve(tracked);
+  for (std::size_t l = options.min_length; l <= options.max_length; ++l) {
+    if (length == 0 || length == l) MergeLength(miners, l, &merged);
+  }
+  return RankPacked(std::move(merged), k);
+}
+
+std::string MergedPatternsJson(std::span<const PathMiner> miners,
+                               std::size_t k, std::size_t length) {
+  const MinerOptions& options = miners.front().options();
+  if (k == 0) k = options.top_k;
+  std::uint64_t sessions = 0;
+  std::uint64_t paths = 0;
+  for (const PathMiner& miner : miners) {
+    sessions += miner.sessions_seen();
+    paths += miner.paths_processed();
+  }
+  const std::vector<PatternEstimate> top = MergeTopK(miners, k, length);
+  std::string json = "{\"k\":" + std::to_string(k) +
+                     ",\"length\":" + std::to_string(length) +
+                     ",\"sessions\":" + std::to_string(sessions) +
+                     ",\"paths\":" + std::to_string(paths) +
+                     ",\"capacity\":" +
+                     std::to_string(options.EffectiveCapacity()) +
+                     ",\"patterns\":[";
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    if (i != 0) json += ',';
+    json += "{\"path\":[";
+    for (std::size_t p = 0; p < top[i].path.size(); ++p) {
+      if (p != 0) json += ',';
+      json += std::to_string(top[i].path[p]);
+    }
+    json += "],\"count\":" + std::to_string(top[i].count) +
+            ",\"error\":" + std::to_string(top[i].error) + "}";
+  }
+  json += "]}";
+  return json;
+}
+
+MiningSink::MiningSink(std::size_t num_shards, const MinerOptions& options,
                        const WebGraph* graph, obs::MetricRegistry* metrics)
-    : downstream_(downstream),
-      miner_(options, graph, metrics),
-      m_batches_(obs::CounterIn(metrics, "mining.batches")),
-      h_flush_us_(obs::HistogramIn(metrics, "mining.flush_latency_us")),
-      worker_(&MiningSink::WorkerLoop, this) {
-  pending_.reserve(options.batch_sessions);
-}
-
-MiningSink::~MiningSink() {
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    stop_ = true;
-  }
-  work_available_.notify_all();
-  if (worker_.joinable()) worker_.join();
-}
-
-Status MiningSink::Accept(const std::string& client_ip, Session session) {
-  // Mine only sessions the downstream actually absorbed: a RetryingSink
-  // may call Accept repeatedly for one session, and a refusal ends in
-  // quarantine, not delivery — either way the session must count at
-  // most once, on success.
-  std::vector<PageId> pages = session.PageSequence();
-  if (downstream_ != nullptr) {
-    WUM_RETURN_NOT_OK(downstream_->Accept(client_ip, std::move(session)));
-  }
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  pending_.push_back(std::move(pages));
-  if (pending_.size() >= miner_.options().batch_sessions) {
-    // Double-watermark backpressure: block at kMaxQueuedBatches, resume
-    // once the miner has drained to half. Waking the producer only at
-    // the low watermark (and the worker only on the empty -> non-empty
-    // transition below) keeps the two threads from ping-ponging a
-    // context switch per batch on saturated single-core hosts.
-    if (queue_.size() >= kMaxQueuedBatches) {
-      space_available_.wait(
-          lock, [this] { return queue_.size() <= kMaxQueuedBatches / 2; });
-    }
-    queue_.push_back(std::move(pending_));
-    pending_.clear();
-    pending_.reserve(miner_.options().batch_sessions);
-    if (queue_.size() == 1) work_available_.notify_one();
-  }
-  return Status::OK();
-}
-
-bool MiningSink::MineOneBatch() const {
-  std::lock_guard<std::mutex> mine_lock(miner_mutex_);
-  std::vector<std::vector<PageId>> batch;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (queue_.empty()) return false;
-    batch = std::move(queue_.front());
-    queue_.pop_front();
-    // Producers wait for the low watermark; every descent passes
-    // through it one pop at a time, so this can't miss a waiter.
-    if (queue_.size() == kMaxQueuedBatches / 2) {
-      space_available_.notify_all();
-    }
-  }
-  obs::ScopedTimer timer(h_flush_us_);
-  for (const std::vector<PageId>& pages : batch) {
-    miner_.AddSession(pages);
-  }
-  m_batches_.Increment();
-  return true;
-}
-
-void MiningSink::DrainAll() const {
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (!pending_.empty()) {
-      queue_.push_back(std::move(pending_));
-      pending_.clear();
-    }
-  }
-  while (MineOneBatch()) {
+    : mutexes_(num_shards) {
+  miners_.reserve(num_shards);
+  for (std::size_t i = 0; i < num_shards; ++i) {
+    miners_.emplace_back(options, graph, metrics);
   }
 }
 
-void MiningSink::WorkerLoop() {
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      work_available_.wait(lock,
-                           [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-    }
-    MineOneBatch();
-  }
+void MiningSink::AddSession(std::size_t shard,
+                            const std::vector<PageId>& pages) {
+  std::lock_guard<std::mutex> lock(mutexes_[shard]);
+  miners_[shard].AddSession(pages);
 }
 
-void MiningSink::Flush() { DrainAll(); }
+std::vector<std::unique_lock<std::mutex>> MiningSink::LockAll() const {
+  std::vector<std::unique_lock<std::mutex>> locks;
+  for (std::mutex& mutex : mutexes_) locks.emplace_back(mutex);
+  return locks;
+}
 
 std::vector<PatternEstimate> MiningSink::TopK(std::size_t k,
                                               std::size_t length) const {
-  DrainAll();
-  std::lock_guard<std::mutex> lock(miner_mutex_);
-  return miner_.TopK(k, length);
+  const auto locks = LockAll();
+  return MergeTopK(miners_, k, length);
 }
 
 std::string MiningSink::PatternsJson(std::size_t k, std::size_t length) const {
-  DrainAll();
-  std::lock_guard<std::mutex> lock(miner_mutex_);
-  return miner_.PatternsJson(k, length);
+  const auto locks = LockAll();
+  return MergedPatternsJson(miners_, k, length);
 }
 
 std::uint64_t MiningSink::sessions_seen() const {
-  DrainAll();
-  std::lock_guard<std::mutex> lock(miner_mutex_);
-  return miner_.sessions_seen();
+  const auto locks = LockAll();
+  std::uint64_t total = 0;
+  for (const PathMiner& miner : miners_) total += miner.sessions_seen();
+  return total;
 }
 
-std::size_t MiningSink::queued_batches() const {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  return queue_.size();
+std::size_t MiningSink::tracked() const {
+  const auto locks = LockAll();
+  std::size_t total = 0;
+  for (const PathMiner& miner : miners_) total += miner.tracked();
+  return total;
 }
 
 Status MiningSink::SerializeState(std::vector<std::string>* frames) const {
-  DrainAll();
-  std::lock_guard<std::mutex> lock(miner_mutex_);
-  return miner_.SerializeState(frames);
+  const auto locks = LockAll();
+  for (const PathMiner& miner : miners_) {
+    WUM_RETURN_NOT_OK(miner.SerializeState(frames));
+  }
+  return Status::OK();
 }
 
 Status MiningSink::RestoreState(std::span<const std::string> frames) {
-  std::scoped_lock lock(miner_mutex_, queue_mutex_);
-  pending_.clear();
-  queue_.clear();
-  space_available_.notify_all();
-  return miner_.RestoreState(frames);
+  const std::size_t per_shard =
+      1 + options().max_length - options().min_length + 1;
+  if (frames.size() != miners_.size() * per_shard) {
+    return Status::ParseError(
+        "mining state holds " + std::to_string(frames.size()) +
+        " frames, expected " + std::to_string(miners_.size() * per_shard) +
+        " (" + std::to_string(miners_.size()) + " shards)");
+  }
+  const auto locks = LockAll();
+  for (std::size_t s = 0; s < miners_.size(); ++s) {
+    WUM_RETURN_NOT_OK(
+        miners_[s].RestoreState(frames.subspan(s * per_shard, per_shard)));
+  }
+  return Status::OK();
 }
 
 }  // namespace wum::mine

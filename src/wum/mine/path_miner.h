@@ -7,17 +7,13 @@
 // observation: only topology-valid paths are real navigation), and each
 // valid path feeds a per-length SpaceSaving StreamSummary.
 //
-// MiningSink is the engine-facing tap: a SessionSink that forwards to
-// the caller's downstream sink unchanged and buffers page sequences for
-// batched hand-off to a dedicated miner thread, so the serialized emit
-// path only ever copies page ids — the SpaceSaving work happens off the
-// hot path (a bounded FIFO queue applies backpressure instead of
-// growing without limit). Batches are always mined in hand-off (=
-// emission) order whichever thread drains them, which keeps the miner
-// state deterministic for a given session stream. All public MiningSink
-// methods are thread-safe: shard workers call Accept through the emit
-// hub while the admin thread queries PatternsJson (queries drain the
-// queue first, so they see every session accepted before the call).
+// MiningSink is the engine's mining state: one PathMiner per shard, each
+// behind its own mutex, fed by the thread that drains the shard right
+// after each delivery (outside the emit hub's lock, so shards mine in
+// parallel). Queries merge the per-shard summaries (MergeTopK) in shard
+// order; each shard's miner sees only its own users' sessions, so the
+// answer is deterministic for a given shard count. All public
+// MiningSink methods are thread-safe.
 //
 // See docs/mining.md for the algorithm, error bounds, window semantics
 // and the PATTERNS admin protocol.
@@ -25,20 +21,16 @@
 #ifndef WUM_MINE_PATH_MINER_H_
 #define WUM_MINE_PATH_MINER_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "wum/common/result.h"
 #include "wum/mine/options.h"
 #include "wum/mine/stream_summary.h"
 #include "wum/obs/metrics.h"
-#include "wum/stream/session_sink.h"
 #include "wum/topology/web_graph.h"
 
 namespace wum::mine {
@@ -73,6 +65,10 @@ class PathMiner {
   std::uint64_t paths_processed() const;
   std::size_t tracked() const;
   const MinerOptions& options() const { return options_; }
+  /// The summary of one configured length (min_length..max_length).
+  const StreamSummary& summary(std::size_t length) const {
+    return summaries_[length - options_.min_length];
+  }
 
   /// Checkpoint hooks, mirroring the sessionizer SerializeState idiom:
   /// one header frame (config fingerprint + counters) then one frame
@@ -82,10 +78,6 @@ class PathMiner {
   Status RestoreState(std::span<const std::string> frames);
 
  private:
-  const StreamSummary& SummaryFor(std::size_t length) const {
-    return summaries_[length - options_.min_length];
-  }
-
   MinerOptions options_;
   const WebGraph* graph_;
   std::vector<StreamSummary> summaries_;  // index = length - min_length
@@ -101,79 +93,55 @@ class PathMiner {
   obs::Counter m_sessions_;
   obs::Counter m_paths_;
   obs::Counter m_topology_rejects_;
-  obs::Gauge g_tracked_;
 };
 
-/// The emit-hub tap: counts every closed session, forwards to an
-/// optional downstream sink, mines on a dedicated thread. Thread-safe.
-class MiningSink : public SessionSink {
+/// Top-k over miners of one configuration (one per shard, in shard
+/// order), merged per length by the rule in docs/mining.md: both
+/// SpaceSaving bounds survive, and one miner merges to its own TopK.
+/// `k` and `length` as in PathMiner::TopK.
+std::vector<PatternEstimate> MergeTopK(std::span<const PathMiner> miners,
+                                       std::size_t k = 0,
+                                       std::size_t length = 0);
+
+/// PathMiner::PatternsJson over MergeTopK: "sessions" and "paths" are
+/// sums over the miners, "capacity" stays the per-summary capacity.
+std::string MergedPatternsJson(std::span<const PathMiner> miners,
+                               std::size_t k = 0, std::size_t length = 0);
+
+/// The engine's per-shard miners behind one merged query surface (see
+/// the file comment). Owns no thread.
+class MiningSink {
  public:
-  /// `downstream` may be null (sessions are only mined). `graph` /
-  /// `metrics` as in PathMiner. Starts the miner thread.
-  MiningSink(SessionSink* downstream, const MinerOptions& options,
+  /// One PathMiner per shard; `graph` / `metrics` as in PathMiner (the
+  /// miners share the registry's mining.* counters).
+  MiningSink(std::size_t num_shards, const MinerOptions& options,
              const WebGraph* graph, obs::MetricRegistry* metrics);
-  /// Stops the miner thread. Queued batches that were never queried or
-  /// serialized are dropped — owners query before destroying.
-  ~MiningSink() override;
 
-  /// Forwards the session downstream first and buffers its page
-  /// sequence for mining (handing off when the batch fills) only on
-  /// success, so retried or refused sessions never skew the counts.
-  /// Blocks only when the batch queue is full (sustained overload).
-  Status Accept(const std::string& client_ip, Session session) override;
-
-  /// Drains the pending batch and the whole queue into the miner.
-  /// Queries and checkpoint hooks flush implicitly; an explicit call
-  /// makes mid-run state deterministic in tests.
-  void Flush();
+  /// Mines one delivered session into shard `shard`'s miner. Called by
+  /// the thread draining that shard, once per successful delivery.
+  void AddSession(std::size_t shard, const std::vector<PageId>& pages);
 
   std::vector<PatternEstimate> TopK(std::size_t k = 0,
                                     std::size_t length = 0) const;
   std::string PatternsJson(std::size_t k = 0, std::size_t length = 0) const;
   std::uint64_t sessions_seen() const;
-  /// Batches waiting for the miner thread (0..kMaxQueuedBatches, the
-  /// partial pending batch excluded) — the mining-queue-depth gauge
-  /// scrape probes read. Thread-safe.
-  std::size_t queued_batches() const;
-  const MinerOptions& options() const { return miner_.options(); }
+  /// Paths tracked over every shard and length (the mining.tracked gauge).
+  std::size_t tracked() const;
+  const MinerOptions& options() const { return miners_[0].options(); }
 
+  /// Each shard's PathMiner::SerializeState frames, concatenated in
+  /// shard order (one shard writes exactly PathMiner's layout).
   Status SerializeState(std::vector<std::string>* frames) const;
+  /// Refuses a frame count other than shards * (1 + mined lengths).
   Status RestoreState(std::span<const std::string> frames);
 
  private:
-  /// Sessions buffered under backpressure: kMaxQueuedBatches *
-  /// batch_sessions page sequences, then Accept blocks.
-  static constexpr std::size_t kMaxQueuedBatches = 16;
+  /// Locks every shard's miner in shard order (a draining thread only
+  /// ever holds its own).
+  std::vector<std::unique_lock<std::mutex>> LockAll() const;
 
-  /// Pops and mines the oldest queued batch; false when the queue is
-  /// empty. Pop and mine happen under one hold of miner_mutex_, so
-  /// batches are mined strictly in hand-off order no matter which
-  /// thread (worker, query, or backpressured producer) drains them.
-  bool MineOneBatch() const;
-  /// Hands the partial pending batch to the queue and mines until the
-  /// queue is empty (the implicit flush of queries and checkpoints).
-  void DrainAll() const;
-  void WorkerLoop();
-
-  SessionSink* downstream_;
-
-  /// queue_mutex_ guards pending_/queue_/stop_ (the hand-off state);
-  /// miner_mutex_ serializes the actual mining and guards miner_. Both
-  /// are mutable so const queries can drain buffered-but-uncounted
-  /// state into the miner, which does not change what the miner
-  /// logically represents.
-  mutable std::mutex queue_mutex_;
-  mutable std::condition_variable work_available_;
-  mutable std::condition_variable space_available_;
-  mutable std::vector<std::vector<PageId>> pending_;
-  mutable std::deque<std::vector<std::vector<PageId>>> queue_;
-  bool stop_ = false;
-
-  mutable std::mutex miner_mutex_;
-  mutable PathMiner miner_;
-  mutable obs::Counter m_batches_;
-  obs::Histogram h_flush_us_;
-  std::thread worker_;  // last member: starts after everything exists
+  std::vector<PathMiner> miners_;            // one per shard, >= 1
+  mutable std::vector<std::mutex> mutexes_;  // mutexes_[s] guards miners_[s]
 };
 
 }  // namespace wum::mine

@@ -268,28 +268,40 @@ bool StreamSummary::Offer(const PageId* pages, std::size_t length,
   return inserted;
 }
 
-void StreamSummary::AppendEstimate(std::uint32_t n,
-                                   std::vector<PatternEstimate>* out) const {
-  const Node& node = nodes_[n];
-  out->push_back(PatternEstimate{UnpackPath(node.key), node.count, node.error,
-                                 node.first_seen});
-}
-
-void StreamSummary::AppendAll(std::vector<PatternEstimate>* out) const {
+void StreamSummary::AppendPacked(std::vector<PackedEstimate>* out) const {
   for (std::uint32_t b = min_bucket_; b != kNil; b = buckets_[b].next) {
     for (std::uint32_t n = buckets_[b].head; n != kNil; n = nodes_[n].next) {
-      AppendEstimate(n, out);
+      const Node& node = nodes_[n];
+      out->push_back({node.key, node.count, node.error, node.first_seen});
     }
   }
 }
 
+std::vector<PatternEstimate> RankPacked(std::vector<PackedEstimate> entries,
+                                        std::size_t k) {
+  const auto before = [](const PackedEstimate& a, const PackedEstimate& b) {
+    if (a.count != b.count) return a.count > b.count;
+    if (a.first_seen != b.first_seen) return a.first_seen < b.first_seen;
+    return StreamSummary::UnpackPath(a.key) < StreamSummary::UnpackPath(b.key);
+  };
+  const std::size_t n = std::min(k, entries.size());
+  std::partial_sort(entries.begin(), entries.begin() + n, entries.end(),
+                    before);
+  std::vector<PatternEstimate> top;
+  top.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const PackedEstimate& entry = entries[i];
+    top.push_back(PatternEstimate{StreamSummary::UnpackPath(entry.key),
+                                  entry.count, entry.error, entry.first_seen});
+  }
+  return top;
+}
+
 std::vector<PatternEstimate> StreamSummary::TopK(std::size_t k) const {
-  std::vector<PatternEstimate> all;
+  std::vector<PackedEstimate> all;
   all.reserve(tracked_);
-  AppendAll(&all);
-  std::sort(all.begin(), all.end(), PatternOrderBefore);
-  if (all.size() > k) all.resize(k);
-  return all;
+  AppendPacked(&all);
+  return RankPacked(std::move(all), k);
 }
 
 void StreamSummary::AppendInChainOrder(std::uint32_t n) {

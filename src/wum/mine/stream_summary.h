@@ -47,10 +47,24 @@ struct PatternEstimate {
                          const PatternEstimate&) = default;
 };
 
+/// A tracked entry with its path still packed (4 bytes LE per page);
+/// `key` points into the summary and is valid until it next changes.
+struct PackedEstimate {
+  std::string_view key;
+  std::uint64_t count = 0;
+  std::uint64_t error = 0;
+  std::uint64_t first_seen = 0;
+};
+
 /// The one TopK ordering everywhere (summaries, miner, PATTERNS JSON):
 /// count descending, then first-seen sequence ascending, then path
 /// lexicographic — deterministic given the counts, pinned by test.
 bool PatternOrderBefore(const PatternEstimate& a, const PatternEstimate& b);
+
+/// The first k of `entries` under PatternOrderBefore, with paths
+/// unpacked: only the winners pay for a page-id vector.
+std::vector<PatternEstimate> RankPacked(std::vector<PackedEstimate> entries,
+                                        std::size_t k);
 
 /// SpaceSaving summary over paths of one length (the length itself is
 /// the caller's concern — any page-id vector can be offered).
@@ -75,9 +89,11 @@ class StreamSummary {
   /// Top-k entries under PatternOrderBefore.
   std::vector<PatternEstimate> TopK(std::size_t k) const;
 
-  /// Appends every tracked entry (unsorted) — used by PathMiner to
-  /// merge summaries before one global sort.
-  void AppendAll(std::vector<PatternEstimate>* out) const;
+  /// Appends every tracked entry in ascending count order.
+  void AppendPacked(std::vector<PackedEstimate>* out) const;
+
+  /// The page ids of a packed path key.
+  static std::vector<PageId> UnpackPath(std::string_view key);
 
   /// Halves every count and error (dropping zeroed entries) — the decay
   /// step of window mode, also callable directly.
@@ -137,7 +153,6 @@ class StreamSummary {
   /// Moves node `n` (already detached conceptually) to count
   /// `new_count`, reusing or creating the right bucket.
   void PlaceWithCount(std::uint32_t n, std::uint64_t new_count);
-  static std::vector<PageId> UnpackPath(std::string_view key);
   /// Inline mix over 8-byte chunks: on the emit hot path the
   /// out-of-line std::hash call and the node-per-entry map were the
   /// measurable mining cost, so the index is a flat open-addressing
@@ -148,7 +163,6 @@ class StreamSummary {
   /// Removes `key` (which must be present) with backward-shift
   /// deletion, keeping every survivor reachable from its ideal slot.
   void EraseKey(std::string_view key, std::uint64_t hash);
-  void AppendEstimate(std::uint32_t n, std::vector<PatternEstimate>* out) const;
   /// Appends node `n` at the chain tail assuming non-decreasing counts
   /// (the rebuild path of Decay / Restore).
   void AppendInChainOrder(std::uint32_t n);

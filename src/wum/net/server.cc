@@ -977,9 +977,6 @@ std::string LogServer::StatuszJson() {
       << (engine_->mining() != nullptr ? "true" : "false") << ",\"sessions_seen\":"
       << (engine_->mining() != nullptr ? engine_->mining()->sessions_seen()
                                        : 0)
-      << ",\"queue_depth\":"
-      << (engine_->mining() != nullptr ? engine_->mining()->queued_batches()
-                                       : 0)
       << "}}";
   return out.str();
 }

@@ -70,9 +70,10 @@ class StreamEngine::EmitHub {
 
 /// Per-shard emission front: forwards to the hub (through the shard's
 /// RetryingSink when configured), keeps the delivery counters that back
-/// EngineStats::sessions_emitted, and — under kDegrade — turns a session
-/// the sink refused after every retry into a dead letter instead of an
-/// error, so the record path above never sees emission failures.
+/// EngineStats::sessions_emitted, mines each delivered session into the
+/// shard's miner when mining is on, and — under kDegrade — turns a
+/// session the sink refused after every retry into a dead letter instead
+/// of an error, so the record path above never sees emission failures.
 class StreamEngine::ShardEmit : public SessionSink {
  public:
   ShardEmit(StreamEngine* engine, Shard* shard, obs::Counter delivered_mirror)
@@ -137,6 +138,10 @@ struct StreamEngine::Shard {
   // session delivery at the emit hub.
   obs::Histogram ingest_to_emit_latency_us;
 
+  // Page ids of the session in emission, for mining; reused across
+  // sessions. Draining thread only.
+  std::vector<PageId> mine_pages;
+
   // Flush/finish failure of this shard, for ShardHealth.
   std::mutex health_mutex;
   Status finish_error;
@@ -152,6 +157,13 @@ Status StreamEngine::ShardEmit::Accept(const std::string& user_key,
                                        Session session) {
   const std::uint64_t covered =
       static_cast<std::uint64_t>(session.requests.size());
+  mine::MiningSink* mining = engine_->mining_.get();
+  if (mining != nullptr) {
+    shard_->mine_pages.clear();
+    for (const PageRequest& request : session.requests) {
+      shard_->mine_pages.push_back(request.page);
+    }
+  }
   Status status = engine_->emit_->Emit(user_key, std::move(session),
                                        shard_->retrying.get());
   if (status.ok()) {
@@ -165,6 +177,10 @@ Status StreamEngine::ShardEmit::Accept(const std::string& user_key,
         shard_->ingest_to_emit_latency_us.Observe(obs::internal::NowMicros() -
                                                   stamp);
       }
+    }
+    // Mined once, on final success, outside the hub lock.
+    if (mining != nullptr) {
+      mining->AddSession(shard_->index, shard_->mine_pages);
     }
     return status;
   }
@@ -270,14 +286,11 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Create(
   if (options.num_pages_ == 0 && options.graph_ != nullptr) {
     options.num_pages_ = options.graph_->num_pages();
   }
-  // The mining tap slots in front of the caller's sink: the hub (and
-  // any RetryingSink) emits into it, and it forwards unchanged, so the
-  // hot path gains nothing but one buffered page-sequence per delivery.
   std::unique_ptr<mine::MiningSink> mining;
   if (options.mining_.has_value()) {
     mining = std::make_unique<mine::MiningSink>(
-        sink, *options.mining_, options.graph_, options.metrics_);
-    sink = mining.get();
+        options.num_shards_, *options.mining_, options.graph_,
+        options.metrics_);
   }
   // Two-phase construction: build the shard chains without workers so a
   // checkpoint restore never races a live thread, then start them.
@@ -313,14 +326,14 @@ void StreamEngine::RegisterScrapeProbe() {
          registry_->GetGauge(prefix + "queue_depth")});
   }
   mine::MiningSink* mining = mining_.get();
-  obs::Gauge mining_depth = mining != nullptr
-                                ? registry_->GetGauge("mining.queue_depth")
-                                : obs::Gauge();
+  obs::Gauge mining_tracked = mining != nullptr
+                                  ? registry_->GetGauge("mining.tracked")
+                                  : obs::Gauge();
   obs::Gauge lag = registry_->GetGauge("engine.watermark_lag_seconds");
   obs::Gauge skew = registry_->GetGauge("engine.watermark_skew_seconds");
   scrape_probe_id_ = registry_->AddProbe([shard_probes =
                                               std::move(shard_probes),
-                                          mining, mining_depth, lag,
+                                          mining, mining_tracked, lag,
                                           skew]() mutable {
     std::uint64_t min_watermark = 0;
     std::uint64_t max_watermark = 0;
@@ -337,7 +350,7 @@ void StreamEngine::RegisterScrapeProbe() {
       }
       if (watermark > max_watermark) max_watermark = watermark;
     }
-    if (mining != nullptr) mining_depth.Set(mining->queued_batches());
+    if (mining != nullptr) mining_tracked.Set(mining->tracked());
     // Lag is measured against the *slowest* shard (min watermark) so it
     // never understates how far behind the pipeline is; skew is the
     // fastest-to-slowest spread. Both undefined until event time exists.
@@ -793,9 +806,9 @@ Status StreamEngine::Checkpoint(const std::string& dir,
       ckpt::WriteFramedFile(dlq_path, ckpt::kDeadLetterMagic, dlq_frames));
   add_file_size(dlq_path);
   if (mining_ != nullptr) {
-    // The shard barrier already ran, so every delivered session is in
-    // the miner once SerializeState's implicit flush drains the pending
-    // batch — the mining state is exactly as wide as the shard states.
+    // The shard barrier already ran and sessions are mined on delivery,
+    // so the mining state is exactly as wide as the shard states. One
+    // file: each shard's miner frames, concatenated in shard order.
     std::vector<std::string> mining_frames;
     WUM_RETURN_NOT_OK(mining_->SerializeState(&mining_frames));
     const std::string mining_path = (epoch_dir / "mining.state").string();

@@ -226,12 +226,11 @@ class EngineOptions {
     return *this;
   }
 
-  /// Enables reactive top-k path mining (wum::mine): the engine wraps
-  /// the caller's sink in a MiningSink so every delivered session also
-  /// feeds one merged PathMiner, queryable any time through mining().
-  /// Topology validation uses the graph from use_graph when one is set.
-  /// Miner state rides every Checkpoint (an extra mining.state epoch
-  /// file) and is restored by resume_from.
+  /// Enables reactive top-k path mining (wum::mine): each shard mines
+  /// the sessions its sink delivered into its own PathMiner, and
+  /// mining() merges the shards at query time. Topology validation uses
+  /// the graph from use_graph when one is set. Miner state rides every
+  /// Checkpoint (a mining.state epoch file) and is restored by resume_from.
   EngineOptions& set_mining(mine::MinerOptions options) {
     mining_ = std::move(options);
     return *this;
@@ -448,9 +447,9 @@ class StreamEngine {
 
   std::size_t num_shards() const { return shards_.size(); }
 
-  /// The mining tap (set_mining), or nullptr when mining is disabled.
-  /// All MiningSink methods are thread-safe, so PATTERNS-style queries
-  /// may run from any thread while the engine streams.
+  /// The per-shard miners (set_mining), or nullptr when mining is
+  /// disabled. Queries are thread-safe, so PATTERNS-style queries may
+  /// run from any thread while the engine streams.
   mine::MiningSink* mining() const { return mining_.get(); }
 
   /// Per-shard snapshots, index == shard id.
@@ -509,9 +508,8 @@ class StreamEngine {
   ErrorPolicy error_policy_;
   OfferPolicy offer_policy_;
   DeadLetterQueue* dead_letters_;
-  /// When mining is enabled the hub (and any RetryingSink) emits into
-  /// this tap, which forwards to the caller's sink. Destroyed after the
-  /// shards (declaration order), so workers never outlive it.
+  /// Fed by ShardEmit after each delivery. Destroyed after the shards
+  /// (declaration order), so workers never outlive it.
   std::unique_ptr<mine::MiningSink> mining_;
   std::unique_ptr<EmitHub> emit_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -903,30 +903,17 @@ TEST_F(EngineCheckpointTest, InternerSurvivesKillAndResumeUnderBatchedIngest) {
 
 // The online miner's state rides the checkpoint: a run killed after the
 // barrier and resumed must answer PATTERNS exactly as the uninterrupted
-// run — byte-identical JSON at one shard (emit order is deterministic
-// there), identical estimates under canonical path order at three
-// shards (cross-shard arrival order legitimately permutes the
-// first-seen tie-breaker).
+// run, byte for byte at one and at three shards (each shard's miner is a
+// function of its own users' sessions, so cross-shard arrival order
+// cannot reach the merged answer).
 TEST_F(EngineCheckpointTest, MiningStateSurvivesKillAndResume) {
   mine::MinerOptions mining;
   mining.top_k = 10;
   mining.capacity = 64;  // ample: every tracked estimate is exact
-  mining.batch_sessions = 4;
   const auto options = [&](std::size_t shards) {
     EngineOptions o = HeuristicOptions("smart-sra", &graph_, shards);
     o.set_mining(mining);
     return o;
-  };
-  const auto canonical_estimates = [&](const StreamEngine& engine) {
-    std::vector<mine::PatternEstimate> estimates =
-        engine.mining()->TopK(mining.capacity);
-    for (mine::PatternEstimate& estimate : estimates) {
-      estimate.first_seen = 0;  // arrival-order dependent across shards
-    }
-    std::sort(estimates.begin(), estimates.end(),
-              [](const mine::PatternEstimate& a,
-                 const mine::PatternEstimate& b) { return a.path < b.path; });
-    return estimates;
   };
   for (const std::size_t shards : {1u, 3u}) {
     SCOPED_TRACE(std::to_string(shards) + " shards");
@@ -946,7 +933,7 @@ TEST_F(EngineCheckpointTest, MiningStateSurvivesKillAndResume) {
       }
       ASSERT_TRUE((*engine)->Finish().ok());
       baseline_json = (*engine)->mining()->PatternsJson();
-      baseline_estimates = canonical_estimates(**engine);
+      baseline_estimates = (*engine)->mining()->TopK(mining.capacity);
     }
     ASSERT_FALSE(baseline_estimates.empty());
 
@@ -979,9 +966,108 @@ TEST_F(EngineCheckpointTest, MiningStateSurvivesKillAndResume) {
       ASSERT_TRUE((*engine)->Offer(record).ok());
     }
     ASSERT_TRUE((*engine)->Finish().ok());
-    EXPECT_EQ(canonical_estimates(**engine), baseline_estimates);
+    EXPECT_EQ((*engine)->mining()->TopK(mining.capacity), baseline_estimates);
+    EXPECT_EQ((*engine)->mining()->PatternsJson(), baseline_json);
+  }
+}
+
+std::string ReadBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// Multi-shard mining is reproducible: the same records through three
+// shards give byte-identical PATTERNS and mining.state on every run. The
+// capacity of 4 forces evictions, so neither eviction choices nor the
+// first-seen tie-break may depend on how thread timing interleaves the
+// shards. One OfferBatch hands each shard more records than an inline
+// drain takes, so the three workers really do emit concurrently.
+TEST_F(EngineCheckpointTest, MultiShardMiningIsDeterministic) {
+  mine::MinerOptions mining;
+  mining.top_k = 4;
+  mining.capacity = 4;
+  std::string first_json;
+  std::string first_state;
+  for (int run = 0; run < 5; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    const fs::path dir = dir_ / ("run" + std::to_string(run));
+    CollectingSessionSink sink;
+    EngineOptions o = HeuristicOptions("smart-sra", &graph_, 3);
+    o.set_mining(mining);
+    Result<std::unique_ptr<StreamEngine>> engine =
+        StreamEngine::Create(std::move(o), &sink);
+    ASSERT_TRUE(engine.ok()) << engine.status().message();
+    std::vector<LogRecordRef> refs;
+    for (const LogRecord& record : records_) refs.push_back(ViewOf(record));
+    ASSERT_GT(refs.size() / 3, ThreadedDriver::kInlineDrainMaxRecords);
+    ASSERT_TRUE((*engine)->OfferBatch(refs).ok());
+    ASSERT_TRUE((*engine)->Checkpoint(dir.string()).ok());
+    ASSERT_TRUE((*engine)->Finish().ok());
+    const std::string json = (*engine)->mining()->PatternsJson();
+    const std::string state =
+        ReadBytes(dir / ckpt::EpochDirName(1) / "mining.state");
+    ASSERT_FALSE(state.empty());
+    if (run == 0) {
+      first_json = json;
+      first_state = state;
+      continue;
+    }
+    EXPECT_EQ(json, first_json);
+    EXPECT_EQ(state, first_state);
+  }
+}
+
+// mining.state is each shard's PathMiner frames in shard order, so a
+// one-shard file keeps the standalone PathMiner layout and still
+// restores, while a three-shard resume handed one miner's frames (the
+// layout every multi-shard file had before per-shard mining) is refused
+// with a ParseError naming both frame counts.
+TEST_F(EngineCheckpointTest, MiningStateFrameLayout) {
+  mine::MinerOptions mining;
+  mining.top_k = 10;
+  mining.capacity = 64;
+  mine::PathMiner standalone(mining, &graph_, nullptr);
+  standalone.AddSession({0, 1, 4, 3});
+  standalone.AddSession({0, 1, 4});
+  std::vector<std::string> single_frames;
+  ASSERT_TRUE(standalone.SerializeState(&single_frames).ok());
+  ASSERT_EQ(single_frames.size(), 3u);  // header + lengths 2 and 3
+
+  for (const std::size_t shards : {1u, 3u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    const fs::path dir = dir_ / ("layout" + std::to_string(shards));
+    const auto options = [&] {
+      EngineOptions o = HeuristicOptions("smart-sra", &graph_, shards);
+      o.set_mining(mining);
+      return o;
+    };
+    {
+      CollectingSessionSink sink;
+      Result<std::unique_ptr<StreamEngine>> engine =
+          StreamEngine::Create(options(), &sink);
+      ASSERT_TRUE(engine.ok()) << engine.status().message();
+      ASSERT_TRUE((*engine)->Offer(records_[0]).ok());
+      ASSERT_TRUE((*engine)->Checkpoint(dir.string()).ok());
+      ASSERT_TRUE((*engine)->Finish().ok());
+    }
+    ASSERT_TRUE(ckpt::WriteFramedFile(
+                    (dir / ckpt::EpochDirName(1) / "mining.state").string(),
+                    ckpt::kMiningMagic, single_frames)
+                    .ok());
+    CollectingSessionSink sink;
+    Result<std::unique_ptr<StreamEngine>> engine =
+        StreamEngine::Create(options().resume_from(dir.string()), &sink);
     if (shards == 1) {
-      EXPECT_EQ((*engine)->mining()->PatternsJson(), baseline_json);
+      ASSERT_TRUE(engine.ok()) << engine.status().message();
+      EXPECT_EQ((*engine)->mining()->PatternsJson(), standalone.PatternsJson());
+    } else {
+      ASSERT_FALSE(engine.ok());
+      EXPECT_TRUE(engine.status().IsParseError()) << engine.status().ToString();
+      EXPECT_NE(engine.status().message().find("holds 3 frames, expected 9"),
+                std::string::npos)
+          << engine.status().message();
     }
   }
 }

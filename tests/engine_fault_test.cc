@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "wum/clf/user_partitioner.h"
+#include "wum/mine/path_miner.h"
 #include "wum/stream/engine.h"
 #include "wum/stream/heuristic_registry.h"
 #include "wum/topology/site_generator.h"
@@ -492,6 +493,77 @@ TEST(EngineFaultTest, ExhaustedRetriesBecomeEmitDeadLetters) {
   }
   for (const Status& health : (*engine)->ShardHealth()) {
     EXPECT_TRUE(health.ok());
+  }
+}
+
+// Only sessions the sink finally accepted are mined: under kDegrade a
+// refused session is quarantined and never counted, and under set_retry
+// a session whose first attempt fails is mined once, on the retry that
+// delivers it, so estimates cannot be inflated by re-offers.
+TEST(EngineFaultTest, FailingDownstreamSkipsMining) {
+  WebGraph graph = MakeFigure1Topology();
+  // Eight users each walk P1 -> P13 -> P34: one three-page session each.
+  std::vector<LogRecord> records;
+  for (int u = 0; u < 8; ++u) {
+    for (const PageId page : {0, 1, 4}) {
+      records.push_back(PageRecord("10.0.0." + std::to_string(u), page,
+                                   static_cast<TimeSeconds>(page) * 10));
+    }
+  }
+  const auto options = [&graph] {
+    return EngineOptions()
+        .set_num_shards(2)
+        .use_smart_sra(&graph)
+        .set_mining(mine::MinerOptions{});
+  };
+  {
+    SCOPED_TRACE("kDegrade, refusing sink");
+    CollectingSessionSink collected;
+    FlakySink refusing(&collected, FaultSchedule::Always());
+    DeadLetterQueue dead_letters;
+    Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+        options()
+            .set_error_policy(ErrorPolicy::kDegrade)
+            .set_dead_letters(&dead_letters),
+        &refusing);
+    ASSERT_TRUE(engine.ok()) << engine.status().message();
+    for (const LogRecord& record : records) {
+      ASSERT_TRUE((*engine)->Offer(record).ok());
+    }
+    ASSERT_TRUE((*engine)->Finish().ok());
+    EXPECT_EQ((*engine)->TotalStats().dead_letters, records.size());
+    EXPECT_EQ((*engine)->mining()->sessions_seen(), 0u);
+    EXPECT_TRUE((*engine)->mining()->TopK(10).empty());
+  }
+  {
+    SCOPED_TRACE("set_retry, first attempt of every session fails");
+    CollectingSessionSink collected;
+    // Emissions are serialized through the emit hub, so a failure's
+    // retry is the next call: failing every even call fails exactly
+    // each session's first attempt.
+    std::vector<std::uint64_t> first_attempts;
+    for (std::uint64_t i = 0; i < 16; i += 2) first_attempts.push_back(i);
+    FlakySink flaky(&collected, FaultSchedule::AtIndices(first_attempts));
+    RetryOptions retry;
+    retry.max_attempts = 2;
+    retry.sleep = [](std::chrono::microseconds) {};
+    Result<std::unique_ptr<StreamEngine>> engine =
+        StreamEngine::Create(options().set_retry(retry), &flaky);
+    ASSERT_TRUE(engine.ok()) << engine.status().message();
+    for (const LogRecord& record : records) {
+      ASSERT_TRUE((*engine)->Offer(record).ok());
+    }
+    ASSERT_TRUE((*engine)->Finish().ok());
+    const EngineStats total = (*engine)->TotalStats();
+    EXPECT_EQ(total.sessions_emitted, 8u);
+    EXPECT_EQ(total.retries, 8u);
+    EXPECT_EQ((*engine)->mining()->sessions_seen(), total.sessions_emitted);
+    const std::vector<mine::PatternEstimate> pairs =
+        (*engine)->mining()->TopK(10, 2);
+    ASSERT_EQ(pairs.size(), 2u);
+    for (const mine::PatternEstimate& pair : pairs) {
+      EXPECT_EQ(pair.count, 8u);  // once per delivered session
+    }
   }
 }
 

@@ -134,8 +134,8 @@ TEST(StreamSummaryTest, SpaceSavingGuaranteesOnRandomStream) {
   }
   const std::uint64_t n = summary.paths_processed();
   ASSERT_GT(n, 0u);
-  std::vector<PatternEstimate> tracked;
-  summary.AppendAll(&tracked);
+  const std::vector<PatternEstimate> tracked =
+      summary.TopK(summary.tracked());
   std::map<std::vector<PageId>, PatternEstimate> tracked_map;
   for (const auto& entry : tracked) tracked_map[entry.path] = entry;
   for (const auto& [path, entry] : tracked_map) {

@@ -701,7 +701,6 @@ TEST(NetServerTest, AdminPatternsReportsMinedPaths) {
   DeadLetterQueue dead_letters;
   Harness harness(&registry);
   mine::MinerOptions mining;
-  mining.batch_sessions = 1;  // flush per session: no buffered tail
   ASSERT_TRUE(harness
                   .Start(EngineOptions()
                              .set_num_shards(1)

@@ -100,8 +100,8 @@ class Flags {
 
 /// Shared "--mine-*" flag surface for the streaming tools. Mining is
 /// off unless --mine-topk is given; --mine-lengths L tracks paths of
-/// lengths 2..L (default 3) and --mine-window N decays counts every N
-/// mined paths (default 0 = cumulative). Usage text:
+/// lengths 2..L (default 3) and --mine-window N decays each shard's
+/// counts every N paths it mined (default 0 = cumulative). Usage text:
 /// "[--mine-topk K [--mine-lengths L=3] [--mine-window N=0]]".
 inline wum::Result<std::optional<wum::mine::MinerOptions>> GetMiningFlags(
     const Flags& flags) {

@@ -81,9 +81,9 @@ std::string Usage() {
          "--mine-topk K turns on reactive top-k frequent-path mining over\n"
          "the live session stream (see docs/mining.md): link-topology-\n"
          "valid paths of lengths 2..--mine-lengths are counted in bounded\n"
-         "memory (SpaceSaving), --mine-window N halves all counts every N\n"
-         "mined paths so the ranking tracks recent traffic, and the miner\n"
-         "state rides the checkpoint so --resume reconverges exactly.\n"
+         "memory (SpaceSaving) per shard, --mine-window N halves a shard's\n"
+         "counts every N paths it mined so the ranking tracks recent\n"
+         "traffic, and miner state rides the checkpoint (exact --resume).\n"
          "\n"
          "Records are cleaned inside the engine (GET only, successful\n"
          "status, no embedded resources) unless --no-clean; the robot\n"

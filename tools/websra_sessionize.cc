@@ -88,9 +88,9 @@ std::string Usage() {
          "--mine-topk K (streaming only) mines the top-k frequent\n"
          "link-topology-valid paths of lengths 2..--mine-lengths from the\n"
          "live session stream in bounded memory and prints them as JSON on\n"
-         "stdout at the end of the run; --mine-window N halves all counts\n"
-         "every N mined paths. Miner state rides the checkpoint. See\n"
-         "docs/mining.md.\n"
+         "stdout at the end of the run; each shard mines its own sessions\n"
+         "and --mine-window N halves a shard's counts every N paths it\n"
+         "mined. Miner state rides the checkpoint. See docs/mining.md.\n"
          "\n"
          "--checkpoint-dir enables durable checkpointing (streaming only):\n"
          "sessions append to a journal in DIR and the engine snapshots its\n"

@@ -220,8 +220,7 @@ void RenderText(const Frame& frame, const Frame* prev, bool clear_screen,
   if (HasSample(frame, "wum_mining_sessions")) {
     *out << "mining: " << Sample(frame, "wum_mining_sessions")
          << " sessions, " << Sample(frame, "wum_mining_paths") << " paths, "
-         << Sample(frame, "wum_mining_tracked") << " tracked, queue "
-         << Sample(frame, "wum_mining_queue_depth") << "\n";
+         << Sample(frame, "wum_mining_tracked") << " tracked\n";
   }
   out->flush();
 }
@@ -270,8 +269,7 @@ void RenderJson(const Frame& frame, std::ostream* out) {
        << "},\"mining\":{\"sessions\":"
        << Sample(frame, "wum_mining_sessions") << ",\"paths\":"
        << Sample(frame, "wum_mining_paths") << ",\"tracked\":"
-       << Sample(frame, "wum_mining_tracked") << ",\"queue_depth\":"
-       << Sample(frame, "wum_mining_queue_depth") << "}}";
+       << Sample(frame, "wum_mining_tracked") << "}}";
   *out << json.str() << "\n";
   out->flush();
 }
