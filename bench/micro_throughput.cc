@@ -228,7 +228,6 @@ bool OfferAllBatched(StreamEngine* engine,
 // not the ingest thread's CPU time.
 void StreamEngineShardedLoop(benchmark::State& state,
                              obs::MetricRegistry* metrics,
-                             bool with_retry = false,
                              bool with_mining = false) {
   const Fixture& fixture = Fixture::Get();
   const std::size_t shards = static_cast<std::size_t>(state.range(0));
@@ -241,7 +240,6 @@ void StreamEngineShardedLoop(benchmark::State& state,
         .set_queue_capacity(4096)
         .set_metrics(metrics)
         .use_smart_sra(&fixture.graph);
-    if (with_retry) options.set_retry(RetryOptions{});
     if (with_mining) options.set_mining(mine::MinerOptions{});
     Result<std::unique_ptr<StreamEngine>> engine =
         StreamEngine::Create(std::move(options), &sink);
@@ -290,8 +288,7 @@ BENCHMARK(BM_StreamEngineShardedMetrics)
 // own miner outside the emit lock, so the cost spreads across shards.
 // The CI gate holds this arm to >= 0.92x of its committed baseline.
 void BM_StreamEngineShardedMining(benchmark::State& state) {
-  StreamEngineShardedLoop(state, nullptr, /*with_retry=*/false,
-                          /*with_mining=*/true);
+  StreamEngineShardedLoop(state, nullptr, /*with_mining=*/true);
 }
 BENCHMARK(BM_StreamEngineShardedMining)
     ->Arg(1)
@@ -311,19 +308,6 @@ void BM_StreamEngineShardedLatencyTracking(benchmark::State& state) {
   StreamEngineShardedLoop(state, &BenchMetricsRegistry());
 }
 BENCHMARK(BM_StreamEngineShardedLatencyTracking)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// Same workload with the per-shard RetryingSink decorator on the emit
-// path (set_retry, default policy) and a sink that never fails: the
-// spread against BM_StreamEngineSharded is the happy-path cost of the
-// fault-tolerance layer, which should be one branch per emission.
-void BM_StreamEngineShardedRetrying(benchmark::State& state) {
-  StreamEngineShardedLoop(state, nullptr, /*with_retry=*/true);
-}
-BENCHMARK(BM_StreamEngineShardedRetrying)
     ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)

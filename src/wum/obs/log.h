@@ -124,7 +124,7 @@ class Logger {
 /// One structured line under construction; writes on destruction.
 /// Usage:
 ///
-///   obs::LogWarn("sink.retry")("attempt", attempt)("delay_us", delay);
+///   obs::LogWarn("engine.quarantine")("shard", shard)("records", covered);
 ///
 /// When the level is below the logger's minimum the constructor leaves
 /// the line disabled and every appender is a no-op.

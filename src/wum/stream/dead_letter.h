@@ -1,8 +1,9 @@
 // Dead-letter channel for the fault-tolerant streaming layer: a bounded,
-// thread-safe quarantine for the inputs a degraded engine refuses to die
-// for — malformed CLF lines, records rejected by an operator or the
-// sessionizer, sessions the sink refused after every retry, and records
-// routed to a shard whose worker already failed.
+// thread-safe quarantine for the bad data a degraded engine refuses to
+// die for — malformed CLF lines, records the sessionizer rejected,
+// sessions the sink refused with a data error, the open session state a
+// failed flush lost, and records shed under overload. An infrastructure
+// error stops the engine instead (see IsShardFatal).
 //
 // The queue keeps the *earliest* letters when it overflows (the first
 // failures are the diagnostic ones) and counts what it had to drop, so
@@ -31,8 +32,10 @@ struct DeadLetter {
   enum class Stage {
     kParse,      // malformed CLF line (record absent, `detail` = raw line)
     kRecord,     // the sessionizer rejected the record in-shard
-    kEmit,       // sink refused a completed session after every retry
-    kShardDead,  // record routed to (or drained from) a failed shard
+    kEmit,       // sink refused a completed session with a data error
+    kShardDead,  // open session state lost when a shard's flush failed
+                 // (older checkpoints also hold it for records a failed
+                 // shard dropped)
   };
 
   Stage stage = Stage::kRecord;

@@ -10,6 +10,7 @@
 #include "wum/ckpt/checkpoint.h"
 #include "wum/mine/path_miner.h"
 #include "wum/obs/log.h"
+#include "wum/stream/fault.h"
 #include "wum/stream/heuristic_registry.h"
 #include "wum/topology/web_graph.h"
 
@@ -23,37 +24,44 @@ std::string EngineStatsToString(const EngineStats& stats) {
          " queue_high_watermark=" +
          std::to_string(stats.queue_high_watermark) +
          " dead_letters=" + std::to_string(stats.dead_letters) +
-         " retries=" + std::to_string(stats.retries) +
          " shed=" + std::to_string(stats.records_shed);
 }
 
-/// Funnels every shard's emissions into the caller's sink one at a time.
-/// Under kFailFast the first failure is sticky and shared by every shard
-/// (every later emit — and the engine's Offer — returns it); under
-/// kDegrade nothing sticks here: each emission stands alone and the
-/// per-shard ShardEmit decides what a final failure means. When a shard
-/// has a RetryingSink the attempts (and their backoff waits) run inside
-/// the hub lock — when the shared sink is down, every shard is stalled
-/// on it anyway, and so is a kBlock producer draining a small batch
-/// inline, which waits for this lock like any shard.
+namespace {
+
+/// The engine's failure rule (see IsShardFatal): does `status`, from a
+/// sessionizer, the sink or a flush, stop the engine under `policy`?
+/// When it does not, it becomes a dead letter.
+bool StopsEngine(ErrorPolicy policy, const Status& status) {
+  return policy == ErrorPolicy::kFailFast || IsShardFatal(status);
+}
+
+}  // namespace
+
+/// Funnels every shard's emissions into the caller's sink one at a time,
+/// and holds the engine's sticky error: the first sink failure that
+/// stops the engine, or the first record-path failure a shard reports
+/// through Stop. Once it is set every later emission returns it without
+/// reaching the sink, and OfferBatch, Checkpoint and Finish return it.
+/// A sink failure that does not stop the engine (a data error under
+/// kDegrade) sticks nowhere: ShardEmit dead-letters that session.
 class StreamEngine::EmitHub {
  public:
   EmitHub(SessionSink* sink, ErrorPolicy policy)
       : sink_(sink), policy_(policy) {}
 
-  Status Emit(const std::string& user_key, Session session,
-              RetryingSink* retrying) {
+  Status Emit(const std::string& user_key, Session session) {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (policy_ == ErrorPolicy::kFailFast && !first_error_.ok()) {
-      return first_error_;
-    }
-    SessionSink* target =
-        retrying != nullptr ? static_cast<SessionSink*>(retrying) : sink_;
-    Status status = target->Accept(user_key, std::move(session));
-    if (policy_ == ErrorPolicy::kFailFast && !status.ok()) {
-      first_error_ = status;
-    }
+    if (!first_error_.ok()) return first_error_;
+    Status status = sink_->Accept(user_key, std::move(session));
+    if (!status.ok() && StopsEngine(policy_, status)) first_error_ = status;
     return status;
+  }
+
+  /// Makes `status` the sticky error unless one is already set.
+  void Stop(const Status& status) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (first_error_.ok()) first_error_ = status;
   }
 
   Status first_error() const {
@@ -68,12 +76,12 @@ class StreamEngine::EmitHub {
   Status first_error_;
 };
 
-/// Per-shard emission front: forwards to the hub (through the shard's
-/// RetryingSink when configured), keeps the delivery counters that back
-/// EngineStats::sessions_emitted, mines each delivered session into the
-/// shard's miner when mining is on, and — under kDegrade — turns a
-/// session the sink refused after every retry into a dead letter instead
-/// of an error, so the record path above never sees emission failures.
+/// Per-shard emission front: forwards to the hub, keeps the delivery
+/// counters that back EngineStats::sessions_emitted, mines each
+/// delivered session into the shard's miner when mining is on, and —
+/// under kDegrade — turns a session the sink refused with a data error
+/// into a dead letter instead of an error, so the record path above
+/// only sees the failures that stop the engine.
 class StreamEngine::ShardEmit : public SessionSink {
  public:
   ShardEmit(StreamEngine* engine, Shard* shard, obs::Counter delivered_mirror)
@@ -146,9 +154,7 @@ struct StreamEngine::Shard {
   std::mutex health_mutex;
   Status finish_error;
 
-  std::unique_ptr<RetryingSink> retrying;  // wraps the caller sink; may
-                                           // be null (no set_retry)
-  std::unique_ptr<ShardEmit> emit;         // -> hub -> retrying/sink
+  std::unique_ptr<ShardEmit> emit;             // -> hub -> sink
   std::unique_ptr<SessionizeSink> sessionize;  // -> emit
   std::unique_ptr<ThreadedDriver> driver;      // -> sessionize
 };
@@ -164,8 +170,7 @@ Status StreamEngine::ShardEmit::Accept(const std::string& user_key,
       shard_->mine_pages.push_back(request.page);
     }
   }
-  Status status = engine_->emit_->Emit(user_key, std::move(session),
-                                       shard_->retrying.get());
+  Status status = engine_->emit_->Emit(user_key, std::move(session));
   if (status.ok()) {
     delivered_sessions_.fetch_add(1, std::memory_order_relaxed);
     delivered_records_.fetch_add(covered, std::memory_order_relaxed);
@@ -178,15 +183,15 @@ Status StreamEngine::ShardEmit::Accept(const std::string& user_key,
                                                   stamp);
       }
     }
-    // Mined once, on final success, outside the hub lock.
+    // Mined on delivery, outside the hub lock.
     if (mining != nullptr) {
       mining->AddSession(shard_->index, shard_->mine_pages);
     }
     return status;
   }
-  if (engine_->error_policy_ == ErrorPolicy::kFailFast) return status;
-  // kDegrade: the session is lost to the sink but not to accounting —
-  // quarantine a letter covering its records and keep the shard alive.
+  if (StopsEngine(engine_->error_policy_, status)) return status;
+  // kDegrade, data error: the session is lost to the sink but not to
+  // accounting — quarantine a letter covering its records and go on.
   quarantined_records_.fetch_add(covered, std::memory_order_relaxed);
   DeadLetter letter;
   letter.stage = DeadLetter::Stage::kEmit;
@@ -204,9 +209,6 @@ Status EngineOptions::Validate() const {
   }
   if (queue_capacity_ == 0) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
-  }
-  if (retry_.has_value() && retry_->max_attempts < 1) {
-    return Status::InvalidArgument("retry max_attempts must be >= 1");
   }
   switch (selection_) {
     case Selection::kUnset:
@@ -408,11 +410,6 @@ StreamEngine::StreamEngine(EngineOptions options,
     shard->shed_mirror = obs::CounterIn(registry, prefix + "shed");
     shard->ingest_to_emit_latency_us =
         obs::HistogramIn(registry, prefix + "ingest_to_emit_latency_us");
-    if (options.retry_.has_value()) {
-      shard->retrying = std::make_unique<RetryingSink>(
-          sink, *options.retry_,
-          obs::CounterIn(registry, prefix + "retries"), i);
-    }
     shard->emit = std::make_unique<ShardEmit>(
         this, shard.get(),
         obs::CounterIn(registry, prefix + "sessions_emitted"));
@@ -459,27 +456,20 @@ void StreamEngine::StartWorkers() {
                                                std::memory_order_relaxed);
       };
     }
-    if (error_policy_ == ErrorPolicy::kDegrade) {
-      // Failure-domain hooks: record-level errors quarantine only the
-      // record; shard-fatal errors quarantine it too (the dying shard
-      // cannot process it) and then let the sticky error kill the shard.
-      hooks.on_record_error = [this, shard_ptr](std::string_view user_key,
-                                                const ShardRecord& record,
-                                                const Status& status) {
-        const bool fatal = IsShardFatal(status);
-        QuarantineRecord(*shard_ptr,
-                         fatal ? DeadLetter::Stage::kShardDead
-                               : DeadLetter::Stage::kRecord,
-                         status, user_key, record);
-        return !fatal;  // a fatal error kills the shard
-      };
-      hooks.on_discard = [this, shard_ptr](std::string_view user_key,
-                                           const ShardRecord& record,
-                                           const Status& status) {
-        QuarantineRecord(*shard_ptr, DeadLetter::Stage::kShardDead, status,
-                         user_key, record);
-      };
-    }
+    // The failure rule on the record path: a failure that stops the
+    // engine becomes the sticky error (and the driver's); a data error
+    // under kDegrade quarantines only its record.
+    hooks.on_record_error = [this, shard_ptr](std::string_view user_key,
+                                              const ShardRecord& record,
+                                              const Status& status) {
+      if (StopsEngine(error_policy_, status)) {
+        emit_->Stop(status);
+        return false;
+      }
+      QuarantineRecord(*shard_ptr, DeadLetter::Stage::kRecord, status,
+                       user_key, record);
+      return true;
+    };
     shard->driver = std::make_unique<ThreadedDriver>(
         shard->sessionize.get(), queue_capacity_, std::move(driver_metrics),
         std::move(hooks));
@@ -505,8 +495,8 @@ void StreamEngine::Quarantine(Shard& shard, DeadLetter letter) {
   shard.dead_letters.fetch_add(letter.records_covered,
                                std::memory_order_relaxed);
   shard.dead_letter_mirror.Increment(letter.records_covered);
-  // Rate limiting keeps a shard-death drain from flooding the log with
-  // one warning per discarded record.
+  // Rate limiting keeps a stream of bad records from flooding the log
+  // with one warning each.
   obs::LogWarn("engine.quarantine")("shard", shard.index)(
       "stage", DeadLetterStageName(letter.stage))(
       "records", letter.records_covered)("error", letter.reason.ToString());
@@ -547,10 +537,8 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
     batch = batch.subspan(1);
   }
   if (batch.empty()) return Status::OK();
-  if (error_policy_ == ErrorPolicy::kFailFast) {
-    // A sink failure in any shard stops ingest for all of them.
-    WUM_RETURN_NOT_OK(emit_->first_error());
-  }
+  // A stopped engine takes no more input, whichever shard stopped it.
+  WUM_RETURN_NOT_OK(emit_->first_error());
   // Filter and partition pass: route every ref to the shard its user
   // hashes to, drop it there if a filter rejects it, otherwise resolve it
   // into that shard's staging batch.
@@ -587,22 +575,16 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
         offer_policy_ == OfferPolicy::kShed
             ? shard.driver->TryOfferBatch(&staged, &accepted)
             : shard.driver->OfferBatch(&staged);
-    if (!status.ok() && error_policy_ == ErrorPolicy::kFailFast) {
-      // The failing sub-batch's records are not counted consumed —
-      // same as the historical Offer returning before ++records_seen_.
-      // Staged records of untried shards are dropped with the error.
+    if (!status.ok()) {
+      // The shard stopped the engine. The failing sub-batch's records
+      // are not counted consumed — same as the historical Offer
+      // returning before ++records_seen_. Staged records of untried
+      // shards are dropped with the error.
       for (ShardBatch& pending : staging_) pending.clear();
       std::fill(staging_filtered_.begin(), staging_filtered_.end(), 0);
       return status;
     }
-    if (!status.ok()) {
-      // kDegrade: the records were routed to a dead shard — quarantine
-      // them and keep the producer (and the other shards) going.
-      for (const ShardRecord& record : staged.records) {
-        QuarantineRecord(shard, DeadLetter::Stage::kShardDead, status,
-                         staged.KeyOf(record), record);
-      }
-    } else if (!accepted) {
+    if (!accepted) {
       // Shedding is per hand-off: the whole sub-batch is dropped when
       // the shard queue is full (at batch size 1 this is exactly the
       // historical per-record shed).
@@ -628,49 +610,48 @@ Status StreamEngine::Finish() {
     return Status::FailedPrecondition("engine already finished");
   }
   finished_ = true;
-  Status first_shard_error;
+  Status first_stop;  // the first flush failure that stops the engine
   for (std::unique_ptr<Shard>& shard : shards_) {
     // Null drivers only exist when Create bailed out mid-restore and is
     // tearing the half-built engine down again.
     if (shard->driver == nullptr) continue;
     Status status = shard->driver->Finish();
-    if (!status.ok()) {
-      {
-        std::lock_guard<std::mutex> lock(shard->health_mutex);
-        shard->finish_error = status;
-      }
-      if (first_shard_error.ok()) first_shard_error = std::move(status);
+    if (status.ok()) continue;
+    {
+      std::lock_guard<std::mutex> lock(shard->health_mutex);
+      shard->finish_error = status;
+    }
+    if (first_stop.ok() && StopsEngine(error_policy_, status)) {
+      first_stop = std::move(status);
     }
   }
-  if (error_policy_ == ErrorPolicy::kDegrade) {
-    // A dead shard never flushed: records absorbed into its open
-    // per-user session state were neither delivered nor quarantined yet.
-    // Cover them with one letter per shard so the accounting invariant
-    // (delivered + dead-lettered == absorbed) holds even after a kill.
-    for (std::unique_ptr<Shard>& shard : shards_) {
-      const std::uint64_t absorbed = shard->sessionize->records_absorbed();
-      const std::uint64_t settled = shard->emit->delivered_records() +
-                                    shard->emit->quarantined_records();
-      if (absorbed > settled) {
-        DeadLetter letter;
-        letter.stage = DeadLetter::Stage::kShardDead;
-        letter.shard = shard->index;
-        letter.reason = shard->driver != nullptr && shard->driver->failed()
-                            ? shard->driver->first_error()
-                            : Status::Internal("open session state lost");
-        letter.detail = "open session state lost";
-        letter.records_covered = absorbed - settled;
-        Quarantine(*shard, std::move(letter));
-      }
-    }
-    // Degradation is reported through the dead-letter channel,
-    // ShardHealth() and the stats — not as an engine-wide error.
-    return Status::OK();
-  }
-  // Prefer the sink's error: it is the root cause when shards failed
-  // because emission was already poisoned.
+  // The sticky error first: it is the root cause when shards failed
+  // because the engine had already stopped.
   WUM_RETURN_NOT_OK(emit_->first_error());
-  return first_shard_error;
+  WUM_RETURN_NOT_OK(first_stop);
+  // kDegrade: a flush that failed on a data error left records absorbed
+  // into its shard's open per-user session state neither delivered nor
+  // quarantined. Cover them with one letter per shard so the accounting
+  // invariant (delivered + dead-lettered == absorbed) holds.
+  for (std::unique_ptr<Shard>& shard : shards_) {
+    const std::uint64_t absorbed = shard->sessionize->records_absorbed();
+    const std::uint64_t settled = shard->emit->delivered_records() +
+                                  shard->emit->quarantined_records();
+    if (absorbed > settled) {
+      DeadLetter letter;
+      letter.stage = DeadLetter::Stage::kShardDead;
+      letter.shard = shard->index;
+      letter.reason = shard->finish_error.ok()
+                          ? Status::Internal("open session state lost")
+                          : shard->finish_error;
+      letter.detail = "open session state lost";
+      letter.records_covered = absorbed - settled;
+      Quarantine(*shard, std::move(letter));
+    }
+  }
+  // Data errors are reported through the dead-letter channel and the
+  // stats — not as an engine-wide error.
+  return Status::OK();
 }
 
 EngineStats StreamEngine::SnapshotShard(const Shard& shard) const {
@@ -684,7 +665,6 @@ EngineStats StreamEngine::SnapshotShard(const Shard& shard) const {
     stats.queue_high_watermark = shard.driver->queue_high_watermark();
   }
   stats.dead_letters = shard.dead_letters.load(std::memory_order_relaxed);
-  stats.retries = shard.retrying != nullptr ? shard.retrying->retries() : 0;
   stats.records_shed = shard.shed.load(std::memory_order_relaxed);
   return stats;
 }
@@ -721,24 +701,15 @@ Status StreamEngine::Checkpoint(const std::string& dir,
   if (finished_) {
     return Status::FailedPrecondition("engine already finished");
   }
-  if (error_policy_ == ErrorPolicy::kFailFast) {
-    // A poisoned engine has nothing consistent left to snapshot; the
-    // previous committed checkpoint stays the resume point.
-    WUM_RETURN_NOT_OK(emit_->first_error());
-  }
+  // A stopped engine has nothing consistent left to snapshot; the
+  // previous committed checkpoint stays the resume point.
+  WUM_RETURN_NOT_OK(emit_->first_error());
   obs::ScopedTimer timer(ckpt_latency_us_);
   // Quiescence barrier: every record ever offered must be fully settled
-  // (processed, quarantined or discarded) before any state is read.
+  // (processed or quarantined) before any state is read. A shard that
+  // stops the engine meanwhile fails the barrier.
   for (std::unique_ptr<Shard>& shard : shards_) {
-    Status status = shard->driver->WaitIdle();
-    if (status.ok()) continue;
-    if (error_policy_ == ErrorPolicy::kFailFast) return status;
-    // kDegrade: the shard is dead but WaitIdle returned on the sticky
-    // error — its worker may still be discarding queued records through
-    // the quarantine hook. Wait for the queue to drain completely so
-    // every loss is in the dead-letter accounting before the snapshot
-    // below reads it; the frozen sessionizer is then captured as-is.
-    shard->driver->WaitDrained();
+    WUM_RETURN_NOT_OK(shard->driver->WaitIdle());
   }
   std::string sink_state;
   if (sink_state_fn != nullptr) {

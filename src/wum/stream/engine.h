@@ -25,14 +25,14 @@
 // parallelism axis. Completed sessions funnel into the caller's single
 // SessionSink through a mutex-serialized emit path.
 //
-// Failure handling is policy-driven: under ErrorPolicy::kFailFast (the
-// default) the first error anywhere is sticky and stops the whole
-// engine, while ErrorPolicy::kDegrade isolates failures to their domain
-// — a rejected record or refused session is quarantined to the
-// DeadLetterQueue and a failing shard dies alone while the others keep
-// sessionizing. Transient sink failures can be absorbed with
-// set_retry (a RetryingSink around the emit path), and backpressure can
-// shed instead of blocking via OfferPolicy::kShed.
+// Failure handling follows one rule (stated beside IsShardFatal in
+// fault.h): an infrastructure error — from a shard's sessionizer, the
+// caller's sink or an end-of-stream flush — stops the whole engine under
+// either ErrorPolicy. A data error stops it too under kFailFast (the
+// default); under kDegrade the rejected record, refused session or
+// failed flush becomes a dead letter instead and every shard keeps
+// sessionizing. Backpressure can shed instead of blocking via
+// OfferPolicy::kShed.
 //
 // See docs/streaming.md for the API guide and docs/robustness.md for
 // the fault-tolerance layer.
@@ -58,7 +58,6 @@
 #include "wum/mine/options.h"
 #include "wum/obs/metrics.h"
 #include "wum/stream/dead_letter.h"
-#include "wum/stream/fault.h"
 #include "wum/stream/incremental_sessionizer.h"
 #include "wum/stream/session_sink.h"
 #include "wum/stream/threaded_driver.h"
@@ -71,18 +70,16 @@ namespace mine {
 class MiningSink;
 }  // namespace mine
 
-/// What a failure does to the engine.
+/// What a data error does to the engine. An infrastructure error (see
+/// IsShardFatal) stops the engine under either policy.
 enum class ErrorPolicy {
-  /// First error wins and is sticky: a sink or shard failure stops the
-  /// whole engine (the historical behavior, and the default).
+  /// First error wins and is sticky: any sessionizer, sink or flush
+  /// failure stops the whole engine (the default).
   kFailFast,
-  /// Failures stay inside their domain. Rejected records and sessions
-  /// refused after every retry are quarantined to the DeadLetterQueue
-  /// (when one is attached) and counted per shard; a shard-fatal error
-  /// (see IsShardFatal) kills only that shard — its pending records are
-  /// dead-lettered while every other shard keeps sessionizing, and
-  /// Finish returns OK. Inspect ShardHealth()/the dead-letter channel
-  /// for what degraded.
+  /// Data errors are quarantined: rejected records and refused sessions
+  /// go to the DeadLetterQueue (when one is attached) and are counted
+  /// per shard, every shard keeps sessionizing, and Finish returns OK.
+  /// Inspect the dead-letter channel for what degraded.
   kDegrade,
 };
 
@@ -91,8 +88,8 @@ enum class OfferPolicy {
   /// Block the producer until the shard catches up (the default). The
   /// producer also drains an idle shard's small batch itself, so a slow
   /// SessionSink can stall it: for that batch's emissions, and while it
-  /// waits for the emit hub's lock, which any other shard's emission
-  /// (retry backoff included) may hold.
+  /// waits for the emit hub's lock, which any other shard's emission may
+  /// hold.
   kBlock,
   /// Drop the record on the floor and count it in records_shed — load
   /// shedding for producers that must never stall. Nothing is drained
@@ -197,15 +194,6 @@ class EngineOptions {
     return *this;
   }
 
-  /// Wraps the emit path in a per-shard RetryingSink: transient sink
-  /// failures are re-attempted with deterministic exponential backoff
-  /// (see RetryOptions) before the error policy decides what a final
-  /// failure means. Works under both error policies.
-  EngineOptions& set_retry(RetryOptions options) {
-    retry_ = std::move(options);
-    return *this;
-  }
-
   /// Optional observability registry (see docs/observability.md). When
   /// set, the engine registers per-shard counters, gauges and latency
   /// histograms named "engine.shard<k>.*" and updates them as it runs;
@@ -269,7 +257,7 @@ class EngineOptions {
   /// clamps. Create calls this first; tools call it up front to report
   /// flag errors before any construction work. Checks shard count and
   /// queue capacity, heuristic selection (unknown names, graph
-  /// heuristics without a graph), the page-id bound, retry bounds,
+  /// heuristics without a graph), the page-id bound,
   /// OfferPolicy::kShed without a dead-letter budget, and
   /// resume_with_external_replay without resume_from.
   Status Validate() const;
@@ -298,7 +286,6 @@ class EngineOptions {
   ErrorPolicy error_policy_ = ErrorPolicy::kFailFast;
   OfferPolicy offer_policy_ = OfferPolicy::kBlock;
   DeadLetterQueue* dead_letters_ = nullptr;
-  std::optional<RetryOptions> retry_;
   std::optional<mine::MinerOptions> mining_;
   std::string resume_dir_;
   bool resume_external_replay_ = false;
@@ -321,12 +308,10 @@ struct EngineStats {
   /// Largest queue depth observed right after an enqueue.
   std::uint64_t queue_high_watermark = 0;
   /// Records quarantined to the dead-letter channel (kDegrade mode):
-  /// sessionizer rejections, records drained from or routed to
-  /// a dead shard, and the records of sessions the sink refused after
-  /// every retry. Counted even when no DeadLetterQueue is attached.
+  /// sessionizer rejections, the records of sessions the sink refused,
+  /// and open state a failed flush lost. Counted even when no
+  /// DeadLetterQueue is attached.
   std::uint64_t dead_letters = 0;
-  /// Emit re-attempts performed by the RetryingSink (set_retry).
-  std::uint64_t retries = 0;
   /// Records dropped by Offer under OfferPolicy::kShed because the shard
   /// queue was full.
   std::uint64_t records_shed = 0;
@@ -341,7 +326,6 @@ struct EngineStats {
       queue_high_watermark = other.queue_high_watermark;
     }
     dead_letters += other.dead_letters;
-    retries += other.retries;
     records_shed += other.records_shed;
     return *this;
   }
@@ -380,7 +364,7 @@ class StreamEngine {
   /// entire per-shard sub-batch is shed when its queue is full — a batch
   /// of one record therefore sheds per record, exactly like the
   /// historical Offer. Returns FailedPrecondition after Finish, or the
-  /// first error any shard (or the sink) reported. Resume replay skips
+  /// engine's sticky error once it stopped. Resume replay skips
   /// the leading records a restored checkpoint already covers, per
   /// record, exactly as repeated Offer calls would.
   Status OfferBatch(std::span<const LogRecordRef> batch);
@@ -392,8 +376,10 @@ class StreamEngine {
   Status Offer(const LogRecord& record);
 
   /// Signals end of stream, drains and joins every shard, flushes all
-  /// open sessions, and returns the first error (sink failures
-  /// included). Calling Finish twice returns FailedPrecondition.
+  /// open sessions, and returns the sticky error, or the first flush
+  /// error that stops the engine (every flush error under kFailFast, an
+  /// infrastructure one under kDegrade). Calling Finish twice returns
+  /// FailedPrecondition.
   Status Finish();
 
   /// Captures caller-owned sink state at the checkpoint barrier (e.g.
@@ -409,11 +395,11 @@ class StreamEngine {
   /// directory, committing it atomically (MANIFEST last within the
   /// epoch, then the CURRENT pointer via temp file + rename). On any
   /// failure the previous committed checkpoint is left intact. Producer
-  /// thread only, like Offer; FailedPrecondition after Finish. Under
-  /// kFailFast a poisoned engine refuses to checkpoint; under kDegrade a
-  /// dead shard is snapshotted as-is (its quarantines are in the
-  /// letters). `sink_state_fn`, when given, runs after the barrier while
-  /// every shard is at rest.
+  /// thread only, like Offer; FailedPrecondition after Finish. A stopped
+  /// engine refuses to checkpoint and returns its sticky error, so the
+  /// previous committed checkpoint stays the resume point.
+  /// `sink_state_fn`, when given, runs after the barrier while every
+  /// shard is at rest.
   Status Checkpoint(const std::string& dir,
                     const SinkStateFn& sink_state_fn = nullptr);
 
@@ -458,10 +444,10 @@ class StreamEngine {
   /// Aggregate snapshot across all shards.
   EngineStats TotalStats() const;
 
-  /// Per-shard failure domains, index == shard id: OK while the shard is
-  /// healthy, its fatal error once it died. In kDegrade mode this (plus
-  /// the dead-letter channel) is how isolated failures surface, since
-  /// Finish keeps returning OK. Safe from any thread.
+  /// Per-shard health, index == shard id: OK while the shard is healthy,
+  /// the error that stopped it (its own, or the engine's sticky error it
+  /// met on its next emission) once it stopped, or its failed flush.
+  /// Safe from any thread.
   std::vector<Status> ShardHealth() const;
 
   /// Event-time watermark of shard `shard` — the largest CLF timestamp

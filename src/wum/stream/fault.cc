@@ -1,10 +1,7 @@
 #include "wum/stream/fault.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
-
-#include "wum/obs/log.h"
 
 namespace wum {
 
@@ -78,56 +75,6 @@ bool FaultSchedule::Next() {
   }
   if (fire) ++fired_;
   return fire;
-}
-
-std::chrono::microseconds RetryBackoff(const RetryOptions& options,
-                                       int retry_index) {
-  double delay = static_cast<double>(options.initial_backoff.count());
-  for (int i = 1; i < retry_index; ++i) delay *= options.multiplier;
-  const double cap = static_cast<double>(options.max_backoff.count());
-  if (delay > cap) delay = cap;
-  return std::chrono::microseconds(static_cast<std::int64_t>(delay));
-}
-
-RetryingSink::RetryingSink(SessionSink* sink, RetryOptions options,
-                           obs::Counter retries_mirror, std::uint64_t shard)
-    : sink_(sink),
-      options_(std::move(options)),
-      retries_mirror_(retries_mirror),
-      shard_(shard) {
-  if (options_.max_attempts < 1) options_.max_attempts = 1;
-}
-
-Status RetryingSink::Accept(const std::string& user_key, Session session) {
-  Status status;
-  for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
-    if (attempt > 1) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      retries_mirror_.Increment();
-      const std::chrono::microseconds delay =
-          RetryBackoff(options_, attempt - 1);
-      obs::LogWarn("sink.retry")("shard", shard_)("attempt", attempt)(
-          "delay_us", static_cast<std::uint64_t>(delay.count()))(
-          "error", status.ToString());
-      if (options_.sleep != nullptr) {
-        options_.sleep(delay);
-      } else {
-        std::this_thread::sleep_for(delay);
-      }
-    }
-    // The final attempt hands the session over; earlier ones keep a copy
-    // to retry with.
-    if (attempt == options_.max_attempts) {
-      status = sink_->Accept(user_key, std::move(session));
-    } else {
-      status = sink_->Accept(user_key, session);
-    }
-    if (status.ok()) return status;
-  }
-  exhausted_.fetch_add(1, std::memory_order_relaxed);
-  obs::LogError("sink.exhausted")("shard", shard_)(
-      "attempts", options_.max_attempts)("error", status.ToString());
-  return status;
 }
 
 UserSessionizerFactory FaultInjectingSessionizer::Wrap(

@@ -1,48 +1,51 @@
-// Fault-tolerance primitives for the streaming layer: the retrying sink
-// decorator that rides between the engine and a flaky SessionSink, and a
-// deterministic fault-injection harness (schedules, a fault-injecting
-// sessionizer and a flaky sink) for driving every failure path in tests
-// without touching the wall clock.
+// Fault-tolerance primitives for the streaming layer: the one test that
+// splits infrastructure failures from data errors (IsShardFatal, which
+// states the engine's failure rule), and a deterministic fault-injection
+// harness (schedules, a fault-injecting sessionizer and a flaky sink) for
+// driving every failure path in tests without touching the wall clock.
 //
 // Determinism is the design constraint throughout: schedules are pure
-// functions of a seed or an index list, backoff delays are computed from
-// the attempt number alone, and the clock only enters through an
-// injectable sleep hook — so every failure scenario replays identically.
-// See docs/robustness.md for the cookbook.
+// functions of a seed or an index list, so every failure scenario
+// replays identically. See docs/robustness.md for the cookbook.
 
 #ifndef WUM_STREAM_FAULT_H_
 #define WUM_STREAM_FAULT_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
 
 #include "wum/common/random.h"
-#include "wum/obs/metrics.h"
 #include "wum/stream/incremental_sessionizer.h"
 #include "wum/stream/session_sink.h"
 
 namespace wum {
 
-/// Classification used by StreamEngine under ErrorPolicy::kDegrade: an
-/// infrastructure failure (Internal / IoError / FailedPrecondition) from
-/// the record path kills its shard, while data errors (ParseError,
-/// InvalidArgument, OutOfRange, ...) quarantine only the offending
-/// record. Emission failures never reach this test — they are retried
-/// and dead-lettered at the emit hub.
+/// True for an infrastructure failure (Internal / IoError /
+/// FailedPrecondition), false for a data error (ParseError,
+/// InvalidArgument, OutOfRange, ...).
+///
+/// The engine's one failure rule, for a status from a shard's
+/// sessionizer, from the caller's SessionSink, or from a shard's
+/// end-of-stream flush:
+///   - IsShardFatal(status): the engine stops under both ErrorPolicy
+///     values. The status becomes its sticky error, and the next
+///     OfferBatch, Checkpoint and Finish return it.
+///   - any other status stops the engine the same way under kFailFast.
+///     Under kDegrade it becomes a dead letter instead: kRecord for a
+///     rejected record, kEmit for a refused session, and the
+///     open-state letter for a failed flush (Finish returns OK).
 bool IsShardFatal(const Status& status);
 
 /// Deterministic fire/pass decision sequence, advanced once per event.
 /// A schedule is a pure function of its construction parameters: the
 /// same schedule replayed over the same event stream fires at exactly
-/// the same positions, which is what makes the fault tests and the
-/// kill-one-shard scenarios reproducible. Stateful (call Next() once per
-/// event, in order) and single-threaded unless externally serialized.
+/// the same positions, which is what makes the fault tests reproducible.
+/// Stateful (call Next() once per event, in order) and single-threaded
+/// unless externally serialized.
 class FaultSchedule {
  public:
   /// Never fires.
@@ -85,75 +88,18 @@ class FaultSchedule {
   std::uint64_t fired_ = 0;
 };
 
-/// Retry policy for RetryingSink (and EngineOptions::set_retry).
-/// Backoff before re-attempt k (1-based) is
-///   min(initial_backoff * multiplier^(k-1), max_backoff)
-/// — computed from the attempt number alone, never from the clock. The
-/// wait itself goes through `sleep`, injectable so tests replay retry
-/// storms instantly and deterministically.
-struct RetryOptions {
-  /// Total attempts per session, including the first (>= 1).
-  int max_attempts = 3;
-  std::chrono::microseconds initial_backoff{1000};
-  double multiplier = 2.0;
-  std::chrono::microseconds max_backoff{250000};
-  /// Wait hook between attempts; null means std::this_thread::sleep_for.
-  std::function<void(std::chrono::microseconds)> sleep;
-};
-
-/// The deterministic backoff ladder: delay before re-attempt
-/// `retry_index` (1-based). Exposed so tests assert exact delays.
-std::chrono::microseconds RetryBackoff(const RetryOptions& options,
-                                       int retry_index);
-
-/// SessionSink decorator with bounded retries and deterministic
-/// exponential backoff, for sinks with transient failures (a network
-/// store, a full pipe). Gives up and returns the last error once
-/// max_attempts is exhausted; the caller (the engine's emit hub, in
-/// kDegrade mode) decides whether that is fatal or a dead letter.
-///
-/// Calls must be externally serialized (the engine's emit path is); the
-/// counters are atomics so stats snapshots may race with an Accept.
-class RetryingSink : public SessionSink {
- public:
-  /// `sink` must outlive this object. `retries_mirror`, when enabled,
-  /// mirrors retries() into a registry counter. `shard` is the engine
-  /// shard this sink serves, for its log lines.
-  RetryingSink(SessionSink* sink, RetryOptions options,
-               obs::Counter retries_mirror = {}, std::uint64_t shard = 0);
-
-  Status Accept(const std::string& user_key, Session session) override;
-
-  /// Re-attempts performed (attempts beyond the first, across all calls).
-  std::uint64_t retries() const {
-    return retries_.load(std::memory_order_relaxed);
-  }
-  /// Accepts that still failed after the final attempt.
-  std::uint64_t exhausted() const {
-    return exhausted_.load(std::memory_order_relaxed);
-  }
-
- private:
-  SessionSink* sink_;
-  RetryOptions options_;
-  obs::Counter retries_mirror_;
-  std::uint64_t shard_ = 0;
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> exhausted_{0};
-};
-
 /// Fault-injection decorator around one user's sessionizer: every
 /// request for `poison_page` fails per `mode` instead of reaching the
 /// wrapped state machine; every other call is forwarded, checkpoint
-/// hooks included. Tests aim a fault at one shard by giving one user
-/// the poison page — the harness for degraded-mode and kill-one-shard
-/// tests. Install it with EngineOptions::use_custom(Wrap(...)) around a
-/// HeuristicRegistry factory.
+/// hooks included. Tests aim a fault at one user by giving that user
+/// the poison page — the harness for the failure-rule tests. Install it
+/// with EngineOptions::use_custom(Wrap(...)) around a HeuristicRegistry
+/// factory.
 class FaultInjectingSessionizer : public IncrementalUserSessionizer {
  public:
   enum class Mode {
     kReject,      // InvalidArgument: quarantined under kDegrade
-    kShardFatal,  // Internal: kills the shard even under kDegrade
+    kShardFatal,  // Internal: stops the engine under either policy
   };
 
   FaultInjectingSessionizer(std::unique_ptr<IncrementalUserSessionizer> inner,
@@ -180,9 +126,10 @@ class FaultInjectingSessionizer : public IncrementalUserSessionizer {
 };
 
 /// SessionSink wrapper that fails per its schedule (indexed by Accept
-/// call count) instead of delivering — the transient-failure half of the
-/// harness, made to be wrapped by RetryingSink. Thread-safe so direct
-/// tests need no external locking.
+/// call count) instead of delivering — the sink half of the harness.
+/// Its default failure (IoError) stops the engine; pass a data error to
+/// get kEmit dead letters under kDegrade. Thread-safe so direct tests
+/// need no external locking.
 class FlakySink : public SessionSink {
  public:
   /// `wrapped` must outlive this object. `failure` is returned verbatim

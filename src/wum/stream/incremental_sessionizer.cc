@@ -90,7 +90,6 @@ SessionizeSink::SessionizeSink(UserSessionizerFactory factory,
   // (and no per-record heap allocation) is needed.
   emit_fn_ = [this](Session session) {
     sessions_emitted_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.sessions_emitted.Increment();
     return session_sink_->Accept(interner_.StringOf(current_user_id_),
                                  std::move(session));
   };

@@ -30,8 +30,6 @@ class Decoder;
 /// Optional observability handles for one SessionizeSink (one engine
 /// shard). Default-constructed handles are disabled no-ops.
 struct SessionizeMetrics {
-  /// Mirrors sessions_emitted() into a registry counter.
-  obs::Counter sessions_emitted;
   /// Mirrors skipped_non_page_urls() into a registry counter.
   obs::Counter skipped_non_page_urls;
 };

@@ -57,25 +57,15 @@ void ThreadedDriver::DrainBatch(const ShardBatch& batch) {
   if (hooks_.on_batch_start != nullptr) {
     hooks_.on_batch_start(batch.offered_at_us);
   }
-  // A sticky error set mid-batch routes every later record of that
-  // batch (and of later batches) to the discard hook, never into the
-  // sink. Drained records are counted once per batch — WaitIdle/
-  // WaitDrained only observe the total, and a drain never blocks
-  // mid-batch, so the coarser publication is indistinguishable to a
-  // waiter.
-  std::uint64_t handled = 0;
+  // A sticky error set mid-batch skips every later record of that batch
+  // (and of later batches): they are consumed and counted, so the
+  // producer never wedges on a full queue, but never enter the sink.
+  // Drained records are counted once per batch — WaitIdle only observes
+  // the total, and a drain never blocks mid-batch, so the coarser
+  // publication is indistinguishable to a waiter.
   for (const ShardRecord& record : batch.records) {
-    ++handled;
+    if (failed_.load(std::memory_order_relaxed)) break;
     const std::string_view user_key = batch.KeyOf(record);
-    if (failed_.load(std::memory_order_relaxed)) {
-      // Drain after failure: keep consuming so the producer never
-      // wedges on a full queue, reporting each discarded record when
-      // asked.
-      if (hooks_.on_discard != nullptr) {
-        hooks_.on_discard(user_key, record, first_error());
-      }
-      continue;
-    }
     Status status;
     {
       obs::ScopedTimer timer(metrics_.drain_latency_us);
@@ -98,7 +88,7 @@ void ThreadedDriver::DrainBatch(const ShardBatch& batch) {
     queue_.WakeAll();
   }
   if (hooks_.on_batch_drained != nullptr) hooks_.on_batch_drained();
-  NoteDrained(handled);
+  NoteDrained(batch.records.size());
 }
 
 bool ThreadedDriver::TryDrainInline(const ShardBatch& batch) {
@@ -221,15 +211,6 @@ Status ThreadedDriver::WaitIdle() {
   idle_waiting_.store(false, std::memory_order_seq_cst);
   if (failed_.load(std::memory_order_acquire)) return first_error();
   return Status::OK();
-}
-
-void ThreadedDriver::WaitDrained() {
-  std::unique_lock<std::mutex> lock(idle_mutex_);
-  idle_waiting_.store(true, std::memory_order_seq_cst);
-  idle_cv_.wait(lock, [this] {
-    return drained_.load(std::memory_order_seq_cst) >= pushed_;
-  });
-  idle_waiting_.store(false, std::memory_order_seq_cst);
 }
 
 Status ThreadedDriver::Finish() {

@@ -110,23 +110,19 @@ struct DriverMetrics {
   std::uint64_t shard = 0;
 };
 
-/// Failure-domain hooks, called on whichever thread drains the batch:
-/// the worker, or the producer for an inline drain — one at a time, in
-/// offer order. All optional;
-/// without them every sink error is sticky and fatal to the driver
-/// (the historical fail-fast behavior). The sharded engine installs
-/// them in ErrorPolicy::kDegrade mode to quarantine records instead.
+/// Driver hooks, called on whichever thread drains the batch: the
+/// worker, or the producer for an inline drain — one at a time, in offer
+/// order. All optional; without on_record_error every sink error is
+/// sticky and fatal to the driver. Once the sticky error is set the
+/// driver still consumes and counts every record it drains, so a
+/// producer never wedges on a full queue, but delivers none of them.
 struct DriverHooks {
   /// The sink rejected `record` of user `user_key` with `status`.
   /// Return true when the failure is handled (record quarantined, worker
-  /// keeps going); false makes `status` the driver's sticky error.
+  /// keeps going); false makes `status` the driver's sticky error. The
+  /// sharded engine decides by its failure rule (see IsShardFatal).
   std::function<bool(std::string_view, const ShardRecord&, const Status&)>
       on_record_error;
-  /// `record` was drained and discarded after the sticky error
-  /// `first_error` was already set (the shard is dead; the record never
-  /// entered the sink).
-  std::function<void(std::string_view, const ShardRecord&, const Status&)>
-      on_discard;
   /// Every record of the batch just drained has been handled (processed,
   /// quarantined or discarded). Runs before the drained count is
   /// published.
@@ -196,15 +192,6 @@ class ThreadedDriver {
   /// snapshot. Producer thread only, like OfferBatch.
   Status WaitIdle();
 
-  /// Drain barrier that ignores the sticky error: blocks until every
-  /// record ever offered has been handled (processed, quarantined or
-  /// discarded), even on a dead driver whose worker is still discarding
-  /// its queue. After it returns the discard hook is quiet, so
-  /// quarantine accounting for everything offered so far is complete —
-  /// the barrier a checkpoint needs over a failed shard, where WaitIdle
-  /// returns early. Producer thread only, like OfferBatch.
-  void WaitDrained();
-
   /// Number of offers that found the queue full and had to block — the
   /// backpressure signal of this driver.
   std::uint64_t blocked_enqueues() const {
@@ -231,8 +218,8 @@ class ThreadedDriver {
 
  private:
   void Run();
-  /// Feeds every record of `batch` to the sink (or the discard hook once
-  /// the driver failed), then publishes the drained count. Caller holds
+  /// Feeds every record of `batch` to the sink (skipping them once the
+  /// driver failed), then publishes the drained count. Caller holds
   /// drain_mutex_: the worker for a popped batch, the producer for an
   /// inline drain.
   void DrainBatch(const ShardBatch& batch);

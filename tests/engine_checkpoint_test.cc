@@ -26,6 +26,7 @@
 #include "wum/mine/path_miner.h"
 #include "wum/obs/metrics.h"
 #include "wum/stream/engine.h"
+#include "wum/stream/fault.h"
 #include "wum/stream/heuristic_registry.h"
 #include "wum/topology/site_generator.h"
 
@@ -566,7 +567,7 @@ TEST_F(EngineCheckpointTest, SinkStateRoundTripsThroughManifest) {
 // undisturbed baseline.
 TEST_F(EngineCheckpointTest, RecoversFromFailFastCrash) {
   // Record 150 (past the checkpoint at offer index 60) carries the
-  // poison page, so its user's shard dies on it. The fault injector is
+  // poison page, so the engine stops on it. The fault injector is
   // a use_custom wrapper, and a checkpoint remembers "custom" as its
   // heuristic, so the baseline and the resumed run use the same
   // registry factory through use_custom, just unwrapped.

@@ -1,27 +1,26 @@
-// End-to-end failure-domain tests for the sharded StreamEngine: a killed
-// shard stays isolated under ErrorPolicy::kDegrade (and stops the world
-// under kFailFast, same fault schedule), transient sink faults are
-// absorbed by set_retry, exhausted retries become kEmit dead letters,
-// and OfferPolicy::kShed sheds deterministically. Every scenario is
-// driven by the deterministic fault harness — no wall clock, no races in
-// what the assertions observe.
+// End-to-end tests of the sharded StreamEngine's failure rule (see
+// IsShardFatal): an infrastructure error — a shard-fatal record, a sink
+// IoError, a failed flush — stops the engine under either ErrorPolicy;
+// under kDegrade data errors become kRecord / kEmit dead letters while
+// every shard keeps going; OfferPolicy::kShed sheds deterministically.
+// Every scenario is driven by the deterministic fault harness — no wall
+// clock, no races in what the assertions observe.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "wum/clf/user_partitioner.h"
 #include "wum/mine/path_miner.h"
 #include "wum/stream/engine.h"
+#include "wum/stream/fault.h"
 #include "wum/stream/heuristic_registry.h"
 #include "wum/topology/site_generator.h"
 
@@ -47,11 +46,6 @@ class EmitEverySessionizer : public IncrementalUserSessionizer {
   }
   Status Flush(const EmitFn&) override { return Status::OK(); }
 };
-
-std::size_t ShardOf(const std::string& ip, std::size_t num_shards) {
-  return static_cast<std::size_t>(
-      UserHashFor(ip, "", UserIdentity::kClientIp) % num_shards);
-}
 
 /// (user, page-sequence) pairs sorted for order-insensitive comparison.
 std::vector<std::pair<std::string, std::vector<PageId>>> Canonicalize(
@@ -110,123 +104,134 @@ std::vector<LogRecord> PoisonedRounds() {
   return records;
 }
 
-// The tentpole scenario: one shard is killed mid-stream by an injected
-// shard-fatal fault. Under kDegrade the engine finishes OK, every other
-// shard's sessions are identical to a fault-free run, and the
-// dead-letter accounting covers every record the dead shard swallowed.
-TEST(EngineFaultTest, KilledShardStaysIsolatedUnderDegrade) {
+/// EmitEverySessionizer whose end-of-stream flush fails with IoError.
+class FailingFlushSessionizer : public EmitEverySessionizer {
+ public:
+  Status Flush(const EmitFn&) override {
+    return Status::IoError("injected flush fault");
+  }
+};
+
+/// The three places an infrastructure error can come from.
+enum class StopSource {
+  kPoisonPage,   // the sessionizer fails a record with Internal
+  kSinkIoError,  // the caller's sink refuses a session with IoError
+  kFlush,        // a shard's end-of-stream flush fails with IoError
+};
+
+std::string StopCaseName(ErrorPolicy policy, StopSource source) {
+  const std::string name =
+      policy == ErrorPolicy::kFailFast ? "FailFast" : "Degrade";
+  switch (source) {
+    case StopSource::kPoisonPage:
+      return name + "PoisonPage";
+    case StopSource::kSinkIoError:
+      return name + "SinkIoError";
+    case StopSource::kFlush:
+      return name + "Flush";
+  }
+  return name;
+}
+
+/// Error policy x infrastructure error source.
+class EngineStopRuleTest
+    : public ::testing::TestWithParam<std::tuple<ErrorPolicy, StopSource>> {
+ protected:
+  ErrorPolicy policy() const { return std::get<0>(GetParam()); }
+  StopSource source() const { return std::get<1>(GetParam()); }
+};
+
+// The failure rule, infrastructure half: whichever shard meets the
+// error, under either policy the engine stops. The error is sticky — the
+// next Checkpoint, OfferBatch (for a user of any shard) and Finish all
+// return it — and it writes no dead letter.
+TEST_P(EngineStopRuleTest, InfrastructureErrorStopsTheEngine) {
   constexpr std::size_t kShards = 4;
   WebGraph graph = MakeFigure1Topology();
-
-  // Kill the shard that hosts user 0, on user 0's 3rd request.
-  const std::vector<LogRecord> records = PoisonedRounds();
-  const std::size_t kill_shard = ShardOf("10.0.0.0", kShards);
-
-  // Fault-free baseline for the expected output of the healthy shards.
-  CollectingSessionSink baseline;
-  {
-    Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
-        EngineOptions().set_num_shards(kShards).use_smart_sra(&graph),
-        &baseline);
-    ASSERT_TRUE(engine.ok());
-    for (const LogRecord& record : records) {
-      ASSERT_TRUE((*engine)->Offer(record).ok());
-    }
-    ASSERT_TRUE((*engine)->Finish().ok());
+  CollectingSessionSink collected;
+  // Only the sink-error case fails: the third session it is offered.
+  FlakySink sink(&collected,
+                 source() == StopSource::kSinkIoError
+                     ? FaultSchedule::AtIndices({2})
+                     : FaultSchedule::Never(),
+                 Status::IoError("injected sink fault"));
+  UserSessionizerFactory sessionizers;
+  Status expected;
+  switch (source()) {
+    case StopSource::kPoisonPage:
+      sessionizers = FaultySmartSra(
+          &graph, FaultInjectingSessionizer::Mode::kShardFatal);
+      expected = Status::Internal("injected shard fault");
+      break;
+    case StopSource::kSinkIoError:
+      sessionizers = [] { return std::make_unique<EmitEverySessionizer>(); };
+      expected = Status::IoError("injected sink fault");
+      break;
+    case StopSource::kFlush:
+      sessionizers = [] { return std::make_unique<FailingFlushSessionizer>(); };
+      expected = Status::IoError("injected flush fault");
+      break;
   }
-
-  CollectingSessionSink degraded;
   DeadLetterQueue dead_letters;
   Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
       EngineOptions()
           .set_num_shards(kShards)
-          .set_error_policy(ErrorPolicy::kDegrade)
+          .set_error_policy(policy())
           .set_dead_letters(&dead_letters)
           .use_graph(&graph)
-          .use_custom(FaultySmartSra(
-              &graph, FaultInjectingSessionizer::Mode::kShardFatal)),
-      &degraded);
-  ASSERT_TRUE(engine.ok());
-  // Degraded mode: the producer never sees the shard die.
-  for (const LogRecord& record : records) {
-    ASSERT_TRUE((*engine)->Offer(record).ok());
-  }
-  ASSERT_TRUE((*engine)->Finish().ok());
+          .use_custom(std::move(sessionizers)),
+      &sink);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const auto expect_stop = [&expected](const Status& status) {
+    EXPECT_EQ(status.ToString(), expected.ToString());
+  };
 
-  // Exactly the injected fault killed exactly the targeted shard.
-  const std::vector<Status> health = (*engine)->ShardHealth();
-  ASSERT_EQ(health.size(), kShards);
-  for (std::size_t i = 0; i < kShards; ++i) {
-    if (i == kill_shard) {
-      EXPECT_TRUE(health[i].IsInternal()) << health[i].ToString();
-    } else {
-      EXPECT_TRUE(health[i].ok()) << health[i].ToString();
-    }
-  }
-
-  // Healthy shards produced byte-identical sessions to the fault-free
-  // run; the dead shard produced none (its fault fired before anything
-  // could close).
-  auto expected = Canonicalize(baseline);
-  expected.erase(std::remove_if(expected.begin(), expected.end(),
-                                [&](const auto& entry) {
-                                  return ShardOf(entry.first, kShards) ==
-                                         kill_shard;
-                                }),
-                 expected.end());
-  EXPECT_EQ(Canonicalize(degraded), expected);
-
-  // Conservation: every accepted record is either inside an emitted
-  // session or covered by a dead letter — nothing vanishes.
-  EXPECT_EQ(EmittedRecords(degraded) + dead_letters.records_covered(),
-            records.size());
-  const EngineStats total = (*engine)->TotalStats();
-  EXPECT_EQ(total.dead_letters, dead_letters.records_covered());
-  EXPECT_EQ(dead_letters.overflow_dropped(), 0u);
-
-  // Only the dead shard quarantined anything, and the retained letters
-  // name it.
-  for (const DeadLetter& letter : dead_letters.Drain()) {
-    EXPECT_EQ(letter.shard, kill_shard);
-    EXPECT_FALSE(letter.reason.ok());
-  }
-  const std::vector<EngineStats> shards = (*engine)->ShardStats();
-  for (std::size_t i = 0; i < kShards; ++i) {
-    if (i != kill_shard) {
-      EXPECT_EQ(shards[i].dead_letters, 0u) << i;
-    }
-  }
-}
-
-// The same fault schedule under the default kFailFast policy is fatal to
-// the whole engine — the pre-existing contract is unchanged.
-TEST(EngineFaultTest, SameFaultUnderFailFastStopsTheEngine) {
-  constexpr std::size_t kShards = 4;
-  WebGraph graph = MakeFigure1Topology();
-
-  CollectingSessionSink sessions;
-  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
-      EngineOptions()
-          .set_num_shards(kShards)
-          .use_graph(&graph)
-          .use_custom(FaultySmartSra(
-              &graph, FaultInjectingSessionizer::Mode::kShardFatal)),
-      &sessions);
-  ASSERT_TRUE(engine.ok());
-  Status status;
+  // PoisonedRounds plants the poison page in user 0's third request; the
+  // other sources never request it.
   for (const LogRecord& record : PoisonedRounds()) {
-    status = (*engine)->Offer(record);
-    if (!status.ok()) break;
+    // The producer may outrun the failing shard, or already see the
+    // error here.
+    const Status status = (*engine)->Offer(record);
+    if (status.ok()) continue;
+    expect_stop(status);
+    break;
   }
-  // Offer may or may not observe the death first (the producer can
-  // outrun the worker), but Finish must surface the injected fault.
-  if (!status.ok()) {
-    EXPECT_TRUE(status.IsInternal()) << status.ToString();
-    EXPECT_TRUE((*engine)->Finish().IsInternal());
-  } else {
-    EXPECT_TRUE((*engine)->Finish().IsInternal());
+  if (source() != StopSource::kFlush) {
+    // The checkpoint barrier waits for the failing shard, so from here
+    // on the error is certain.
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        ("engine_stop_rule_" + StopCaseName(policy(), source()));
+    std::filesystem::remove_all(dir);
+    expect_stop((*engine)->Checkpoint(dir.string()));
+    EXPECT_FALSE(std::filesystem::exists(dir / "CURRENT"));
+    std::filesystem::remove_all(dir);
+    // A user no offer has touched yet, so maybe on a healthy shard.
+    expect_stop((*engine)->Offer(PageRecord("10.0.0.99", 0, 1000)));
   }
+  expect_stop((*engine)->Finish());
+
+  // The stop writes no dead letter, and the shard that met the error
+  // reports it.
+  EXPECT_EQ(dead_letters.total_offered(), 0u);
+  EXPECT_EQ((*engine)->TotalStats().dead_letters, 0u);
+  bool reported = false;
+  for (const Status& health : (*engine)->ShardHealth()) {
+    if (health.ToString() == expected.ToString()) reported = true;
+  }
+  EXPECT_TRUE(reported);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PolicyAndSource, EngineStopRuleTest,
+    ::testing::Combine(::testing::Values(ErrorPolicy::kFailFast,
+                                         ErrorPolicy::kDegrade),
+                       ::testing::Values(StopSource::kPoisonPage,
+                                         StopSource::kSinkIoError,
+                                         StopSource::kFlush)),
+    [](const ::testing::TestParamInfo<EngineStopRuleTest::ParamType>& info) {
+      return StopCaseName(std::get<0>(info.param), std::get<1>(info.param));
+    });
 
 // Sessionizer rejections (record-level errors) quarantine only the record:
 // the shard keeps sessionizing everything else, and the drained letters
@@ -406,69 +411,23 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(UserIdentity::kClientIp,
                                          UserIdentity::kClientIpAndUserAgent)));
 
-// set_retry absorbs transient sink faults: with the flaky sink failing
-// on scheduled calls, every session still arrives and the retry counters
-// (and the injected backoff ladder) show exactly the configured policy.
-TEST(EngineFaultTest, RetryingSinkAbsorbsTransientSinkFaults) {
+// Under kDegrade a session the sink refuses with a data error becomes
+// one kEmit dead letter covering its records; the shards stay healthy
+// and Finish returns OK.
+TEST(EngineFaultTest, RefusedSessionsBecomeEmitDeadLetters) {
   WebGraph graph = MakeFigure1Topology();
   CollectingSessionSink collected;
-  // Emissions are serialized through the emit hub, so FlakySink call
-  // indices are global: a failure's immediate successor call is its
-  // retry. Indices 0 and 5 fail; the retries (calls 1 and 6) succeed.
-  FlakySink flaky(&collected, FaultSchedule::AtIndices({0, 5}));
-  std::vector<std::chrono::microseconds> slept;
-  RetryOptions retry;
-  retry.max_attempts = 3;
-  retry.initial_backoff = std::chrono::microseconds(1000);
-  retry.sleep = [&slept](std::chrono::microseconds delay) {
-    slept.push_back(delay);
-  };
-  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
-      EngineOptions()
-          .set_num_shards(2)
-          .set_retry(retry)
-          .set_num_pages(graph.num_pages())
-          .use_custom([] { return std::make_unique<EmitEverySessionizer>(); }),
-      &flaky);
-  ASSERT_TRUE(engine.ok());
-  for (int u = 0; u < 10; ++u) {
-    ASSERT_TRUE(
-        (*engine)->Offer(PageRecord("10.0.0." + std::to_string(u), 0, 0)).ok());
-  }
-  ASSERT_TRUE((*engine)->Finish().ok());
-
-  // All 10 sessions delivered despite 2 scheduled faults; each fault
-  // cost exactly one retry with the deterministic first-step backoff.
-  EXPECT_EQ(collected.entries().size(), 10u);
-  EXPECT_EQ((*engine)->TotalStats().retries, 2u);
-  EXPECT_EQ((*engine)->TotalStats().sessions_emitted, 10u);
-  EXPECT_EQ(flaky.failures(), 2u);
-  EXPECT_EQ(slept, (std::vector<std::chrono::microseconds>{
-                       std::chrono::microseconds(1000),
-                       std::chrono::microseconds(1000)}));
-}
-
-// When the sink stays down past max_attempts in kDegrade mode, the
-// refused sessions become kEmit dead letters (covering their records)
-// and the engine still finishes OK with healthy shards.
-TEST(EngineFaultTest, ExhaustedRetriesBecomeEmitDeadLetters) {
-  WebGraph graph = MakeFigure1Topology();
-  CollectingSessionSink collected;
-  FlakySink flaky(&collected, FaultSchedule::Always(),
-                  Status::IoError("sink down"));
+  FlakySink refusing(&collected, FaultSchedule::Always(),
+                     Status::InvalidArgument("session refused"));
   DeadLetterQueue dead_letters;
-  RetryOptions retry;
-  retry.max_attempts = 2;
-  retry.sleep = [](std::chrono::microseconds) {};
   Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
       EngineOptions()
           .set_num_shards(2)
           .set_error_policy(ErrorPolicy::kDegrade)
           .set_dead_letters(&dead_letters)
-          .set_retry(retry)
           .set_num_pages(graph.num_pages())
           .use_custom([] { return std::make_unique<EmitEverySessionizer>(); }),
-      &flaky);
+      &refusing);
   ASSERT_TRUE(engine.ok());
   for (int u = 0; u < 4; ++u) {
     ASSERT_TRUE(
@@ -476,18 +435,19 @@ TEST(EngineFaultTest, ExhaustedRetriesBecomeEmitDeadLetters) {
   }
   ASSERT_TRUE((*engine)->Finish().ok());
 
-  // Nothing delivered; every session quarantined at the emit stage with
-  // one retry spent on each; the shards themselves never died.
+  // Nothing delivered; every session quarantined at the emit stage; the
+  // shards themselves never stopped.
   EXPECT_TRUE(collected.entries().empty());
   const EngineStats total = (*engine)->TotalStats();
   EXPECT_EQ(total.sessions_emitted, 0u);
-  EXPECT_EQ(total.retries, 4u);
   EXPECT_EQ(total.dead_letters, 4u);
+  // Conservation: 0 emitted + 4 quarantined == 4 accepted.
+  EXPECT_EQ(EmittedRecords(collected) + dead_letters.records_covered(), 4u);
   std::vector<DeadLetter> letters = dead_letters.Drain();
   ASSERT_EQ(letters.size(), 4u);
   for (const DeadLetter& letter : letters) {
     EXPECT_EQ(letter.stage, DeadLetter::Stage::kEmit);
-    EXPECT_TRUE(letter.reason.IsIoError());
+    EXPECT_TRUE(letter.reason.IsInvalidArgument());
     EXPECT_EQ(letter.records_covered, 1u);
     EXPECT_FALSE(letter.detail.empty());  // the user key of the session
   }
@@ -496,10 +456,9 @@ TEST(EngineFaultTest, ExhaustedRetriesBecomeEmitDeadLetters) {
   }
 }
 
-// Only sessions the sink finally accepted are mined: under kDegrade a
-// refused session is quarantined and never counted, and under set_retry
-// a session whose first attempt fails is mined once, on the retry that
-// delivers it, so estimates cannot be inflated by re-offers.
+// Only sessions the sink accepted are mined: under kDegrade a refused
+// session is quarantined and never counted, so estimates cannot be
+// inflated by sessions that never reached the sink.
 TEST(EngineFaultTest, FailingDownstreamSkipsMining) {
   WebGraph graph = MakeFigure1Topology();
   // Eight users each walk P1 -> P13 -> P34: one three-page session each.
@@ -514,18 +473,17 @@ TEST(EngineFaultTest, FailingDownstreamSkipsMining) {
     return EngineOptions()
         .set_num_shards(2)
         .use_smart_sra(&graph)
-        .set_mining(mine::MinerOptions{});
+        .set_mining(mine::MinerOptions{})
+        .set_error_policy(ErrorPolicy::kDegrade);
   };
   {
-    SCOPED_TRACE("kDegrade, refusing sink");
+    SCOPED_TRACE("refusing sink");
     CollectingSessionSink collected;
-    FlakySink refusing(&collected, FaultSchedule::Always());
+    FlakySink refusing(&collected, FaultSchedule::Always(),
+                       Status::InvalidArgument("session refused"));
     DeadLetterQueue dead_letters;
     Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
-        options()
-            .set_error_policy(ErrorPolicy::kDegrade)
-            .set_dead_letters(&dead_letters),
-        &refusing);
+        options().set_dead_letters(&dead_letters), &refusing);
     ASSERT_TRUE(engine.ok()) << engine.status().message();
     for (const LogRecord& record : records) {
       ASSERT_TRUE((*engine)->Offer(record).ok());
@@ -536,33 +494,29 @@ TEST(EngineFaultTest, FailingDownstreamSkipsMining) {
     EXPECT_TRUE((*engine)->mining()->TopK(10).empty());
   }
   {
-    SCOPED_TRACE("set_retry, first attempt of every session fails");
+    SCOPED_TRACE("sink refusing every other session");
     CollectingSessionSink collected;
-    // Emissions are serialized through the emit hub, so a failure's
-    // retry is the next call: failing every even call fails exactly
-    // each session's first attempt.
-    std::vector<std::uint64_t> first_attempts;
-    for (std::uint64_t i = 0; i < 16; i += 2) first_attempts.push_back(i);
-    FlakySink flaky(&collected, FaultSchedule::AtIndices(first_attempts));
-    RetryOptions retry;
-    retry.max_attempts = 2;
-    retry.sleep = [](std::chrono::microseconds) {};
-    Result<std::unique_ptr<StreamEngine>> engine =
-        StreamEngine::Create(options().set_retry(retry), &flaky);
+    // Emissions are serialized through the emit hub, so the schedule's
+    // call indices are global: every even call fails.
+    FlakySink flaky(&collected, FaultSchedule::EveryNth(2),
+                    Status::InvalidArgument("session refused"));
+    DeadLetterQueue dead_letters;
+    Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+        options().set_dead_letters(&dead_letters), &flaky);
     ASSERT_TRUE(engine.ok()) << engine.status().message();
     for (const LogRecord& record : records) {
       ASSERT_TRUE((*engine)->Offer(record).ok());
     }
     ASSERT_TRUE((*engine)->Finish().ok());
     const EngineStats total = (*engine)->TotalStats();
-    EXPECT_EQ(total.sessions_emitted, 8u);
-    EXPECT_EQ(total.retries, 8u);
+    EXPECT_EQ(total.sessions_emitted, 4u);
+    EXPECT_EQ(dead_letters.total_offered(), 4u);
     EXPECT_EQ((*engine)->mining()->sessions_seen(), total.sessions_emitted);
     const std::vector<mine::PatternEstimate> pairs =
         (*engine)->mining()->TopK(10, 2);
     ASSERT_EQ(pairs.size(), 2u);
     for (const mine::PatternEstimate& pair : pairs) {
-      EXPECT_EQ(pair.count, 8u);  // once per delivered session
+      EXPECT_EQ(pair.count, 4u);  // once per delivered session
     }
   }
 }
@@ -680,40 +634,6 @@ TEST(EngineFaultTest, ShedEqualsBlockWithoutBackpressure) {
   run(OfferPolicy::kBlock, &blocked);
   run(OfferPolicy::kShed, &shed);
   EXPECT_EQ(Canonicalize(blocked), Canonicalize(shed));
-}
-
-// Records offered to a shard that already died are themselves
-// quarantined (stage kShardDead) instead of failing the producer.
-TEST(EngineFaultTest, OffersToDeadShardAreQuarantined) {
-  WebGraph graph = MakeFigure1Topology();
-  CollectingSessionSink sessions;
-  DeadLetterQueue dead_letters;
-  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
-      EngineOptions()
-          .set_num_shards(1)
-          .set_error_policy(ErrorPolicy::kDegrade)
-          .set_dead_letters(&dead_letters)
-          .set_num_pages(graph.num_pages())
-          .use_custom(
-              FaultyEmitEvery(FaultInjectingSessionizer::Mode::kShardFatal)),
-      &sessions);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Offer(PageRecord("u", kPoisonPage, 0)).ok());
-  // Wait until the (only) shard has died, then keep offering: the
-  // records must be absorbed as dead letters, never surfaced as errors.
-  while ((*engine)->ShardHealth()[0].ok()) {
-    std::this_thread::yield();
-  }
-  ASSERT_TRUE((*engine)->Offer(PageRecord("u", 1, 10)).ok());
-  ASSERT_TRUE((*engine)->Offer(PageRecord("u", 2, 20)).ok());
-  ASSERT_TRUE((*engine)->Finish().ok());
-
-  EXPECT_TRUE(sessions.entries().empty());
-  EXPECT_EQ(dead_letters.records_covered(), 3u);
-  std::vector<DeadLetter> letters = dead_letters.Drain();
-  for (const DeadLetter& letter : letters) {
-    EXPECT_EQ(letter.stage, DeadLetter::Stage::kShardDead);
-  }
 }
 
 }  // namespace

@@ -66,14 +66,6 @@ TEST(EngineValidateTest, UnderivableNumPagesRejected) {
                     "set_num_pages is required");
 }
 
-TEST(EngineValidateTest, ZeroRetryAttemptsRejected) {
-  RetryOptions retry;
-  retry.max_attempts = 0;
-  ExpectCreateFails(
-      EngineOptions().set_num_pages(4).use_duration().set_retry(retry),
-      "max_attempts must be >= 1");
-}
-
 TEST(EngineValidateTest, ShedWithoutDeadLetterBudgetRejected) {
   ExpectCreateFails(EngineOptions()
                         .set_num_pages(4)

@@ -1,21 +1,17 @@
 // Unit tests for the fault-tolerance primitives: the dead-letter queue's
-// bounded FIFO semantics, the deterministic fault schedules, the
-// retrying sink's backoff ladder (asserted exactly, via an injected
-// sleep — no wall clock anywhere), and the injection harness itself.
+// bounded FIFO semantics, the failure classification, the deterministic
+// fault schedules, and the injection harness itself.
 
 #include "wum/stream/fault.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <vector>
 
 #include "wum/stream/dead_letter.h"
 
 namespace wum {
 namespace {
-
-using std::chrono::microseconds;
 
 DeadLetter MakeLetter(std::size_t shard, const std::string& detail,
                       std::uint64_t covered = 1) {
@@ -129,80 +125,10 @@ TEST(FaultScheduleTest, CountsSeenAndFired) {
   EXPECT_EQ(schedule.fired(), 2u);
 }
 
-TEST(RetryBackoffTest, ExponentialLadderWithCap) {
-  RetryOptions options;
-  options.initial_backoff = microseconds(1000);
-  options.multiplier = 2.0;
-  options.max_backoff = microseconds(5000);
-  EXPECT_EQ(RetryBackoff(options, 1), microseconds(1000));
-  EXPECT_EQ(RetryBackoff(options, 2), microseconds(2000));
-  EXPECT_EQ(RetryBackoff(options, 3), microseconds(4000));
-  EXPECT_EQ(RetryBackoff(options, 4), microseconds(5000));  // capped
-  EXPECT_EQ(RetryBackoff(options, 9), microseconds(5000));
-}
-
 Session OneRequestSession() {
   Session session;
   session.requests.push_back(PageRequest{0, 0});
   return session;
-}
-
-TEST(RetryingSinkTest, RecoversAfterTransientFailuresWithExactBackoff) {
-  CollectingSessionSink collected;
-  FlakySink flaky(&collected, FaultSchedule::FirstN(2));
-  std::vector<microseconds> slept;
-  RetryOptions options;
-  options.max_attempts = 4;
-  options.initial_backoff = microseconds(1000);
-  options.multiplier = 2.0;
-  options.max_backoff = microseconds(250000);
-  options.sleep = [&slept](microseconds delay) { slept.push_back(delay); };
-  RetryingSink sink(&flaky, options);
-
-  EXPECT_TRUE(sink.Accept("u", OneRequestSession()).ok());
-  ASSERT_EQ(collected.entries().size(), 1u);
-  EXPECT_EQ(sink.retries(), 2u);
-  EXPECT_EQ(sink.exhausted(), 0u);
-  // The deterministic ladder: 1000us before retry 1, 2000us before
-  // retry 2, nothing after success.
-  EXPECT_EQ(slept, (std::vector<microseconds>{microseconds(1000),
-                                              microseconds(2000)}));
-}
-
-TEST(RetryingSinkTest, ExhaustsAndReturnsLastErrorWhenSinkStaysDown) {
-  CollectingSessionSink collected;
-  FlakySink flaky(&collected, FaultSchedule::Always(),
-                  Status::IoError("pipe burst"));
-  std::vector<microseconds> slept;
-  RetryOptions options;
-  options.max_attempts = 3;
-  options.sleep = [&slept](microseconds delay) { slept.push_back(delay); };
-  RetryingSink sink(&flaky, options);
-
-  Status status = sink.Accept("u", OneRequestSession());
-  EXPECT_TRUE(status.IsIoError());
-  EXPECT_EQ(status.message(), "pipe burst");
-  EXPECT_TRUE(collected.entries().empty());
-  EXPECT_EQ(sink.retries(), 2u);  // attempts 2 and 3
-  EXPECT_EQ(sink.exhausted(), 1u);
-  EXPECT_EQ(slept.size(), 2u);
-  EXPECT_EQ(flaky.failures(), 3u);
-  EXPECT_EQ(flaky.delivered(), 0u);
-}
-
-TEST(RetryingSinkTest, SingleAttemptMeansNoRetryNoSleep) {
-  CollectingSessionSink collected;
-  FlakySink flaky(&collected, FaultSchedule::AtIndices({0}));
-  bool slept = false;
-  RetryOptions options;
-  options.max_attempts = 1;
-  options.sleep = [&slept](microseconds) { slept = true; };
-  RetryingSink sink(&flaky, options);
-
-  EXPECT_TRUE(sink.Accept("u", OneRequestSession()).IsIoError());
-  EXPECT_TRUE(sink.Accept("u", OneRequestSession()).ok());
-  EXPECT_EQ(sink.retries(), 0u);
-  EXPECT_FALSE(slept);
 }
 
 TEST(FlakySinkTest, FailsExactlyPerScheduleAndForwardsTheRest) {

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <optional>
@@ -189,6 +188,7 @@ TEST(ThreadedDriverTest, DestructorJoinsWithoutFinish) {
 class GateThenFailSink : public RecordSink {
  public:
   Status Accept(std::string_view, const ShardRecord&) override {
+    accepts.fetch_add(1);
     std::unique_lock<std::mutex> lock(mutex_);
     if (first_) {
       first_ = false;
@@ -211,6 +211,9 @@ class GateThenFailSink : public RecordSink {
     }
     cv_.notify_all();
   }
+
+  /// Records that reached the sink.
+  std::atomic<int> accepts{0};
 
  private:
   std::mutex mutex_;
@@ -255,11 +258,12 @@ TEST(ThreadedDriverTest, BlockedOfferObservesWorkerDeath) {
 }
 
 // DriverHooks::on_record_error returning true quarantines the record and
-// keeps the worker alive; on_discard reports records drained after a
-// real (unhandled) death.
+// keeps the worker alive; on_batch_drained reports every batch, the
+// quarantined record's included.
 TEST(ThreadedDriverTest, HooksQuarantineAndReportDiscards) {
   FailingSink sink;  // fails on page 13 only
   std::vector<TimeSeconds> quarantined;
+  std::atomic<int> batches{0};
   DriverHooks hooks;
   hooks.on_record_error = [&quarantined](std::string_view,
                                          const ShardRecord& record,
@@ -268,6 +272,7 @@ TEST(ThreadedDriverTest, HooksQuarantineAndReportDiscards) {
     quarantined.push_back(record.timestamp);
     return true;  // handled: the driver must keep going
   };
+  hooks.on_batch_drained = [&batches] { batches.fetch_add(1); };
   ThreadedDriver driver(&sink, 8, DriverMetrics{}, hooks);
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", i == 7 ? 13 : 1, i)).ok());
@@ -275,22 +280,23 @@ TEST(ThreadedDriverTest, HooksQuarantineAndReportDiscards) {
   ASSERT_TRUE(driver.Finish().ok());
   EXPECT_EQ(quarantined, (std::vector<TimeSeconds>{7}));
   EXPECT_EQ(sink.accepted.load(), 19);
+  EXPECT_EQ(batches.load(), 20);
   EXPECT_FALSE(driver.failed());
 }
 
+// After an unhandled error (on_record_error returning false) the driver
+// still drains — and reports through on_batch_drained — the rest of the
+// failing batch and every queued batch, so the producer never wedges,
+// but not one more record reaches the sink.
 TEST(ThreadedDriverTest, UnhandledErrorDiscardsRemainderThroughHook) {
   GateThenFailSink sink;
-  std::atomic<int> discarded{0};
+  std::atomic<int> batches{0};
   DriverHooks hooks;
   hooks.on_record_error = [](std::string_view, const ShardRecord&,
                              const Status&) {
     return false;  // unhandled: the sticky error stands
   };
-  hooks.on_discard = [&discarded](std::string_view, const ShardRecord&,
-                                  const Status& status) {
-    EXPECT_TRUE(status.IsInternal());
-    discarded.fetch_add(1);
-  };
+  hooks.on_batch_drained = [&batches] { batches.fetch_add(1); };
   {
     ThreadedDriver driver(&sink, 8, DriverMetrics{}, hooks);
     // The worker parks on record 0 of a batch above the inline gate.
@@ -303,46 +309,10 @@ TEST(ThreadedDriverTest, UnhandledErrorDiscardsRemainderThroughHook) {
     sink.Release();
     EXPECT_TRUE(driver.Finish().IsInternal());
   }
-  // The rest of the parking batch, then the two queued records.
-  EXPECT_EQ(discarded.load(), static_cast<int>(kAboveGate - 1) + 2);
-}
-
-// Regression: after a worker death WaitIdle returns on the sticky error
-// while the worker may still be discarding queued records through
-// on_discard. WaitDrained must block until every enqueued record has
-// been handled, so a barrier over a dead shard (e.g. a checkpoint
-// snapshotting the dead-letter queue) sees all of its quarantines.
-TEST(ThreadedDriverTest, WaitDrainedOutlastsDiscardsAfterDeath) {
-  GateThenFailSink sink;
-  std::atomic<int> discarded{0};
-  DriverHooks hooks;
-  hooks.on_record_error = [](std::string_view, const ShardRecord&,
-                             const Status&) {
-    return false;  // unhandled: the worker dies on record 0
-  };
-  hooks.on_discard = [&discarded](std::string_view, const ShardRecord&,
-                                  const Status& status) {
-    EXPECT_TRUE(status.IsInternal());
-    // Slow discards widen the window between WaitIdle's early return
-    // and the queue actually being empty.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    discarded.fetch_add(1);
-  };
-  ThreadedDriver driver(&sink, 16, DriverMetrics{}, hooks);
-  // The worker parks on record 0 of a batch above the inline gate.
-  ShardBatch parking = MakeBatch(kAboveGate, 0);
-  ASSERT_TRUE(driver.OfferBatch(&parking).ok());
-  sink.WaitEntered();
-  constexpr int kQueued = 10;
-  for (int i = 1; i <= kQueued; ++i) {
-    ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, i)).ok());
-  }
-  sink.Release();  // record 0 fails; the rest only ever drain
-  EXPECT_TRUE(driver.WaitIdle().IsInternal());
-  driver.WaitDrained();
-  // The rest of the parking batch, then the queued records.
-  EXPECT_EQ(discarded.load(), static_cast<int>(kAboveGate - 1) + kQueued);
-  EXPECT_TRUE(driver.Finish().IsInternal());
+  // Only record 0 of the parking batch reached the sink; the parking
+  // batch and the two queued ones all drained.
+  EXPECT_EQ(sink.accepts.load(), 1);
+  EXPECT_EQ(batches.load(), 3);
 }
 
 /// Records the timestamp and the calling thread of every Accept. When

@@ -120,9 +120,9 @@ class ToolRuntime {
     runtime.registry_ = std::make_unique<wum::obs::MetricRegistry>();
     if (flags.Has("log-level")) {
       WUM_ASSIGN_OR_RETURN(std::string name, flags.GetRequired("log-level"));
-      WUM_ASSIGN_OR_RETURN(wum::obs::LogLevel level,
-                           wum::obs::ParseLogLevel(name));
-      wum::obs::Logger::Default().set_min_level(level);
+      wum::Result<wum::obs::LogLevel> level = wum::obs::ParseLogLevel(name);
+      WUM_RETURN_NOT_OK(flags.Check(level.status()));
+      wum::obs::Logger::Default().set_min_level(*level);
     }
     if (features.always_metrics || flags.Has("metrics-out")) {
       runtime.metrics_ = runtime.registry_.get();
@@ -154,14 +154,13 @@ class ToolRuntime {
             config.every_records,
             flags.GetUint("checkpoint-every-records", 100000));
         if (config.every_records == 0) {
-          return wum::Status::InvalidArgument(
-              "--checkpoint-every-records must be >= 1");
+          return flags.Invalid("--checkpoint-every-records must be >= 1");
         }
         config.resume = flags.Has("resume");
         runtime.checkpoint_ = std::move(config);
       } else if (flags.Has("checkpoint-every-records") ||
                  flags.Has("resume")) {
-        return wum::Status::InvalidArgument(
+        return flags.Invalid(
             "--checkpoint-every-records/--resume require --checkpoint-dir");
       }
     }

@@ -11,6 +11,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "wum/common/result.h"
 #include "wum/common/string_util.h"
@@ -19,6 +20,8 @@
 namespace wum_tools {
 
 /// Parsed command line: long flags with values plus boolean switches.
+/// A failed accessor, Invalid or Check marks the run as a command-line
+/// error (usage_error), which is what makes FailWith print the usage.
 class Flags {
  public:
   /// `switches` names the flags that take no value.
@@ -57,7 +60,7 @@ class Flags {
   wum::Result<std::string> GetRequired(const std::string& name) const {
     auto it = values_.find(name);
     if (it == values_.end()) {
-      return wum::Status::InvalidArgument("missing required flag --" + name);
+      return Invalid("missing required flag --" + name);
     }
     return it->second;
   }
@@ -66,29 +69,46 @@ class Flags {
                                      std::uint64_t fallback) const {
     auto it = values_.find(name);
     if (it == values_.end()) return fallback;
-    return wum::ParseUint64(it->second);
+    wum::Result<std::uint64_t> value = wum::ParseUint64(it->second);
+    if (!value.ok()) return Check(value.status());
+    return value;
   }
 
   wum::Result<double> GetDouble(const std::string& name,
                                 double fallback) const {
     auto it = values_.find(name);
     if (it == values_.end()) return fallback;
-    return wum::ParseDouble(it->second);
+    wum::Result<double> value = wum::ParseDouble(it->second);
+    if (!value.ok()) return Check(value.status());
+    return value;
   }
+
+  /// An invalid value for a flag the tool checks itself: a command-line
+  /// error with `message`.
+  wum::Status Invalid(std::string message) const {
+    return Check(wum::Status::InvalidArgument(std::move(message)));
+  }
+
+  /// Passes `status` through; a failure is a command-line error. For
+  /// option validators run over flag values.
+  wum::Status Check(wum::Status status) const {
+    if (!status.ok()) usage_error_ = true;
+    return status;
+  }
+
+  /// True once the tool met a command-line error: an unknown or
+  /// malformed flag, a missing required flag, or an invalid flag value.
+  bool usage_error() const { return usage_error_; }
 
   /// Flags that were provided but never consumed by the tool (typo
   /// detection). Call after all Get*/Has calls... kept simple: tools
   /// list their known flags explicitly.
   wum::Status CheckKnown(const std::set<std::string>& known) const {
     for (const auto& [name, value] : values_) {
-      if (!known.contains(name)) {
-        return wum::Status::InvalidArgument("unknown flag --" + name);
-      }
+      if (!known.contains(name)) return Invalid("unknown flag --" + name);
     }
     for (const std::string& name : switches_) {
-      if (!known.contains(name)) {
-        return wum::Status::InvalidArgument("unknown flag --" + name);
-      }
+      if (!known.contains(name)) return Invalid("unknown flag --" + name);
     }
     return wum::Status::OK();
   }
@@ -96,6 +116,7 @@ class Flags {
  private:
   std::map<std::string, std::string> values_;
   std::set<std::string> switches_;
+  mutable bool usage_error_ = false;
 };
 
 /// Shared "--mine-*" flag surface for the streaming tools. Mining is
@@ -107,8 +128,7 @@ inline wum::Result<std::optional<wum::mine::MinerOptions>> GetMiningFlags(
     const Flags& flags) {
   if (!flags.Has("mine-topk")) {
     if (flags.Has("mine-lengths") || flags.Has("mine-window")) {
-      return wum::Status::InvalidArgument(
-          "--mine-lengths/--mine-window require --mine-topk");
+      return flags.Invalid("--mine-lengths/--mine-window require --mine-topk");
     }
     return std::optional<wum::mine::MinerOptions>();
   }
@@ -120,14 +140,25 @@ inline wum::Result<std::optional<wum::mine::MinerOptions>> GetMiningFlags(
   mining.top_k = static_cast<std::size_t>(top_k);
   mining.max_length = static_cast<std::size_t>(max_length);
   mining.window_paths = static_cast<std::uint64_t>(window);
-  WUM_RETURN_NOT_OK(wum::mine::ValidateMinerOptions(mining));
+  WUM_RETURN_NOT_OK(flags.Check(wum::mine::ValidateMinerOptions(mining)));
   return std::optional<wum::mine::MinerOptions>(mining);
 }
 
-/// Prints a failed status and converts it to a process exit code.
+/// Prints a failed status and converts it to a process exit code. The
+/// usage text follows it only when `usage` is non-null.
 inline int FailWith(const wum::Status& status, const char* usage) {
-  std::cerr << "error: " << status.ToString() << "\n\n" << usage;
+  std::cerr << "error: " << status.ToString() << "\n";
+  if (usage != nullptr) std::cerr << "\n" << usage;
   return 2;
+}
+
+/// FailWith for the status a tool's Run returned: the usage text follows
+/// a command-line error (see Flags::usage_error), while a failure while
+/// running — I/O, a refused --resume, an engine error — prints the one
+/// error line.
+inline int FailWith(const wum::Status& status, const Flags& flags,
+                    const char* usage) {
+  return FailWith(status, flags.usage_error() ? usage : nullptr);
 }
 
 }  // namespace wum_tools

@@ -41,8 +41,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
   } else if (relation_name == "subsequence") {
     relation = wum::CaptureRelation::kSubsequence;
   } else {
-    return wum::Status::InvalidArgument("unknown relation '" + relation_name +
-                                        "'");
+    return flags.Invalid("unknown relation '" + relation_name + "'");
   }
   const bool require_valid = !flags.Has("no-validity");
   const wum::TimeThresholds thresholds;
@@ -119,6 +118,6 @@ int main(int argc, char** argv) {
       wum_tools::Flags::Parse(argc, argv, {"no-validity"});
   if (!flags.ok()) return wum_tools::FailWith(flags.status(), kUsage);
   wum::Status status = Run(*flags);
-  if (!status.ok()) return wum_tools::FailWith(status, kUsage);
+  if (!status.ok()) return wum_tools::FailWith(status, *flags, kUsage);
   return 0;
 }

@@ -49,11 +49,13 @@ wum::Status Run(const wum_tools::Flags& flags) {
     parameter = wum::SweepParameter::kNip;
     values = wum::Figure10NipValues();
   } else {
-    return wum::Status::InvalidArgument("unknown parameter '" +
-                                        parameter_name + "'");
+    return flags.Invalid("unknown parameter '" + parameter_name + "'");
   }
   if (flags.Has("values")) {
-    WUM_ASSIGN_OR_RETURN(values, ParseValues(flags.GetString("values", "")));
+    wum::Result<std::vector<double>> parsed =
+        ParseValues(flags.GetString("values", ""));
+    WUM_RETURN_NOT_OK(flags.Check(parsed.status()));
+    values = std::move(parsed).ValueOrDie();
   }
 
   wum::ExperimentConfig config = wum::PaperDefaults();
@@ -77,8 +79,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
   } else if (topology == "hierarchical") {
     config.topology_model = wum::TopologyModel::kHierarchical;
   } else {
-    return wum::Status::InvalidArgument("unknown topology '" + topology +
-                                        "'");
+    return flags.Invalid("unknown topology '" + topology + "'");
   }
 
   WUM_ASSIGN_OR_RETURN(std::vector<wum::SweepPoint> points,
@@ -102,6 +103,6 @@ int main(int argc, char** argv) {
       wum_tools::Flags::Parse(argc, argv, {});
   if (!flags.ok()) return wum_tools::FailWith(flags.status(), kUsage);
   wum::Status status = Run(*flags);
-  if (!status.ok()) return wum_tools::FailWith(status, kUsage);
+  if (!status.ok()) return wum_tools::FailWith(status, *flags, kUsage);
   return 0;
 }

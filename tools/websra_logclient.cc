@@ -147,7 +147,7 @@ wum::Status RunData(wum::net::Fd socket, const wum_tools::Flags& flags,
   WUM_ASSIGN_OR_RETURN(std::uint64_t chunk_bytes,
                        flags.GetUint("chunk-bytes", 64u << 10));
   if (chunk_bytes == 0) {
-    return wum::Status::InvalidArgument("--chunk-bytes must be >= 1");
+    return flags.Invalid("--chunk-bytes must be >= 1");
   }
   WUM_ASSIGN_OR_RETURN(std::uint64_t throttle_ms,
                        flags.GetUint("throttle-ms", 0));
@@ -226,13 +226,13 @@ wum::Status Run(const wum_tools::Flags& flags) {
   }
   WUM_ASSIGN_OR_RETURN(std::uint64_t port_value, flags.GetUint("port", 0));
   if (port_value == 0 || port_value > 65535) {
-    return wum::Status::InvalidArgument("--port must be in [1, 65535]");
+    return flags.Invalid("--port must be in [1, 65535]");
   }
   const std::string host = flags.GetString("host", "127.0.0.1");
   const bool admin = flags.Has("admin");
   const bool data = flags.Has("log");
   if (admin == data) {
-    return wum::Status::InvalidArgument(
+    return flags.Invalid(
         "exactly one of --log (data mode) or --admin (admin mode) required");
   }
   WUM_ASSIGN_OR_RETURN(std::uint64_t retries,
@@ -256,6 +256,6 @@ int main(int argc, char** argv) {
       wum_tools::Flags::Parse(argc, argv, {"chaos-trickle"});
   if (!flags.ok()) return wum_tools::FailWith(flags.status(), kUsage);
   wum::Status status = Run(*flags);
-  if (!status.ok()) return wum_tools::FailWith(status, kUsage);
+  if (!status.ok()) return wum_tools::FailWith(status, *flags, kUsage);
   return 0;
 }

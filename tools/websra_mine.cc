@@ -50,7 +50,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
   } else if (mode_name == "subsequence") {
     options.mode = wum::MatchMode::kSubsequence;
   } else {
-    return wum::Status::InvalidArgument("unknown mode '" + mode_name + "'");
+    return flags.Invalid("unknown mode '" + mode_name + "'");
   }
   WUM_ASSIGN_OR_RETURN(std::uint64_t max_length, flags.GetUint("max-length", 0));
   options.max_length = static_cast<std::size_t>(max_length);
@@ -89,6 +89,6 @@ int main(int argc, char** argv) {
       wum_tools::Flags::Parse(argc, argv, {"maximal"});
   if (!flags.ok()) return wum_tools::FailWith(flags.status(), kUsage);
   wum::Status status = Run(*flags);
-  if (!status.ok()) return wum_tools::FailWith(status, kUsage);
+  if (!status.ok()) return wum_tools::FailWith(status, *flags, kUsage);
   return 0;
 }

@@ -144,8 +144,7 @@ wum::Result<std::uint16_t> GetPort(const wum_tools::Flags& flags,
                                    const char* name) {
   WUM_ASSIGN_OR_RETURN(std::uint64_t value, flags.GetUint(name, 0));
   if (value > 65535) {
-    return wum::Status::InvalidArgument(std::string("--") + name +
-                                        " must be <= 65535");
+    return flags.Invalid(std::string("--") + name + " must be <= 65535");
   }
   return static_cast<std::uint16_t>(value);
 }
@@ -183,8 +182,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
   } else if (identity_name == "ip-ua") {
     identity = wum::UserIdentity::kClientIpAndUserAgent;
   } else {
-    return wum::Status::InvalidArgument("unknown identity '" + identity_name +
-                                        "'");
+    return flags.Invalid("unknown identity '" + identity_name + "'");
   }
 
   const std::string format_name = flags.GetString("format", "text");
@@ -194,8 +192,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
   } else if (format_name == "binary") {
     format = wum::SessionFormat::kBinary;
   } else {
-    return wum::Status::InvalidArgument("unknown format '" + format_name +
-                                        "'");
+    return flags.Invalid("unknown format '" + format_name + "'");
   }
 
   const std::string policy_name = flags.GetString("offer-policy", "block");
@@ -205,8 +202,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
   } else if (policy_name == "shed") {
     offer_policy = wum::OfferPolicy::kShed;
   } else {
-    return wum::Status::InvalidArgument("unknown offer policy '" +
-                                        policy_name + "'");
+    return flags.Invalid("unknown offer policy '" + policy_name + "'");
   }
 
   WUM_ASSIGN_OR_RETURN(wum_tools::ToolRuntime runtime,
@@ -215,21 +211,27 @@ wum::Status Run(const wum_tools::Flags& flags) {
 
   WUM_ASSIGN_OR_RETURN(std::uint64_t threads, flags.GetUint("threads", 4));
   if (threads == 0) {
-    return wum::Status::InvalidArgument("--threads must be >= 1");
+    return flags.Invalid("--threads must be >= 1");
   }
   WUM_ASSIGN_OR_RETURN(std::uint64_t queue_capacity,
                        flags.GetUint("queue-capacity", 1024));
 
-  // Every malformed line and every shed record lands here, tagged with
-  // the producer it came from — the daemon never silently loses input.
+  // Every malformed line, every shed record and every record or session
+  // the engine rejects as bad data lands here, tagged with where it came
+  // from — the daemon never silently loses input.
   wum::DeadLetterQueue dead_letters;
 
+  // kDegrade: one producer's bad record (out of order, page outside the
+  // topology) concerns only its own user, so it becomes a dead letter
+  // instead of stopping the daemon. An infrastructure error — a journal
+  // IoError — still stops it (see wum::IsShardFatal).
   wum::EngineOptions options;
   options.set_num_shards(static_cast<std::size_t>(threads))
       .set_queue_capacity(static_cast<std::size_t>(queue_capacity))
       .set_identity(identity)
       .set_thresholds(thresholds)
       .set_num_pages(graph.num_pages())
+      .set_error_policy(wum::ErrorPolicy::kDegrade)
       .set_offer_policy(offer_policy)
       .set_dead_letters(&dead_letters)
       .set_metrics(runtime.metrics())
@@ -250,6 +252,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
     options.add_filter(
         [] { return std::make_unique<wum::ExtensionFilter>(); });
   }
+  WUM_RETURN_NOT_OK(flags.Check(options.Validate()));
 
   // Sessions go to a durable journal when checkpointing (its flushed
   // length rides in every manifest), to memory otherwise.
@@ -348,7 +351,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
   WUM_ASSIGN_OR_RETURN(std::uint64_t batch_records,
                        flags.GetUint("batch-records", 2048));
   if (batch_records == 0) {
-    return wum::Status::InvalidArgument("--batch-records must be >= 1");
+    return flags.Invalid("--batch-records must be >= 1");
   }
   server_options.ingest.batch_records =
       static_cast<std::size_t>(batch_records);
@@ -372,14 +375,13 @@ wum::Status Run(const wum_tools::Flags& flags) {
     WUM_ASSIGN_OR_RETURN(std::uint16_t http_port, GetPort(flags, "http-port"));
     server_options.http_port = http_port;
   } else if (flags.Has("http-port-file")) {
-    return wum::Status::InvalidArgument(
-        "--http-port-file requires --http-port");
+    return flags.Invalid("--http-port-file requires --http-port");
   }
   WUM_ASSIGN_OR_RETURN(server_options.healthz_max_checkpoint_age_ms,
                        flags.GetUint("healthz-max-checkpoint-age-ms", 0));
   if (server_options.healthz_max_checkpoint_age_ms != 0 &&
       !checkpoint.has_value()) {
-    return wum::Status::InvalidArgument(
+    return flags.Invalid(
         "--healthz-max-checkpoint-age-ms requires --checkpoint-dir");
   }
   if (checkpoint.has_value()) {
@@ -479,6 +481,6 @@ int main(int argc, char** argv) {
       wum_tools::Flags::Parse(argc, argv, {"no-clean", "resume"});
   if (!flags.ok()) return wum_tools::FailWith(flags.status(), usage.c_str());
   wum::Status status = Run(*flags);
-  if (!status.ok()) return wum_tools::FailWith(status, usage.c_str());
+  if (!status.ok()) return wum_tools::FailWith(status, *flags, usage.c_str());
   return 0;
 }

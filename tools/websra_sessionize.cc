@@ -127,11 +127,6 @@ wum::Status RunStreaming(const CleaningPass& clean,
                          const std::optional<CheckpointConfig>& checkpoint,
                          const std::optional<wum::mine::MinerOptions>& mining,
                          std::vector<wum::UserSession>* output) {
-  if (heuristic_name == "referrer") {
-    return wum::Status::InvalidArgument(
-        "--streaming does not support the referrer heuristic; use the "
-        "batch path");
-  }
   wum::EngineOptions options;
   options.set_num_shards(threads)
       .set_identity(identity)
@@ -382,8 +377,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
   } else if (identity_name == "ip-ua") {
     identity = wum::UserIdentity::kClientIpAndUserAgent;
   } else {
-    return wum::Status::InvalidArgument("unknown identity '" + identity_name +
-                                        "'");
+    return flags.Invalid("unknown identity '" + identity_name + "'");
   }
 
   const std::string format_name = flags.GetString("format", "text");
@@ -393,8 +387,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
   } else if (format_name == "binary") {
     format = wum::SessionFormat::kBinary;
   } else {
-    return wum::Status::InvalidArgument("unknown format '" + format_name +
-                                        "'");
+    return flags.Invalid("unknown format '" + format_name + "'");
   }
 
   // The shared tool runtime: observability (one registry behind the
@@ -405,10 +398,21 @@ wum::Status Run(const wum_tools::Flags& flags) {
   const std::string heuristic_name =
       flags.GetString("heuristic", "smart-sra");
   const bool streaming = flags.Has("streaming");
+  if (heuristic_name == "referrer" && streaming) {
+    return flags.Invalid(
+        "--streaming does not support the referrer heuristic; use the "
+        "batch path");
+  }
+  if (heuristic_name != "referrer" &&
+      !wum::HeuristicRegistry::Default().Contains(heuristic_name)) {
+    return flags.Invalid("unknown heuristic '" + heuristic_name +
+                         "' (expected " +
+                         wum::HeuristicRegistry::Default().NamesForUsage() +
+                         "|referrer)");
+  }
   const std::optional<CheckpointConfig>& checkpoint = runtime.checkpoint();
   if (checkpoint.has_value() && !streaming) {
-    return wum::Status::InvalidArgument(
-        "--checkpoint-dir requires --streaming");
+    return flags.Invalid("--checkpoint-dir requires --streaming");
   }
   wum::obs::MetricRegistry* metrics = runtime.metrics();
   runtime.SetBuildLabel(
@@ -417,15 +421,15 @@ wum::Status Run(const wum_tools::Flags& flags) {
   WUM_ASSIGN_OR_RETURN(std::optional<wum::mine::MinerOptions> mining,
                        wum_tools::GetMiningFlags(flags));
   if (mining.has_value() && !streaming) {
-    return wum::Status::InvalidArgument("--mine-topk requires --streaming");
+    return flags.Invalid("--mine-topk requires --streaming");
   }
 
   if (!streaming && flags.Has("threads")) {
-    return wum::Status::InvalidArgument("--threads requires --streaming");
+    return flags.Invalid("--threads requires --streaming");
   }
   WUM_ASSIGN_OR_RETURN(std::uint64_t threads, flags.GetUint("threads", 4));
   if (threads == 0) {
-    return wum::Status::InvalidArgument("--threads must be >= 1");
+    return flags.Invalid("--threads must be >= 1");
   }
 
   // The accounting pass: malformed lines go to the dead-letter channel,
@@ -516,6 +520,6 @@ int main(int argc, char** argv) {
                               {"keep-robots", "streaming", "resume"});
   if (!flags.ok()) return wum_tools::FailWith(flags.status(), usage.c_str());
   wum::Status status = Run(*flags);
-  if (!status.ok()) return wum_tools::FailWith(status, usage.c_str());
+  if (!status.ok()) return wum_tools::FailWith(status, *flags, usage.c_str());
   return 0;
 }

@@ -38,11 +38,12 @@ constexpr char kUsage[] =
     "--format selects the --truth-out serialization (downstream readers\n"
     "auto-detect either).\n";
 
-wum::Result<wum::TopologyModel> ParseTopology(const std::string& name) {
+wum::Result<wum::TopologyModel> ParseTopology(const wum_tools::Flags& flags) {
+  const std::string name = flags.GetString("topology", "uniform");
   if (name == "uniform") return wum::TopologyModel::kUniform;
   if (name == "powerlaw") return wum::TopologyModel::kPowerLaw;
   if (name == "hierarchical") return wum::TopologyModel::kHierarchical;
-  return wum::Status::InvalidArgument("unknown topology '" + name + "'");
+  return flags.Invalid("unknown topology '" + name + "'");
 }
 
 wum::Status Run(const wum_tools::Flags& flags) {
@@ -62,9 +63,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
                        flags.GetDouble("out-degree", 15.0));
   WUM_ASSIGN_OR_RETURN(site.start_page_fraction,
                        flags.GetDouble("entry-fraction", 0.05));
-  WUM_ASSIGN_OR_RETURN(
-      wum::TopologyModel model,
-      ParseTopology(flags.GetString("topology", "uniform")));
+  WUM_ASSIGN_OR_RETURN(wum::TopologyModel model, ParseTopology(flags));
 
   wum::AgentProfile profile;
   WUM_ASSIGN_OR_RETURN(profile.stp, flags.GetDouble("stp", 0.05));
@@ -127,8 +126,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
     } else if (format_name == "binary") {
       format = wum::SessionFormat::kBinary;
     } else {
-      return wum::Status::InvalidArgument("unknown format '" + format_name +
-                                          "'");
+      return flags.Invalid("unknown format '" + format_name + "'");
     }
     const std::string truth_path = flags.GetString("truth-out", "");
     WUM_RETURN_NOT_OK(wum::WriteSessionsFile(truth, truth_path, format));
@@ -147,6 +145,6 @@ int main(int argc, char** argv) {
       wum_tools::Flags::Parse(argc, argv, {"combined"});
   if (!flags.ok()) return wum_tools::FailWith(flags.status(), kUsage);
   wum::Status status = Run(*flags);
-  if (!status.ok()) return wum_tools::FailWith(status, kUsage);
+  if (!status.ok()) return wum_tools::FailWith(status, *flags, kUsage);
   return 0;
 }

@@ -295,16 +295,16 @@ wum::Status Run(const wum_tools::Flags& flags) {
 
   const std::string format = flags.GetString("format", "text");
   if (format != "text" && format != "json") {
-    return wum::Status::InvalidArgument("unknown format '" + format + "'");
+    return flags.Invalid("unknown format '" + format + "'");
   }
   WUM_ASSIGN_OR_RETURN(std::uint64_t interval_ms,
                        flags.GetUint("interval-ms", 2000));
   if (interval_ms == 0) {
-    return wum::Status::InvalidArgument("--interval-ms must be >= 1");
+    return flags.Invalid("--interval-ms must be >= 1");
   }
   const bool once = flags.Has("once") || flags.Has("file");
   if (format == "json" && !once) {
-    return wum::Status::InvalidArgument("--format json requires --once");
+    return flags.Invalid("--format json requires --once");
   }
 
   const auto fetch = [&flags]() -> wum::Result<std::string> {
@@ -314,8 +314,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
     }
     WUM_ASSIGN_OR_RETURN(std::uint64_t port, flags.GetUint("port", 0));
     if (port == 0 || port > 65535) {
-      return wum::Status::InvalidArgument(
-          "--port (1..65535) or --file is required");
+      return flags.Invalid("--port (1..65535) or --file is required");
     }
     return wum::net::HttpGet(flags.GetString("host", "127.0.0.1"),
                              static_cast<std::uint16_t>(port), "/metrics");
@@ -345,6 +344,6 @@ int main(int argc, char** argv) {
       wum_tools::Flags::Parse(argc, argv, {"once"});
   if (!flags.ok()) return wum_tools::FailWith(flags.status(), usage.c_str());
   wum::Status status = Run(*flags);
-  if (!status.ok()) return wum_tools::FailWith(status, usage.c_str());
+  if (!status.ok()) return wum_tools::FailWith(status, *flags, usage.c_str());
   return 0;
 }
