@@ -185,12 +185,9 @@ void BM_StreamingPipelineEndToEnd(benchmark::State& state) {
   for (auto _ : state) {
     CallbackSessionSink sink(
         [](const std::string&, Session) { return Status::OK(); });
-    SessionizeSink sessionize(
-        [&fixture]() {
-          return std::make_unique<IncrementalSmartSra>(&fixture.graph,
-                                                       SmartSra::Options());
-        },
-        &sink, fixture.graph.num_pages());
+    RuleSessionizeSink sessionize(
+        SmartSraRule(&fixture.graph, SmartSra::Options()), &sink,
+        fixture.graph.num_pages());
     ShardBatch batch;
     for (std::size_t i = 0; i < refs.size(); i += kOfferBatchSize) {
       batch.clear();

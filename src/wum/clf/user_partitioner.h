@@ -57,11 +57,20 @@ inline std::uint64_t Fnv1aMix(std::uint64_t hash, std::string_view bytes) {
 
 }  // namespace partitioner_internal
 
-/// Stable 64-bit FNV-1a hash of the identity `UserKeyFor` would build,
-/// computed without materializing the key string (hot path of the sharded
-/// StreamEngine: shard = UserHashFor(...) % num_shards — inline because
-/// it runs once per record in the partition pass). Deterministic across
-/// runs and platforms, so shard assignment is reproducible.
+/// Stable 64-bit FNV-1a hash of a user key: UserKeyHash(UserKeyFor(ip,
+/// agent, identity)) == UserHashFor(ip, agent, identity). A shard's user
+/// table rehashes a checkpointed key with it.
+inline std::uint64_t UserKeyHash(std::string_view key) {
+  return partitioner_internal::Fnv1aMix(partitioner_internal::kFnvOffsetBasis,
+                                        key);
+}
+
+/// UserKeyHash of the identity `UserKeyFor` would build, computed
+/// without materializing the key string (hot path of the sharded
+/// StreamEngine: computed once per record in the partition pass, it picks
+/// the shard as hash % num_shards and rides the record to that shard's
+/// user table). Deterministic across runs and platforms, so shard
+/// assignment is reproducible.
 inline std::uint64_t UserHashFor(std::string_view client_ip,
                                  std::string_view user_agent,
                                  UserIdentity identity) {

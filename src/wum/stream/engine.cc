@@ -265,10 +265,9 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Create(
     return Status::InvalidArgument("StreamEngine requires a SessionSink");
   }
   WUM_RETURN_NOT_OK(options.Validate());
-  // Resolve the heuristic up front (the constructor cannot fail). The
-  // factory is invoked concurrently from shard workers; the registry's
-  // factories only read the (const) graph and copied thresholds.
-  UserSessionizerFactory factory;
+  // Resolve the heuristic up front (the constructor cannot fail). A
+  // custom factory is invoked concurrently from shard workers.
+  SessionizeSinkFactory make_sink;
   switch (options.selection_) {
     case EngineOptions::Selection::kUnset:
       return Status::Internal("unreachable: Validate rejects kUnset");
@@ -276,13 +275,14 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Create(
       HeuristicContext context;
       context.graph = options.graph_;
       context.thresholds = options.thresholds_;
-      WUM_ASSIGN_OR_RETURN(factory,
-                           HeuristicRegistry::Default().CreateIncremental(
+      WUM_ASSIGN_OR_RETURN(make_sink,
+                           HeuristicRegistry::Default().CreateSinkFactory(
                                options.heuristic_name_, context));
       break;
     }
     case EngineOptions::Selection::kCustom:
-      factory = options.custom_factory_;
+      make_sink =
+          SessionizeSinkFactoryFor(CustomRule(options.custom_factory_));
       break;
   }
   if (options.num_pages_ == 0 && options.graph_ != nullptr) {
@@ -297,7 +297,7 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Create(
   // Two-phase construction: build the shard chains without workers so a
   // checkpoint restore never races a live thread, then start them.
   std::unique_ptr<StreamEngine> engine(
-      new StreamEngine(std::move(options), std::move(factory), sink));
+      new StreamEngine(std::move(options), std::move(make_sink), sink));
   engine->mining_ = std::move(mining);
   if (!engine->resume_dir_.empty()) {
     WUM_RETURN_NOT_OK(engine->RestoreFrom(engine->resume_dir_));
@@ -317,6 +317,8 @@ void StreamEngine::RegisterScrapeProbe() {
     Shard* shard;
     obs::Gauge watermark;
     obs::Gauge queue_depth;
+    obs::Gauge users;
+    obs::Gauge user_table_bytes;
   };
   std::vector<ShardProbe> shard_probes;
   shard_probes.reserve(shards_.size());
@@ -325,7 +327,9 @@ void StreamEngine::RegisterScrapeProbe() {
         "engine.shard" + std::to_string(shard->index) + ".";
     shard_probes.push_back(
         {shard.get(), registry_->GetGauge(prefix + "watermark_seconds"),
-         registry_->GetGauge(prefix + "queue_depth")});
+         registry_->GetGauge(prefix + "queue_depth"),
+         registry_->GetGauge(prefix + "users"),
+         registry_->GetGauge(prefix + "user_table_bytes")});
   }
   mine::MiningSink* mining = mining_.get();
   obs::Gauge mining_tracked = mining != nullptr
@@ -333,10 +337,8 @@ void StreamEngine::RegisterScrapeProbe() {
                                   : obs::Gauge();
   obs::Gauge lag = registry_->GetGauge("engine.watermark_lag_seconds");
   obs::Gauge skew = registry_->GetGauge("engine.watermark_skew_seconds");
-  scrape_probe_id_ = registry_->AddProbe([shard_probes =
-                                              std::move(shard_probes),
-                                          mining, mining_tracked, lag,
-                                          skew]() mutable {
+  refresh_gauges_ = [shard_probes = std::move(shard_probes), mining,
+                     mining_tracked, lag, skew]() mutable {
     std::uint64_t min_watermark = 0;
     std::uint64_t max_watermark = 0;
     for (ShardProbe& probe : shard_probes) {
@@ -346,6 +348,8 @@ void StreamEngine::RegisterScrapeProbe() {
       probe.queue_depth.Set(probe.shard->driver != nullptr
                                 ? probe.shard->driver->queue_depth()
                                 : 0);
+      probe.users.Set(probe.shard->sessionize->users());
+      probe.user_table_bytes.Set(probe.shard->sessionize->user_table_bytes());
       if (watermark == 0) continue;  // shard has absorbed nothing yet
       if (min_watermark == 0 || watermark < min_watermark) {
         min_watermark = watermark;
@@ -360,11 +364,12 @@ void StreamEngine::RegisterScrapeProbe() {
     const std::uint64_t now = obs::internal::NowEpochSeconds();
     lag.Set(now > min_watermark ? now - min_watermark : 0);
     skew.Set(max_watermark - min_watermark);
-  });
+  };
+  scrape_probe_id_ = registry_->AddProbe(refresh_gauges_);
 }
 
 StreamEngine::StreamEngine(EngineOptions options,
-                           UserSessionizerFactory factory, SessionSink* sink)
+                           SessionizeSinkFactory make_sink, SessionSink* sink)
     : identity_(options.identity_),
       error_policy_(options.error_policy_),
       offer_policy_(options.offer_policy_),
@@ -416,9 +421,8 @@ StreamEngine::StreamEngine(EngineOptions options,
     SessionizeMetrics sessionize_metrics;
     sessionize_metrics.skipped_non_page_urls =
         obs::CounterIn(registry, prefix + "skipped_non_page_urls");
-    shard->sessionize = std::make_unique<SessionizeSink>(
-        factory, shard->emit.get(), options.num_pages_,
-        std::move(sessionize_metrics));
+    shard->sessionize = make_sink(shard->emit.get(), options.num_pages_,
+                                  std::move(sessionize_metrics));
     shards_.push_back(std::move(shard));
   }
 }
@@ -479,16 +483,14 @@ void StreamEngine::StartWorkers() {
 StreamEngine::~StreamEngine() {
   // The scrape probe holds raw pointers into this engine; detach it
   // before anything it reads starts dying (the registry, caller-owned,
-  // usually outlives the engine).
-  if (scrape_probe_id_ != 0) registry_->RemoveProbe(scrape_probe_id_);
+  // usually outlives the engine). One last refresh first, so a snapshot
+  // taken after the engine is gone (a tool's exit-time --metrics-out)
+  // reads the final gauges rather than never-set ones.
+  if (scrape_probe_id_ != 0) {
+    refresh_gauges_();
+    registry_->RemoveProbe(scrape_probe_id_);
+  }
   if (!finished_) (void)Finish();
-}
-
-std::size_t StreamEngine::ShardIndexFor(const LogRecordRef& record) const {
-  if (shards_.size() == 1) return 0;
-  return static_cast<std::size_t>(
-      UserHashFor(record.client_ip, record.user_agent, identity_) %
-      shards_.size());
 }
 
 void StreamEngine::Quarantine(Shard& shard, DeadLetter letter) {
@@ -541,14 +543,16 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
   WUM_RETURN_NOT_OK(emit_->first_error());
   // Filter and partition pass: route every ref to the shard its user
   // hashes to, drop it there if a filter rejects it, otherwise resolve it
-  // into that shard's staging batch.
+  // into that shard's staging batch, hash included.
   for (const LogRecordRef& ref : batch) {
-    const std::size_t index = ShardIndexFor(ref);
+    const std::uint64_t hash =
+        UserHashFor(ref.client_ip, ref.user_agent, identity_);
+    const std::size_t index = ShardIndexFor(hash);
     if (!filters_.Keep(ref)) {
       ++staging_filtered_[index];
       continue;
     }
-    staging_[index].Append(ref, identity_);
+    staging_[index].Append(ref, identity_, hash);
   }
   // One queue hand-off per shard that received records this batch.
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
@@ -629,10 +633,11 @@ Status StreamEngine::Finish() {
   // because the engine had already stopped.
   WUM_RETURN_NOT_OK(emit_->first_error());
   WUM_RETURN_NOT_OK(first_stop);
-  // kDegrade: a flush that failed on a data error left records absorbed
-  // into its shard's open per-user session state neither delivered nor
-  // quarantined. Cover them with one letter per shard so the accounting
-  // invariant (delivered + dead-lettered == absorbed) holds.
+  // kDegrade: a user whose flush failed on a data error left its
+  // absorbed records neither delivered nor quarantined (the shard's
+  // other users still flushed). Cover them with one letter per shard so
+  // the accounting invariant (delivered + dead-lettered == absorbed)
+  // holds.
   for (std::unique_ptr<Shard>& shard : shards_) {
     const std::uint64_t absorbed = shard->sessionize->records_absorbed();
     const std::uint64_t settled = shard->emit->delivered_records() +

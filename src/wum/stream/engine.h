@@ -1,21 +1,23 @@
 // StreamEngine: the sharded, multi-worker streaming facade. It owns the
 // whole reactive chain — producer-side cleaning filters, per-shard
-// bounded queue and per-user incremental sessionizer map — built from
-// ThreadedDriver + SessionizeSink (which remain the internal building
-// blocks).
+// bounded queue and per-shard user table — built from ThreadedDriver +
+// SessionizeSink (which remain the internal building blocks).
 //
 //   OfferBatch(refs) --filters--> hash(user identity)
-//       --resolve--> ShardBatch {key, page id, timestamp} --> shard queue
-//       -> per-user sessionizer -> serialized emit -> SessionSink
+//       --resolve--> ShardBatch {key, page id, timestamp, hash}
+//       --> shard queue -> user table + rule -> serialized emit
+//       -> SessionSink
 //
 // Everything before the shard queue runs on the producer thread over
 // the zero-copy LogRecordRef views: the add_filter filters drop records
-// before any copy, and each kept record is resolved into the three
-// fields a shard reads (see ShardBatch). Under OfferPolicy::kBlock a
-// shard's batch of at most ThreadedDriver::kInlineDrainMaxRecords
-// records skips the queue when the shard is idle: the producer drains
-// it itself, which costs less than waking the worker for a few
-// records. Larger batches, and every hand-off under kShed, are queued.
+// before any copy, and each kept record is resolved into the fields a
+// shard reads (see ShardBatch). The user hash is computed once per
+// record: it picks the shard and indexes that shard's user table.
+// Under OfferPolicy::kBlock a shard's batch of at most
+// ThreadedDriver::kInlineDrainMaxRecords records skips the queue when
+// the shard is idle: the producer drains it itself, which costs less
+// than waking the worker for a few records. Larger batches, and every
+// hand-off under kShed, are queued.
 //
 // Records are hash-partitioned by user identity (client IP, or IP+UA per
 // UserIdentity), so one user's records always land on the same shard and
@@ -140,7 +142,8 @@ class EngineOptions {
     return *this;
   }
 
-  /// Heuristic selection (exactly one; the factory runs once per user).
+  /// Heuristic selection (exactly one; each shard runs one copy of the
+  /// heuristic's rule over its whole user table).
   /// Names resolve through HeuristicRegistry::Default() at Create time —
   /// the same table the CLI tools use — so `name` accepts exactly the
   /// strings the tools accept ("duration", "pagestay", "navigation",
@@ -166,7 +169,8 @@ class EngineOptions {
   EngineOptions& use_smart_sra(const WebGraph* graph) {
     return use_graph(graph).use_heuristic("smart-sra");
   }
-  /// Escape hatch: caller-provided per-user sessionizer factory.
+  /// Escape hatch: caller-provided per-user sessionizer factory, run
+  /// once per user on the user's first request.
   EngineOptions& use_custom(UserSessionizerFactory factory) {
     custom_factory_ = std::move(factory);
     return SetSelection(Selection::kCustom);
@@ -464,10 +468,13 @@ class StreamEngine {
   class EmitHub;
   class ShardEmit;
 
-  StreamEngine(EngineOptions options, UserSessionizerFactory factory,
+  StreamEngine(EngineOptions options, SessionizeSinkFactory make_sink,
                SessionSink* sink);
 
-  std::size_t ShardIndexFor(const LogRecordRef& record) const;
+  /// The shard of a record whose user hashes to `hash` (UserHashFor).
+  std::size_t ShardIndexFor(std::uint64_t hash) const {
+    return static_cast<std::size_t>(hash % shards_.size());
+  }
   EngineStats SnapshotShard(const Shard& shard) const;
   /// Counts one quarantined input against `shard` and offers it to the
   /// dead-letter channel when one is attached.
@@ -485,9 +492,10 @@ class StreamEngine {
   /// started) shards; validates the manifest fingerprint first.
   Status RestoreFrom(const std::string& dir);
   /// Registers the scrape-time gauge probe (watermarks, queue depths,
-  /// watermark lag/skew) on registry_. Runs after StartWorkers — the
-  /// probe reads the drivers — and is undone by the destructor, since
-  /// the registry usually outlives the engine. No-op without a registry.
+  /// user-table sizes, watermark lag/skew) on registry_. Runs after
+  /// StartWorkers — the probe reads the drivers — and is undone by the
+  /// destructor, since the registry usually outlives the engine. No-op
+  /// without a registry.
   void RegisterScrapeProbe();
 
   UserIdentity identity_;
@@ -512,6 +520,8 @@ class StreamEngine {
   bool finished_ = false;
   /// Probe handle from RegisterScrapeProbe (0 = none registered).
   std::size_t scrape_probe_id_ = 0;
+  /// The probe's body; the destructor runs it once more.
+  std::function<void()> refresh_gauges_;
 
   // Checkpoint/resume state. records_seen_ is producer-thread only.
   std::size_t queue_capacity_;

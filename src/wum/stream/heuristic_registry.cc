@@ -1,5 +1,6 @@
 #include "wum/stream/heuristic_registry.h"
 
+#include <type_traits>
 #include <utility>
 
 #include "wum/session/navigation_heuristic.h"
@@ -10,15 +11,44 @@
 
 namespace wum {
 
+namespace {
+
+/// One registry entry whose streaming forms both come from `make_rule`:
+/// the stand-alone per-user sessionizer and the per-shard sink.
+template <typename MakeRule>
+HeuristicRegistry::Entry RuleEntry(std::string name, std::string description,
+                                   bool needs_graph,
+                                   HeuristicRegistry::BatchFactory make_batch,
+                                   MakeRule make_rule) {
+  using Rule = std::invoke_result_t<MakeRule, const HeuristicContext&>;
+  return HeuristicRegistry::Entry{
+      std::move(name),
+      std::move(description),
+      needs_graph,
+      std::move(make_batch),
+      [make_rule](const HeuristicContext& context)
+          -> Result<UserSessionizerFactory> {
+        return UserSessionizerFactory([rule = make_rule(context)]() {
+          return std::make_unique<RuleSessionizer<Rule>>(rule);
+        });
+      },
+      [make_rule](const HeuristicContext& context)
+          -> Result<SessionizeSinkFactory> {
+        return SessionizeSinkFactoryFor(make_rule(context));
+      },
+  };
+}
+
+}  // namespace
+
 HeuristicRegistry::HeuristicRegistry(std::vector<Entry> entries)
     : entries_(std::move(entries)) {}
 
 const HeuristicRegistry& HeuristicRegistry::Default() {
   static const HeuristicRegistry* const kRegistry =
       new HeuristicRegistry(std::vector<Entry>{
-          Entry{
-              "duration",
-              "heur1: total session duration bounded by delta",
+          RuleEntry(
+              "duration", "heur1: total session duration bounded by delta",
               /*needs_graph=*/false,
               [](const HeuristicContext& context)
                   -> Result<std::unique_ptr<Sessionizer>> {
@@ -26,18 +56,11 @@ const HeuristicRegistry& HeuristicRegistry::Default() {
                     std::make_unique<SessionDurationSessionizer>(
                         context.thresholds.max_session_duration));
               },
-              [](const HeuristicContext& context)
-                  -> Result<UserSessionizerFactory> {
-                return UserSessionizerFactory(
-                    [limit = context.thresholds.max_session_duration]() {
-                      return std::make_unique<IncrementalDurationSessionizer>(
-                          limit);
-                    });
-              },
-          },
-          Entry{
-              "pagestay",
-              "heur2: consecutive-request gap bounded by rho",
+              [](const HeuristicContext& context) {
+                return DurationRule(context.thresholds.max_session_duration);
+              }),
+          RuleEntry(
+              "pagestay", "heur2: consecutive-request gap bounded by rho",
               /*needs_graph=*/false,
               [](const HeuristicContext& context)
                   -> Result<std::unique_ptr<Sessionizer>> {
@@ -45,16 +68,10 @@ const HeuristicRegistry& HeuristicRegistry::Default() {
                     std::make_unique<PageStaySessionizer>(
                         context.thresholds.max_page_stay));
               },
-              [](const HeuristicContext& context)
-                  -> Result<UserSessionizerFactory> {
-                return UserSessionizerFactory(
-                    [limit = context.thresholds.max_page_stay]() {
-                      return std::make_unique<IncrementalPageStaySessionizer>(
-                          limit);
-                    });
-              },
-          },
-          Entry{
+              [](const HeuristicContext& context) {
+                return PageStayRule(context.thresholds.max_page_stay);
+              }),
+          RuleEntry(
               "navigation",
               "heur3: topology-linked navigation with path completion",
               /*needs_graph=*/true,
@@ -63,15 +80,10 @@ const HeuristicRegistry& HeuristicRegistry::Default() {
                 return std::unique_ptr<Sessionizer>(
                     std::make_unique<NavigationSessionizer>(context.graph));
               },
-              [](const HeuristicContext& context)
-                  -> Result<UserSessionizerFactory> {
-                return UserSessionizerFactory([graph = context.graph]() {
-                  return std::make_unique<IncrementalNavigationSessionizer>(
-                      graph);
-                });
-              },
-          },
-          Entry{
+              [](const HeuristicContext& context) {
+                return NavigationRule(context.graph);
+              }),
+          RuleEntry(
               "smart-sra",
               "heur4: Smart-SRA maximal topology+time consistent sessions",
               /*needs_graph=*/true,
@@ -82,17 +94,11 @@ const HeuristicRegistry& HeuristicRegistry::Default() {
                 return std::unique_ptr<Sessionizer>(
                     std::make_unique<SmartSra>(context.graph, options));
               },
-              [](const HeuristicContext& context)
-                  -> Result<UserSessionizerFactory> {
+              [](const HeuristicContext& context) {
                 SmartSra::Options options;
                 options.thresholds = context.thresholds;
-                return UserSessionizerFactory(
-                    [graph = context.graph, options]() {
-                      return std::make_unique<IncrementalSmartSra>(graph,
-                                                                   options);
-                    });
-              },
-          },
+                return SmartSraRule(context.graph, options);
+              }),
       });
   return *kRegistry;
 }
@@ -149,6 +155,12 @@ Result<UserSessionizerFactory> HeuristicRegistry::CreateIncremental(
     const std::string& name, const HeuristicContext& context) const {
   WUM_ASSIGN_OR_RETURN(const Entry* entry, FindChecked(name, context));
   return entry->make_incremental(context);
+}
+
+Result<SessionizeSinkFactory> HeuristicRegistry::CreateSinkFactory(
+    const std::string& name, const HeuristicContext& context) const {
+  WUM_ASSIGN_OR_RETURN(const Entry* entry, FindChecked(name, context));
+  return entry->make_sink(context);
 }
 
 }  // namespace wum

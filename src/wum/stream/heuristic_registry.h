@@ -5,9 +5,10 @@
 // resolves through this table, so adding a heuristic is a one-entry
 // change and --help strings never drift from what actually dispatches.
 //
-// It lives in stream/ (not session/) because an entry carries *both*
-// construction forms of one heuristic: the batch Sessionizer and the
-// incremental per-user state machine the StreamEngine shards over.
+// It lives in stream/ (not session/) because an entry carries every
+// construction form of one heuristic: the batch Sessionizer, the
+// per-shard SessionizeSink the StreamEngine runs, and the stand-alone
+// per-user sessionizer over the same rule.
 
 #ifndef WUM_STREAM_HEURISTIC_REGISTRY_H_
 #define WUM_STREAM_HEURISTIC_REGISTRY_H_
@@ -45,6 +46,8 @@ class HeuristicRegistry {
       const HeuristicContext&)>;
   using IncrementalFactory =
       std::function<Result<UserSessionizerFactory>(const HeuristicContext&)>;
+  using SinkFactory =
+      std::function<Result<SessionizeSinkFactory>(const HeuristicContext&)>;
 
   struct Entry {
     /// Canonical CLI name, e.g. "smart-sra".
@@ -54,6 +57,7 @@ class HeuristicRegistry {
     bool needs_graph = false;
     BatchFactory make_batch;
     IncrementalFactory make_incremental;
+    SinkFactory make_sink;
   };
 
   /// The built-in table with the paper's four heuristics.
@@ -76,10 +80,16 @@ class HeuristicRegistry {
   Result<std::unique_ptr<Sessionizer>> CreateBatch(
       const std::string& name, const HeuristicContext& context) const;
 
-  /// Per-user incremental factory for `name` (what StreamEngine shards
-  /// drive). Same error contract as CreateBatch; the returned factory is
-  /// safe to invoke concurrently from shard workers.
+  /// Per-user incremental factory for `name`: each sessionizer holds its
+  /// own copy of the heuristic's rule. Same error contract as
+  /// CreateBatch; the returned factory is safe to invoke concurrently.
   Result<UserSessionizerFactory> CreateIncremental(
+      const std::string& name, const HeuristicContext& context) const;
+
+  /// Per-shard sink factory for `name` (what StreamEngine shards run):
+  /// each sink applies one copy of the rule to its whole user table.
+  /// Same error contract as CreateBatch.
+  Result<SessionizeSinkFactory> CreateSinkFactory(
       const std::string& name, const HeuristicContext& context) const;
 
  private:

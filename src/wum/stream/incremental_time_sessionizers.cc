@@ -1,150 +1,44 @@
 #include "wum/stream/incremental_time_sessionizers.h"
 
-#include "wum/ckpt/checkpoint.h"
-
 namespace wum {
 namespace {
 
-// State type tags, distinct across every IncrementalUserSessionizer
-// implementation (smart-sra claims 4 in incremental_sessionizer.cc).
+// State tags, distinct across the rules (smart-sra claims 4 in
+// incremental_sessionizer.cc).
 constexpr std::uint8_t kDurationStateTag = 1;
 constexpr std::uint8_t kPageStayStateTag = 2;
 constexpr std::uint8_t kNavigationStateTag = 3;
 
-Status CheckStateTag(ckpt::Decoder* decoder, std::uint8_t expected,
-                     const char* name) {
-  WUM_ASSIGN_OR_RETURN(std::uint8_t tag, decoder->GetU8());
-  if (tag != expected) {
-    return Status::ParseError("state tag " + std::to_string(tag) +
-                              " is not " + name + " state");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
-IncrementalDurationSessionizer::IncrementalDurationSessionizer(
-    TimeSeconds max_session_duration)
-    : max_session_duration_(max_session_duration) {}
-
-Status IncrementalDurationSessionizer::OnRequest(const PageRequest& request,
-                                                 const EmitFn& emit) {
-  if (!current_.empty() &&
-      request.timestamp - current_.requests.front().timestamp >
-          max_session_duration_) {
-    WUM_RETURN_NOT_OK(emit(std::move(current_)));
-    current_ = Session{};
-  }
-  current_.requests.push_back(request);
+Status DurationRule::Serialize(const Session& open,
+                               ckpt::Encoder* encoder) const {
+  EncodeOpenSession(kDurationStateTag, open, encoder);
   return Status::OK();
 }
 
-Status IncrementalDurationSessionizer::Flush(const EmitFn& emit) {
-  if (current_.empty()) return Status::OK();
-  Status status = emit(std::move(current_));
-  current_ = Session{};
-  return status;
+Status DurationRule::Restore(ckpt::Decoder* decoder, Session* open) const {
+  return DecodeOpenSession(decoder, kDurationStateTag, "duration", open);
 }
 
-Status IncrementalDurationSessionizer::SerializeState(
-    ckpt::Encoder* encoder) const {
-  encoder->PutU8(kDurationStateTag);
-  ckpt::EncodeSession(current_, encoder);
+Status PageStayRule::Serialize(const Session& open,
+                               ckpt::Encoder* encoder) const {
+  EncodeOpenSession(kPageStayStateTag, open, encoder);
   return Status::OK();
 }
 
-Status IncrementalDurationSessionizer::RestoreState(ckpt::Decoder* decoder) {
-  WUM_RETURN_NOT_OK(CheckStateTag(decoder, kDurationStateTag, "duration"));
-  return ckpt::DecodeSession(decoder, &current_);
+Status PageStayRule::Restore(ckpt::Decoder* decoder, Session* open) const {
+  return DecodeOpenSession(decoder, kPageStayStateTag, "pagestay", open);
 }
 
-IncrementalPageStaySessionizer::IncrementalPageStaySessionizer(
-    TimeSeconds max_page_stay)
-    : max_page_stay_(max_page_stay) {}
-
-Status IncrementalPageStaySessionizer::OnRequest(const PageRequest& request,
-                                                 const EmitFn& emit) {
-  if (!current_.empty() &&
-      request.timestamp - current_.requests.back().timestamp >
-          max_page_stay_) {
-    WUM_RETURN_NOT_OK(emit(std::move(current_)));
-    current_ = Session{};
-  }
-  current_.requests.push_back(request);
+Status NavigationRule::Serialize(const Session& open,
+                                 ckpt::Encoder* encoder) const {
+  EncodeOpenSession(kNavigationStateTag, open, encoder);
   return Status::OK();
 }
 
-Status IncrementalPageStaySessionizer::Flush(const EmitFn& emit) {
-  if (current_.empty()) return Status::OK();
-  Status status = emit(std::move(current_));
-  current_ = Session{};
-  return status;
-}
-
-Status IncrementalPageStaySessionizer::SerializeState(
-    ckpt::Encoder* encoder) const {
-  encoder->PutU8(kPageStayStateTag);
-  ckpt::EncodeSession(current_, encoder);
-  return Status::OK();
-}
-
-Status IncrementalPageStaySessionizer::RestoreState(ckpt::Decoder* decoder) {
-  WUM_RETURN_NOT_OK(CheckStateTag(decoder, kPageStayStateTag, "pagestay"));
-  return ckpt::DecodeSession(decoder, &current_);
-}
-
-IncrementalNavigationSessionizer::IncrementalNavigationSessionizer(
-    const WebGraph* graph)
-    : graph_(graph) {}
-
-Status IncrementalNavigationSessionizer::OnRequest(const PageRequest& request,
-                                                   const EmitFn& emit) {
-  if (current_.empty()) {
-    current_.requests.push_back(request);
-    return Status::OK();
-  }
-  if (graph_->HasLink(current_.requests.back().page, request.page)) {
-    current_.requests.push_back(request);
-    return Status::OK();
-  }
-  std::size_t referrer_index = current_.requests.size();
-  for (std::size_t j = current_.requests.size() - 1; j-- > 0;) {
-    if (graph_->HasLink(current_.requests[j].page, request.page)) {
-      referrer_index = j;
-      break;
-    }
-  }
-  if (referrer_index == current_.requests.size()) {
-    WUM_RETURN_NOT_OK(emit(std::move(current_)));
-    current_ = Session{};
-    current_.requests.push_back(request);
-    return Status::OK();
-  }
-  for (std::size_t j = current_.requests.size() - 1; j-- > referrer_index;) {
-    current_.requests.push_back(
-        PageRequest{current_.requests[j].page, request.timestamp});
-  }
-  current_.requests.push_back(request);
-  return Status::OK();
-}
-
-Status IncrementalNavigationSessionizer::Flush(const EmitFn& emit) {
-  if (current_.empty()) return Status::OK();
-  Status status = emit(std::move(current_));
-  current_ = Session{};
-  return status;
-}
-
-Status IncrementalNavigationSessionizer::SerializeState(
-    ckpt::Encoder* encoder) const {
-  encoder->PutU8(kNavigationStateTag);
-  ckpt::EncodeSession(current_, encoder);
-  return Status::OK();
-}
-
-Status IncrementalNavigationSessionizer::RestoreState(ckpt::Decoder* decoder) {
-  WUM_RETURN_NOT_OK(CheckStateTag(decoder, kNavigationStateTag, "navigation"));
-  return ckpt::DecodeSession(decoder, &current_);
+Status NavigationRule::Restore(ckpt::Decoder* decoder, Session* open) const {
+  return DecodeOpenSession(decoder, kNavigationStateTag, "navigation", open);
 }
 
 }  // namespace wum

@@ -6,14 +6,15 @@
 
 namespace wum {
 
-void ShardBatch::Append(const LogRecordRef& ref, UserIdentity identity) {
+void ShardBatch::Append(const LogRecordRef& ref, UserIdentity identity,
+                        std::uint64_t hash) {
   const std::size_t offset = keys.size();
   AppendUserKey(ref.client_ip, ref.user_agent, identity, &keys);
   const std::optional<std::uint32_t> page = PageFromUrl(ref.url);
   records.push_back({static_cast<std::uint32_t>(offset),
                      static_cast<std::uint32_t>(keys.size() - offset),
                      page.has_value() ? std::uint64_t{*page} : kNotAPage,
-                     ref.timestamp});
+                     ref.timestamp, hash});
 }
 
 ThreadedDriver::ThreadedDriver(RecordSink* sink, std::size_t queue_capacity,

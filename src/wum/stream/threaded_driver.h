@@ -34,13 +34,17 @@ namespace wum {
 inline constexpr std::uint64_t kNotAPage = ~std::uint64_t{0};
 
 /// One kept record as a shard consumes it: the three fields
-/// sessionization reads. The user key lives in its batch's byte arena.
+/// sessionization reads, plus its user key's hash. The user key lives in
+/// its batch's byte arena.
 struct ShardRecord {
   std::uint32_t key_offset = 0;
   std::uint32_t key_length = 0;
   /// Canonical page id, or kNotAPage.
   std::uint64_t page = kNotAPage;
   TimeSeconds timestamp = 0;
+  /// UserKeyHash of the user key: computed once on the producer, it
+  /// chose the shard and indexes the shard's user table.
+  std::uint64_t hash = 0;
 };
 
 /// Unit of queue hand-off between a producer and a shard worker: flat
@@ -55,9 +59,15 @@ struct ShardBatch {
   double offered_at_us = 0.0;
 
   /// Resolves `ref` into a shard record: its user key (see
-  /// AppendUserKey) is written once into the arena, and its URL becomes
-  /// its page id (kNotAPage when not canonical).
-  void Append(const LogRecordRef& ref, UserIdentity identity);
+  /// AppendUserKey) is written once into the arena, its URL becomes its
+  /// page id (kNotAPage when not canonical), and `hash` — which must be
+  /// UserHashFor(ref.client_ip, ref.user_agent, identity) — rides along.
+  void Append(const LogRecordRef& ref, UserIdentity identity,
+              std::uint64_t hash);
+  /// As above, computing the hash.
+  void Append(const LogRecordRef& ref, UserIdentity identity) {
+    Append(ref, identity, UserHashFor(ref.client_ip, ref.user_agent, identity));
+  }
 
   std::string_view KeyOf(const ShardRecord& record) const {
     return std::string_view(keys.data() + record.key_offset, record.key_length);

@@ -88,12 +88,8 @@ TEST(EndToEndTest, ThreadedStreamingEqualsBatchReconstruction) {
         streamed_sessions[ip].push_back(std::move(session));
         return Status::OK();
       });
-  SessionizeSink sessionize(
-      [&world]() {
-        return std::make_unique<IncrementalSmartSra>(&world.graph,
-                                                     SmartSra::Options());
-      },
-      &sink, world.graph.num_pages());
+  RuleSessionizeSink sessionize(SmartSraRule(&world.graph, SmartSra::Options()),
+                                &sink, world.graph.num_pages());
   FilterChain cleaning;
   cleaning.Add(std::make_unique<MethodFilter>());
   cleaning.Add(std::make_unique<StatusFilter>());

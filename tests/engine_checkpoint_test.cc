@@ -809,14 +809,14 @@ TEST_F(EngineCheckpointTest, CustomSessionizerWithoutHooksRefuses) {
   ASSERT_TRUE((*engine)->Finish().ok());
 }
 
-// The per-shard string interner is part of the snapshot: under the
+// The per-shard user table is part of the snapshot: under the
 // ip+user-agent identity a batched run killed mid-stream and resumed
 // must emit exactly the uninterrupted run's session multiset. The
 // baseline is driven record-at-a-time, so the same comparison also
 // cross-checks OfferBatch-vs-Offer equivalence across the crash.
-TEST_F(EngineCheckpointTest, InternerSurvivesKillAndResumeUnderBatchedIngest) {
+TEST_F(EngineCheckpointTest, UserTableSurvivesKillAndResumeUnderBatchedIngest) {
   // MakeWorkload leaves user_agent empty; give each user a stable
-  // browser so the identity keys exercise the interner's save/restore.
+  // browser so the identity keys exercise the table's save/restore.
   std::vector<LogRecord> records = records_;
   for (LogRecord& record : records) {
     record.user_agent =
@@ -882,7 +882,7 @@ TEST_F(EngineCheckpointTest, InternerSurvivesKillAndResumeUnderBatchedIngest) {
       }
 
       // Resume replays the whole input through OfferBatch; the restored
-      // interner must map every identity back to its open sessions.
+      // table must map every identity back to its open sessions.
       Entries resumed;
       {
         CollectingSessionSink sink;

@@ -276,6 +276,77 @@ TEST(EngineFaultTest, RejectedRecordsAreDeadLetteredInOrder) {
   EXPECT_TRUE((*engine)->ShardHealth()[0].ok());
 }
 
+/// Holds a user's requests open; Flush emits them as one session, or
+/// fails with OutOfRange (a data error, like a phase-2 candidate
+/// overflow) when the user requested the poison page.
+class OverflowOnFlushSessionizer : public IncrementalUserSessionizer {
+ public:
+  Status OnRequest(const PageRequest& request, const EmitFn&) override {
+    open_.requests.push_back(request);
+    return Status::OK();
+  }
+  Status Flush(const EmitFn& emit) override {
+    for (const PageRequest& request : open_.requests) {
+      if (request.page == kPoisonPage) {
+        return Status::OutOfRange("injected candidate overflow");
+      }
+    }
+    if (open_.empty()) return Status::OK();
+    return emit(std::move(open_));
+  }
+
+ private:
+  Session open_;
+};
+
+// A failed flush costs only its user: under kDegrade the user flushed
+// first fails with a data error, every later user of the shard still
+// gets its session, and the open-state letter covers only the failing
+// user's records.
+TEST(EngineFaultTest, FailedFlushCostsOnlyItsUser) {
+  WebGraph graph = MakeFigure1Topology();
+  DeadLetterQueue dead_letters;
+  CollectingSessionSink sessions;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions()
+          .set_num_shards(1)
+          .set_error_policy(ErrorPolicy::kDegrade)
+          .set_dead_letters(&dead_letters)
+          .set_num_pages(graph.num_pages())
+          .use_custom(
+              [] { return std::make_unique<OverflowOnFlushSessionizer>(); }),
+      &sessions);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  // The failing user is seen first, so it is flushed first.
+  std::vector<LogRecord> records = {PageRecord("10.0.0.0", kPoisonPage, 0),
+                                    PageRecord("10.0.0.0", 0, 10),
+                                    PageRecord("10.0.0.0", 1, 20)};
+  for (int u = 1; u <= 5; ++u) {
+    const std::string ip = "10.0.0." + std::to_string(u);
+    records.push_back(PageRecord(ip, 0, 30 + u));
+    records.push_back(PageRecord(ip, 1, 60 + u));
+  }
+  for (const LogRecord& record : records) {
+    ASSERT_TRUE((*engine)->Offer(record).ok());
+  }
+  ASSERT_TRUE((*engine)->Finish().ok());
+
+  ASSERT_EQ(sessions.entries().size(), 5u);
+  for (const auto& entry : sessions.entries()) {
+    EXPECT_NE(entry.client_ip, "10.0.0.0");
+    EXPECT_EQ(entry.session.PageSequence(), (std::vector<PageId>{0, 1}));
+  }
+  std::vector<DeadLetter> letters = dead_letters.Drain();
+  ASSERT_EQ(letters.size(), 1u);
+  EXPECT_EQ(letters[0].stage, DeadLetter::Stage::kShardDead);
+  EXPECT_EQ(letters[0].records_covered, 3u);
+  EXPECT_TRUE(letters[0].reason.IsOutOfRange())
+      << letters[0].reason.ToString();
+  // Conservation: 10 emitted + 3 in the open-state letter == 13 accepted.
+  EXPECT_EQ(EmittedRecords(sessions) + dead_letters.records_covered(),
+            records.size());
+}
+
 /// The in-shard record errors the engine itself raises, without any
 /// fault injection: a canonical page id outside the topology, and a
 /// timestamp older than the user's previous one.

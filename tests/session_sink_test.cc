@@ -28,19 +28,15 @@ Status AcceptOne(SessionizeSink* sink, const LogRecord& record) {
 TEST(SessionizeSinkTest, EmitsSessionsPerIp) {
   WebGraph graph = MakeFigure1Topology();
   CollectingSessionSink sessions;
-  SessionizeSink sink(
-      [&graph]() {
-        return std::make_unique<IncrementalSmartSra>(&graph,
-                                                     SmartSra::Options());
-      },
-      &sessions, graph.num_pages());
+  RuleSessionizeSink sink(SmartSraRule(&graph, SmartSra::Options()),
+                          &sessions, graph.num_pages());
   // Two users interleaved.
   ASSERT_TRUE(AcceptOne(&sink, PageRecord("a", 0, 0)).ok());
   ASSERT_TRUE(AcceptOne(&sink, PageRecord("b", 5, 10)).ok());
   ASSERT_TRUE(AcceptOne(&sink, PageRecord("a", 1, 60)).ok());
   ASSERT_TRUE(AcceptOne(&sink, PageRecord("b", 3, 70)).ok());
   ASSERT_TRUE(sink.Finish().ok());
-  EXPECT_EQ(sink.active_users(), 2u);
+  EXPECT_EQ(sink.users(), 2u);
   ASSERT_EQ(sessions.entries().size(), 2u);
   for (const auto& entry : sessions.entries()) {
     if (entry.client_ip == "a") {
@@ -55,12 +51,8 @@ TEST(SessionizeSinkTest, EmitsSessionsPerIp) {
 TEST(SessionizeSinkTest, SkipsNonPageUrls) {
   WebGraph graph = MakeFigure1Topology();
   CollectingSessionSink sessions;
-  SessionizeSink sink(
-      [&graph]() {
-        return std::make_unique<IncrementalSmartSra>(&graph,
-                                                     SmartSra::Options());
-      },
-      &sessions, graph.num_pages());
+  RuleSessionizeSink sink(SmartSraRule(&graph, SmartSra::Options()),
+                          &sessions, graph.num_pages());
   LogRecord favicon;
   favicon.client_ip = "a";
   favicon.url = "/favicon.ico";
@@ -73,12 +65,8 @@ TEST(SessionizeSinkTest, SkipsNonPageUrls) {
 TEST(SessionizeSinkTest, RejectsOutOfOrderPerUser) {
   WebGraph graph = MakeFigure1Topology();
   CollectingSessionSink sessions;
-  SessionizeSink sink(
-      [&graph]() {
-        return std::make_unique<IncrementalSmartSra>(&graph,
-                                                     SmartSra::Options());
-      },
-      &sessions, graph.num_pages());
+  RuleSessionizeSink sink(SmartSraRule(&graph, SmartSra::Options()),
+                          &sessions, graph.num_pages());
   ASSERT_TRUE(AcceptOne(&sink, PageRecord("a", 0, 100)).ok());
   EXPECT_TRUE(AcceptOne(&sink, PageRecord("a", 1, 50)).IsInvalidArgument());
   // A different user at an older time is fine (ordering is per user).
@@ -88,12 +76,8 @@ TEST(SessionizeSinkTest, RejectsOutOfOrderPerUser) {
 TEST(SessionizeSinkTest, RejectsOutOfTopologyPages) {
   WebGraph graph = MakeFigure1Topology();
   CollectingSessionSink sessions;
-  SessionizeSink sink(
-      [&graph]() {
-        return std::make_unique<IncrementalSmartSra>(&graph,
-                                                     SmartSra::Options());
-      },
-      &sessions, graph.num_pages());
+  RuleSessionizeSink sink(SmartSraRule(&graph, SmartSra::Options()),
+                          &sessions, graph.num_pages());
   EXPECT_TRUE(AcceptOne(&sink, PageRecord("a", 77, 0)).IsInvalidArgument());
 }
 

@@ -497,12 +497,8 @@ TEST(ThreadedDriverTest, InlineSinkErrorSurfacesOnNextCall) {
 TEST(ThreadedDriverTest, EndToEndStreamingSessionization) {
   WebGraph graph = MakeFigure1Topology();
   CollectingSessionSink sessions;
-  SessionizeSink sink(
-      [&graph]() {
-        return std::make_unique<IncrementalSmartSra>(&graph,
-                                                     SmartSra::Options());
-      },
-      &sessions, graph.num_pages());
+  RuleSessionizeSink sink(SmartSraRule(&graph, SmartSra::Options()),
+                          &sessions, graph.num_pages());
   ThreadedDriver driver(&sink, 4);
   ASSERT_TRUE(OfferOne(&driver, PageRecord("u", 0, 0)).ok());
   ASSERT_TRUE(OfferOne(&driver, PageRecord("u", 1, 60)).ok());

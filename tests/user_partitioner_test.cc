@@ -115,6 +115,9 @@ TEST(UserKeyForTest, SplitUserKeyInvertsTheKey) {
               identity == UserIdentity::kClientIp
                   ? Parts("1.2.3.4", "")
                   : Parts("1.2.3.4", "Mozilla"));
+    // The partitioner's hash is the key's hash: a restored user table
+    // rehashes keys and must land where the live records did.
+    EXPECT_EQ(UserKeyHash(key), UserHashFor("1.2.3.4", "Mozilla", identity));
   }
   // A separator inside the agent stays with the agent.
   const std::string key = UserKeyFor("1.2.3.4", "a\x1f" "b",
