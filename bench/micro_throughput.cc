@@ -282,7 +282,8 @@ BENCHMARK(BM_StreamEngineShardedMetrics)
 // derived capacity): the spread against BM_StreamEngineSharded is the
 // live cost of online path mining — one page-id copy per session and
 // the SpaceSaving offers, run by each shard's draining thread into its
-// own miner outside the emit lock, so the cost spreads across shards.
+// own miner after each run's delivery, outside the emit lock, so the
+// cost spreads across shards.
 // The CI gate holds this arm to >= 0.92x of its committed baseline.
 void BM_StreamEngineShardedMining(benchmark::State& state) {
   StreamEngineShardedLoop(state, nullptr, /*with_mining=*/true);
@@ -295,8 +296,9 @@ BENCHMARK(BM_StreamEngineShardedMining)
 
 // End-to-end latency tracking cost: with a registry attached the
 // threaded driver stamps every batch at accept (one clock read on the
-// producer side), the emit hub reads the clock per emitted session to
-// feed the ingest_to_emit_latency_us histogram, and the sessionizer
+// producer side), each shard reads the clock once per delivered run of
+// sessions to feed the ingest_to_emit_latency_us histogram, and the
+// sessionizer
 // maintains the per-shard event-time watermark. The spread against
 // BM_StreamEngineSharded is the full price of the live-telemetry path;
 // the CI gate holds this arm to >= 0.92x of its committed baseline so

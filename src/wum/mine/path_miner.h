@@ -9,8 +9,8 @@
 //
 // MiningSink is the engine's mining state: one PathMiner per shard, each
 // behind its own mutex, fed by the thread that drains the shard right
-// after each delivery (outside the emit hub's lock, so shards mine in
-// parallel). Queries merge the per-shard summaries (MergeTopK) in shard
+// after each delivery of the shard's run of sessions (outside the emit
+// hub's lock, so shards mine in parallel). Queries merge the per-shard summaries (MergeTopK) in shard
 // order; each shard's miner sees only its own users' sessions, so the
 // answer is deterministic for a given shard count. All public
 // MiningSink methods are thread-safe.
@@ -118,7 +118,7 @@ class MiningSink {
              const WebGraph* graph, obs::MetricRegistry* metrics);
 
   /// Mines one delivered session into shard `shard`'s miner. Called by
-  /// the thread draining that shard, once per successful delivery.
+  /// the thread draining that shard, once per session the sink took.
   void AddSession(std::size_t shard, const std::vector<PageId>& pages);
 
   std::vector<PatternEstimate> TopK(std::size_t k = 0,

@@ -1,11 +1,14 @@
 #include "wum/stream/engine.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "wum/ckpt/checkpoint.h"
 #include "wum/mine/path_miner.h"
@@ -36,26 +39,97 @@ bool StopsEngine(ErrorPolicy policy, const Status& status) {
   return policy == ErrorPolicy::kFailFast || IsShardFatal(status);
 }
 
+/// A run holds at most this many requests (unless one session alone is
+/// larger): a batch that closes many sessions reaches the sink in runs
+/// of this size rather than all at its end.
+constexpr std::size_t kRunMaxRequests = 1024;
+
+/// The sessions one shard closed since its last delivery, flat: user
+/// keys in one byte arena, requests in one vector, and one span of each
+/// per session. A run holds no heap object per session and keeps its
+/// capacity from one run to the next.
+struct SessionRun {
+  struct Entry {
+    std::uint32_t key_offset = 0;
+    std::uint32_t key_length = 0;
+    std::uint32_t request_offset = 0;
+    std::uint32_t request_length = 0;
+  };
+
+  std::string keys;
+  std::vector<PageRequest> requests;
+  std::vector<Entry> sessions;
+
+  void Append(std::string_view user_key, const Session& session) {
+    sessions.push_back({static_cast<std::uint32_t>(keys.size()),
+                        static_cast<std::uint32_t>(user_key.size()),
+                        static_cast<std::uint32_t>(requests.size()),
+                        static_cast<std::uint32_t>(session.size())});
+    keys.append(user_key);
+    requests.insert(requests.end(), session.requests.begin(),
+                    session.requests.end());
+  }
+  std::string_view KeyOf(const Entry& entry) const {
+    return std::string_view(keys).substr(entry.key_offset, entry.key_length);
+  }
+  std::span<const PageRequest> RequestsOf(const Entry& entry) const {
+    return std::span<const PageRequest>(requests).subspan(
+        entry.request_offset, entry.request_length);
+  }
+  bool empty() const { return sessions.empty(); }
+  void clear() {
+    keys.clear();
+    requests.clear();
+    sessions.clear();
+  }
+};
+
+/// A session of a run that the sink refused without stopping the engine.
+struct Refusal {
+  std::size_t index = 0;  // into SessionRun::sessions
+  Status status;
+};
+
 }  // namespace
 
-/// Funnels every shard's emissions into the caller's sink one at a time,
+/// Funnels every shard's runs into the caller's sink one run at a time,
 /// and holds the engine's sticky error: the first sink failure that
 /// stops the engine, or the first record-path failure a shard reports
-/// through Stop. Once it is set every later emission returns it without
-/// reaching the sink, and OfferBatch, Checkpoint and Finish return it.
-/// A sink failure that does not stop the engine (a data error under
-/// kDegrade) sticks nowhere: ShardEmit dead-letters that session.
+/// through Stop. Once it is set no later session reaches the sink, and
+/// OfferBatch, Checkpoint and Finish return it. A sink failure that
+/// does not stop the engine (a data error under kDegrade) sticks
+/// nowhere: ShardEmit dead-letters that session.
 class StreamEngine::EmitHub {
  public:
   EmitHub(SessionSink* sink, ErrorPolicy policy)
       : sink_(sink), policy_(policy) {}
 
-  Status Emit(const std::string& user_key, Session session) {
+  /// Hands `run`'s sessions to the sink in order under one lock. A
+  /// refusal that does not stop the engine is appended to `*refused`
+  /// and delivery goes on. Stops at the first session that meets the
+  /// sticky error, or sets it, and returns it; `*reached` counts the
+  /// sessions before that one (all of them on OK).
+  Status DeliverRun(const SessionRun& run, std::size_t* reached,
+                    std::vector<Refusal>* refused) {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!first_error_.ok()) return first_error_;
-    Status status = sink_->Accept(user_key, std::move(session));
-    if (!status.ok() && StopsEngine(policy_, status)) first_error_ = status;
-    return status;
+    for (std::size_t i = 0; i < run.sessions.size(); ++i) {
+      *reached = i;
+      if (!first_error_.ok()) return first_error_;
+      const SessionRun::Entry& entry = run.sessions[i];
+      const std::span<const PageRequest> requests = run.RequestsOf(entry);
+      key_.assign(run.KeyOf(entry));
+      Session session;
+      session.requests.assign(requests.begin(), requests.end());
+      Status status = sink_->Accept(key_, std::move(session));
+      if (status.ok()) continue;
+      if (StopsEngine(policy_, status)) {
+        first_error_ = status;
+        return status;
+      }
+      refused->push_back({i, std::move(status)});
+    }
+    *reached = run.sessions.size();
+    return Status::OK();
   }
 
   /// Makes `status` the sticky error unless one is already set.
@@ -74,20 +148,37 @@ class StreamEngine::EmitHub {
   SessionSink* sink_;
   ErrorPolicy policy_;
   Status first_error_;
+  /// The key of the session in delivery: SessionSink::Accept takes a
+  /// std::string. Guarded by mutex_.
+  std::string key_;
 };
 
-/// Per-shard emission front: forwards to the hub, keeps the delivery
-/// counters that back EngineStats::sessions_emitted, mines each
-/// delivered session into the shard's miner when mining is on, and —
-/// under kDegrade — turns a session the sink refused with a data error
-/// into a dead letter instead of an error, so the record path above
-/// only sees the failures that stop the engine.
+/// Per-shard emission front: collects the shard's closed sessions into
+/// its run and delivers the run through the hub — at the end of every
+/// drained batch, when the run would pass kRunMaxRequests, and after
+/// the Finish flush. After each delivery, outside the hub lock, it
+/// keeps the delivery counters that back EngineStats::sessions_emitted,
+/// observes ingest-to-emit latency, mines each delivered session into
+/// the shard's miner when mining is on, and — under kDegrade — turns a
+/// session the sink refused with a data error into a dead letter, so
+/// the record path above only sees the failures that stop the engine.
+/// Draining thread only, apart from the counter accessors.
 class StreamEngine::ShardEmit : public SessionSink {
  public:
   ShardEmit(StreamEngine* engine, Shard* shard, obs::Counter delivered_mirror)
       : engine_(engine), shard_(shard), delivered_mirror_(delivered_mirror) {}
 
-  Status Accept(const std::string& user_key, Session session) override;
+  Status Accept(const std::string& user_key, Session session) override {
+    return AcceptView(user_key, std::move(session));
+  }
+  /// Appends the session to the run (delivering the run first when it
+  /// would pass kRunMaxRequests) and frees it. Returns only a status
+  /// that stops the engine.
+  Status AcceptView(std::string_view user_key, Session session) override;
+
+  /// Delivers the run, if any, and empties it. Returns only a status
+  /// that stops the engine.
+  Status Deliver();
 
   /// Sessions successfully delivered to the caller's sink.
   std::uint64_t delivered_sessions() const {
@@ -115,6 +206,9 @@ class StreamEngine::ShardEmit : public SessionSink {
   StreamEngine* engine_;
   Shard* shard_;
   obs::Counter delivered_mirror_;
+  SessionRun run_;
+  std::vector<Refusal> refused_;  // of the run in delivery
+  std::vector<PageId> pages_;     // one delivered session's, for mining
   std::atomic<std::uint64_t> delivered_sessions_{0};
   std::atomic<std::uint64_t> delivered_records_{0};
   std::atomic<std::uint64_t> quarantined_records_{0};
@@ -138,17 +232,13 @@ struct StreamEngine::Shard {
   // Offer-time stamp (NowMicros) of the batch being drained; 0 between
   // batches and during the Finish flush, so stale stamps never pollute
   // the latency histogram. Written by the driver's on_batch_start/
-  // on_batch_drained hooks and read by ShardEmit::Accept, both on the
+  // on_batch_drained hooks and read by ShardEmit::Deliver, both on the
   // draining thread: the worker, or the producer for an inline drain
   // and the Finish flush — hence the atomic.
   std::atomic<double> batch_accept_stamp_us{0.0};
   // Ingest-to-emit latency: batch accept at the engine's front door to
-  // session delivery at the emit hub.
+  // delivery of the session's run at the emit hub.
   obs::Histogram ingest_to_emit_latency_us;
-
-  // Page ids of the session in emission, for mining; reused across
-  // sessions. Draining thread only.
-  std::vector<PageId> mine_pages;
 
   // Flush/finish failure of this shard, for ShardHealth.
   std::mutex health_mutex;
@@ -159,48 +249,71 @@ struct StreamEngine::Shard {
   std::unique_ptr<ThreadedDriver> driver;      // -> sessionize
 };
 
-Status StreamEngine::ShardEmit::Accept(const std::string& user_key,
-                                       Session session) {
-  const std::uint64_t covered =
-      static_cast<std::uint64_t>(session.requests.size());
-  mine::MiningSink* mining = engine_->mining_.get();
-  if (mining != nullptr) {
-    shard_->mine_pages.clear();
-    for (const PageRequest& request : session.requests) {
-      shard_->mine_pages.push_back(request.page);
-    }
+Status StreamEngine::ShardEmit::AcceptView(std::string_view user_key,
+                                           Session session) {
+  if (!run_.empty() &&
+      run_.requests.size() + session.size() > kRunMaxRequests) {
+    WUM_RETURN_NOT_OK(Deliver());
   }
-  Status status = engine_->emit_->Emit(user_key, std::move(session));
-  if (status.ok()) {
-    delivered_sessions_.fetch_add(1, std::memory_order_relaxed);
-    delivered_records_.fetch_add(covered, std::memory_order_relaxed);
-    delivered_mirror_.Increment();
-    if (shard_->ingest_to_emit_latency_us.enabled()) {
-      const double stamp =
-          shard_->batch_accept_stamp_us.load(std::memory_order_relaxed);
-      if (stamp > 0.0) {
-        shard_->ingest_to_emit_latency_us.Observe(obs::internal::NowMicros() -
-                                                  stamp);
+  run_.Append(user_key, session);
+  return Status::OK();
+}
+
+Status StreamEngine::ShardEmit::Deliver() {
+  if (run_.empty()) return Status::OK();
+  std::size_t reached = 0;
+  refused_.clear();
+  const Status status = engine_->emit_->DeliverRun(run_, &reached, &refused_);
+  // Outside the hub lock: time, mine and count what the sink took, and
+  // quarantine what it refused. The clock is read before mining, so the
+  // latency never includes it.
+  const std::uint64_t sessions = reached - refused_.size();
+  if (sessions > 0 && shard_->ingest_to_emit_latency_us.enabled()) {
+    const double stamp =
+        shard_->batch_accept_stamp_us.load(std::memory_order_relaxed);
+    if (stamp > 0.0) {
+      const double latency = obs::internal::NowMicros() - stamp;
+      for (std::uint64_t i = 0; i < sessions; ++i) {
+        shard_->ingest_to_emit_latency_us.Observe(latency);
       }
     }
-    // Mined on delivery, outside the hub lock.
-    if (mining != nullptr) {
-      mining->AddSession(shard_->index, shard_->mine_pages);
-    }
-    return status;
   }
-  if (StopsEngine(engine_->error_policy_, status)) return status;
-  // kDegrade, data error: the session is lost to the sink but not to
-  // accounting — quarantine a letter covering its records and go on.
-  quarantined_records_.fetch_add(covered, std::memory_order_relaxed);
-  DeadLetter letter;
-  letter.stage = DeadLetter::Stage::kEmit;
-  letter.shard = shard_->index;
-  letter.reason = std::move(status);
-  letter.detail = user_key;
-  letter.records_covered = covered;
-  engine_->Quarantine(*shard_, std::move(letter));
-  return Status::OK();
+  mine::MiningSink* mining = engine_->mining_.get();
+  std::uint64_t records = 0;
+  std::vector<Refusal>::iterator refusal = refused_.begin();
+  for (std::size_t i = 0; i < reached; ++i) {
+    const SessionRun::Entry& entry = run_.sessions[i];
+    if (refusal != refused_.end() && refusal->index == i) {
+      // kDegrade, data error: the session is lost to the sink but not to
+      // accounting — quarantine a letter covering its records.
+      quarantined_records_.fetch_add(entry.request_length,
+                                     std::memory_order_relaxed);
+      DeadLetter letter;
+      letter.stage = DeadLetter::Stage::kEmit;
+      letter.shard = shard_->index;
+      letter.reason = std::move(refusal->status);
+      letter.detail = std::string(run_.KeyOf(entry));
+      letter.records_covered = entry.request_length;
+      engine_->Quarantine(*shard_, std::move(letter));
+      ++refusal;
+      continue;
+    }
+    records += entry.request_length;
+    if (mining != nullptr) {
+      pages_.clear();
+      for (const PageRequest& request : run_.RequestsOf(entry)) {
+        pages_.push_back(request.page);
+      }
+      mining->AddSession(shard_->index, pages_);
+    }
+  }
+  run_.clear();
+  if (sessions > 0) {
+    delivered_sessions_.fetch_add(sessions, std::memory_order_relaxed);
+    delivered_records_.fetch_add(records, std::memory_order_relaxed);
+    delivered_mirror_.Increment(sessions);
+  }
+  return status;
 }
 
 Status EngineOptions::Validate() const {
@@ -446,10 +559,14 @@ void StreamEngine::StartWorkers() {
     DriverHooks hooks;
     Shard* shard_ptr = shard.get();
     hooks.on_batch_drained = [shard_ptr] {
-      // The end-of-batch mark for latency stamping: emissions from here
+      // The batch's closed sessions reach the sink as one run, before
+      // WaitIdle can see the batch drained.
+      Status status = shard_ptr->emit->Deliver();
+      // The end-of-batch mark for latency stamping: deliveries from here
       // on (the next batch not yet started, or the Finish flush) have no
       // meaningful accept time.
       shard_ptr->batch_accept_stamp_us.store(0.0, std::memory_order_relaxed);
+      return status;
     };
     if (registry_ != nullptr) {
       // Installing the hook is what switches on offer-time stamping in
@@ -620,6 +737,11 @@ Status StreamEngine::Finish() {
     // tearing the half-built engine down again.
     if (shard->driver == nullptr) continue;
     Status status = shard->driver->Finish();
+    // The flush filled the shard's run; deliver it, also after a flush
+    // that failed on one user's data error (the other users' sessions
+    // are in it).
+    Status delivered = shard->emit->Deliver();
+    if (status.ok()) status = std::move(delivered);
     if (status.ok()) continue;
     {
       std::lock_guard<std::mutex> lock(shard->health_mutex);

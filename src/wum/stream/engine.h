@@ -5,8 +5,8 @@
 //
 //   OfferBatch(refs) --filters--> hash(user identity)
 //       --resolve--> ShardBatch {key, page id, timestamp, hash}
-//       --> shard queue -> user table + rule -> serialized emit
-//       -> SessionSink
+//       --> shard queue -> user table + rule -> shard run
+//       --(one emit-hub lock per run)--> SessionSink
 //
 // Everything before the shard queue runs on the producer thread over
 // the zero-copy LogRecordRef views: the add_filter filters drop records
@@ -24,8 +24,13 @@
 // per-user timestamp ordering is preserved while distinct users run in
 // parallel — the per-user independence that "Link Based Session
 // Reconstruction" (Bayir & Toroslu) identifies as the natural
-// parallelism axis. Completed sessions funnel into the caller's single
-// SessionSink through a mutex-serialized emit path.
+// parallelism axis. Each shard collects the sessions it closes into a
+// flat shard-local run and hands the run to the caller's single
+// SessionSink under one emit-hub lock: at the end of every drained
+// batch, whenever the run would pass a fixed bound of 1024 requests,
+// and after the Finish flush. A session therefore reaches the sink when
+// its batch finishes draining, not when its closing record is
+// processed.
 //
 // Failure handling follows one rule (stated beside IsShardFatal in
 // fault.h): an infrastructure error — from a shard's sessionizer, the
@@ -89,9 +94,8 @@ enum class ErrorPolicy {
 enum class OfferPolicy {
   /// Block the producer until the shard catches up (the default). The
   /// producer also drains an idle shard's small batch itself, so a slow
-  /// SessionSink can stall it: for that batch's emissions, and while it
-  /// waits for the emit hub's lock, which any other shard's emission may
-  /// hold.
+  /// SessionSink can stall it: for that batch's run, and while it waits
+  /// for the emit hub's lock, which any other shard's run may hold.
   kBlock,
   /// Drop the record on the floor and count it in records_shed — load
   /// shedding for producers that must never stall. Nothing is drained
@@ -341,7 +345,8 @@ std::string EngineStatsToString(const EngineStats& stats);
 /// Owning, sharded streaming engine. Offer/Finish must be called from a
 /// single producer thread (the ingest path); stats snapshots are safe
 /// from any thread. The caller's SessionSink only ever sees one call at
-/// a time (serialized emit), so it needs no locking of its own.
+/// a time — one shard's run at a time, under the emit hub's lock — so
+/// it needs no locking of its own.
 class StreamEngine {
  public:
   /// Validates options and starts the shard workers. `sink` must outlive
@@ -450,7 +455,7 @@ class StreamEngine {
 
   /// Per-shard health, index == shard id: OK while the shard is healthy,
   /// the error that stopped it (its own, or the engine's sticky error it
-  /// met on its next emission) once it stopped, or its failed flush.
+  /// met on its next run delivery) once it stopped, or its failed flush.
   /// Safe from any thread.
   std::vector<Status> ShardHealth() const;
 
@@ -502,7 +507,7 @@ class StreamEngine {
   ErrorPolicy error_policy_;
   OfferPolicy offer_policy_;
   DeadLetterQueue* dead_letters_;
-  /// Fed by ShardEmit after each delivery. Destroyed after the shards
+  /// Fed by ShardEmit after each run delivery. Destroyed after the shards
   /// (declaration order), so workers never outlive it.
   std::unique_ptr<mine::MiningSink> mining_;
   std::unique_ptr<EmitHub> emit_;

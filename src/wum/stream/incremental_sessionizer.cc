@@ -74,8 +74,7 @@ Status SessionizeSink::OutOfOrder(std::string_view user_key) const {
 
 Status SessionizeSink::Deliver(std::string_view user_key, Session session) {
   sessions_emitted_.fetch_add(1, std::memory_order_relaxed);
-  key_buf_.assign(user_key);
-  return session_sink_->Accept(key_buf_, std::move(session));
+  return session_sink_->AcceptView(user_key, std::move(session));
 }
 
 bool SessionizeSink::StopsFlushing(const Status& status) {

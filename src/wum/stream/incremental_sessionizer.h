@@ -295,8 +295,6 @@ class SessionizeSink : public RecordSink {
   SessionSink* session_sink_;
   std::size_t num_pages_;
   SessionizeMetrics metrics_;
-  /// The emitting user's key: SessionSink::Accept takes a std::string.
-  std::string key_buf_;
   std::atomic<std::uint64_t> sessions_emitted_{0};
   std::atomic<std::uint64_t> skipped_non_page_urls_{0};
   std::atomic<std::uint64_t> records_absorbed_{0};

@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,13 @@ class SessionSink {
  public:
   virtual ~SessionSink() = default;
   virtual Status Accept(const std::string& client_ip, Session session) = 0;
+
+  /// Accept with the key as a view that is valid only for the call:
+  /// what an emitter holding its keys in its own storage (a shard's user
+  /// table) calls. The default copies the key and calls Accept.
+  virtual Status AcceptView(std::string_view user_key, Session session) {
+    return Accept(std::string(user_key), std::move(session));
+  }
 };
 
 /// SessionSink that appends into a vector (tests, examples).

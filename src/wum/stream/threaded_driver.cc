@@ -77,19 +77,27 @@ void ThreadedDriver::DrainBatch(const ShardBatch& batch) {
         hooks_.on_record_error(user_key, record, status)) {
       continue;  // quarantined; the shard lives on
     }
-    obs::LogError("driver.failed")("shard", metrics_.shard)(
-        "error", status.ToString());
-    {
-      std::lock_guard<std::mutex> lock(status_mutex_);
-      if (first_error_.ok()) first_error_ = std::move(status);
-    }
-    failed_.store(true, std::memory_order_release);
-    // Rouse a producer blocked on the full queue so it observes the
-    // sticky error instead of waiting for space that may never come.
-    queue_.WakeAll();
+    Fail(std::move(status));
   }
-  if (hooks_.on_batch_drained != nullptr) hooks_.on_batch_drained();
+  if (hooks_.on_batch_drained != nullptr) {
+    Status status = hooks_.on_batch_drained();
+    if (!status.ok()) Fail(std::move(status));
+  }
   NoteDrained(batch.records.size());
+}
+
+void ThreadedDriver::Fail(Status status) {
+  {
+    std::lock_guard<std::mutex> lock(status_mutex_);
+    if (!first_error_.ok()) return;
+    first_error_ = status;
+  }
+  obs::LogError("driver.failed")("shard", metrics_.shard)(
+      "error", status.ToString());
+  failed_.store(true, std::memory_order_release);
+  // Rouse a producer blocked on the full queue so it observes the
+  // sticky error instead of waiting for space that may never come.
+  queue_.WakeAll();
 }
 
 bool ThreadedDriver::TryDrainInline(const ShardBatch& batch) {

@@ -110,8 +110,10 @@ struct DriverMetrics {
   obs::Counter blocked_wait_us;
   /// Mirrors queue_high_watermark() into a registry gauge.
   obs::Gauge queue_high_watermark;
-  /// Wall time spent draining one record through the sink (sessionizer +
-  /// emission), in microseconds.
+  /// Wall time spent draining one record through the sink, in
+  /// microseconds. The engine's sink is the sessionizer; the shard's run
+  /// of closed sessions is delivered after the batch, outside this
+  /// timer, except when the record fills the run.
   obs::Histogram drain_latency_us;
   /// Batches OfferBatch drained on the producer thread instead of
   /// queueing them for the worker.
@@ -135,8 +137,11 @@ struct DriverHooks {
       on_record_error;
   /// Every record of the batch just drained has been handled (processed,
   /// quarantined or discarded). Runs before the drained count is
-  /// published.
-  std::function<void()> on_batch_drained;
+  /// published, so WaitIdle returns only after it did. The sharded
+  /// engine delivers the shard's run of closed sessions here. A non-OK
+  /// status becomes the driver's sticky error, as an unhandled record
+  /// error does.
+  std::function<Status()> on_batch_drained;
   /// Called just before a batch's records drain, with the batch's
   /// offered_at_us stamp. Installing this hook is what turns on
   /// offer-time stamping; when absent the offer path never reads the
@@ -233,6 +238,9 @@ class ThreadedDriver {
   /// drain_mutex_: the worker for a popped batch, the producer for an
   /// inline drain.
   void DrainBatch(const ShardBatch& batch);
+  /// Makes `status` the sticky error unless one is set, and wakes a
+  /// producer blocked on the full queue.
+  void Fail(Status status);
   /// OfferBatch's inline path: drains `batch` on the calling thread and
   /// returns true when the worker is idle and the queue empty; false
   /// (nothing done) otherwise.

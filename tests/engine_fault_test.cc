@@ -592,6 +592,88 @@ TEST(EngineFaultTest, FailingDownstreamSkipsMining) {
   }
 }
 
+/// Ten page-0 records of ten users, offered as one batch: one shard
+/// running EmitEverySessionizer closes all ten sessions in one run.
+Status OfferTenUsersAsOneBatch(StreamEngine* engine) {
+  std::vector<LogRecord> records;
+  for (int u = 0; u < 10; ++u) {
+    records.push_back(PageRecord("10.0.0." + std::to_string(u), 0, u));
+  }
+  std::vector<LogRecordRef> refs;
+  for (const LogRecord& record : records) refs.push_back(ViewOf(record));
+  return engine->OfferBatch(refs);
+}
+
+// A sink that stops the engine in the middle of a run stops delivery
+// there: the sessions after the failing one never reach the sink, the
+// shard reports the error and Finish returns it.
+TEST(EngineFaultTest, SinkErrorInARunStopsDeliveryThere) {
+  WebGraph graph = MakeFigure1Topology();
+  CollectingSessionSink collected;
+  FlakySink sink(&collected, FaultSchedule::AtIndices({2}),
+                 Status::IoError("injected sink fault"));
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions()
+          .set_num_shards(1)
+          .set_num_pages(graph.num_pages())
+          .use_custom([] { return std::make_unique<EmitEverySessionizer>(); }),
+      &sink);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  // The batch drains on this thread, so the call itself returns OK and
+  // the error is sticky from here on.
+  ASSERT_TRUE(OfferTenUsersAsOneBatch(engine->get()).ok());
+
+  ASSERT_EQ(collected.entries().size(), 2u);
+  EXPECT_EQ(collected.entries()[0].client_ip, "10.0.0.0");
+  EXPECT_EQ(collected.entries()[1].client_ip, "10.0.0.1");
+  EXPECT_EQ(sink.failures(), 1u);
+  EXPECT_EQ((*engine)->TotalStats().sessions_emitted, 2u);
+  EXPECT_TRUE((*engine)->ShardHealth()[0].IsIoError())
+      << (*engine)->ShardHealth()[0].ToString();
+  EXPECT_TRUE((*engine)->Offer(PageRecord("10.0.0.99", 0, 100)).IsIoError());
+  EXPECT_TRUE((*engine)->Finish().IsIoError());
+  EXPECT_EQ(collected.entries().size(), 2u);
+}
+
+// Under kDegrade a data error on one session of a run costs only that
+// session: one kEmit letter, every other session of the run delivered.
+TEST(EngineFaultTest, RefusedSessionInARunBecomesOneEmitLetter) {
+  WebGraph graph = MakeFigure1Topology();
+  CollectingSessionSink collected;
+  FlakySink sink(&collected, FaultSchedule::AtIndices({2}),
+                 Status::InvalidArgument("session refused"));
+  DeadLetterQueue dead_letters;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions()
+          .set_num_shards(1)
+          .set_error_policy(ErrorPolicy::kDegrade)
+          .set_dead_letters(&dead_letters)
+          .set_num_pages(graph.num_pages())
+          .use_custom([] { return std::make_unique<EmitEverySessionizer>(); }),
+      &sink);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_TRUE(OfferTenUsersAsOneBatch(engine->get()).ok());
+  ASSERT_TRUE((*engine)->Finish().ok());
+
+  EXPECT_EQ(collected.entries().size(), 9u);
+  for (const auto& entry : collected.entries()) {
+    EXPECT_NE(entry.client_ip, "10.0.0.2");
+  }
+  const std::vector<DeadLetter> letters = dead_letters.Drain();
+  ASSERT_EQ(letters.size(), 1u);
+  EXPECT_EQ(letters[0].stage, DeadLetter::Stage::kEmit);
+  EXPECT_EQ(letters[0].shard, 0u);
+  EXPECT_TRUE(letters[0].reason.IsInvalidArgument());
+  EXPECT_EQ(letters[0].detail, "10.0.0.2");
+  EXPECT_EQ(letters[0].records_covered, 1u);
+  // Conservation: delivered + dead-lettered == absorbed.
+  EXPECT_EQ(EmittedRecords(collected) + dead_letters.records_covered(), 10u);
+  const EngineStats total = (*engine)->TotalStats();
+  EXPECT_EQ(total.sessions_emitted, 9u);
+  EXPECT_EQ(total.dead_letters, 1u);
+  EXPECT_TRUE((*engine)->ShardHealth()[0].ok());
+}
+
 /// Sessionizer that parks the worker on its first record until the test
 /// releases it — the deterministic way to hold a shard queue full.
 class GateSessionizer : public IncrementalUserSessionizer {

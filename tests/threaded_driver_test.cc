@@ -272,7 +272,10 @@ TEST(ThreadedDriverTest, HooksQuarantineAndReportDiscards) {
     quarantined.push_back(record.timestamp);
     return true;  // handled: the driver must keep going
   };
-  hooks.on_batch_drained = [&batches] { batches.fetch_add(1); };
+  hooks.on_batch_drained = [&batches] {
+    batches.fetch_add(1);
+    return Status::OK();
+  };
   ThreadedDriver driver(&sink, 8, DriverMetrics{}, hooks);
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", i == 7 ? 13 : 1, i)).ok());
@@ -296,7 +299,10 @@ TEST(ThreadedDriverTest, UnhandledErrorDiscardsRemainderThroughHook) {
                              const Status&) {
     return false;  // unhandled: the sticky error stands
   };
-  hooks.on_batch_drained = [&batches] { batches.fetch_add(1); };
+  hooks.on_batch_drained = [&batches] {
+    batches.fetch_add(1);
+    return Status::OK();
+  };
   {
     ThreadedDriver driver(&sink, 8, DriverMetrics{}, hooks);
     // The worker parks on record 0 of a batch above the inline gate.
@@ -313,6 +319,22 @@ TEST(ThreadedDriverTest, UnhandledErrorDiscardsRemainderThroughHook) {
   // batch and the two queued ones all drained.
   EXPECT_EQ(sink.accepts.load(), 1);
   EXPECT_EQ(batches.load(), 3);
+}
+
+// A batch-drained hook that fails makes its status the sticky error,
+// as an unhandled record error does: the next offer and Finish return it.
+TEST(ThreadedDriverTest, DrainedHookErrorBecomesStickyError) {
+  FailingSink sink;  // fails on page 13 only
+  DriverHooks hooks;
+  hooks.on_batch_drained = [] { return Status::IoError("hook fault"); };
+  ThreadedDriver driver(&sink, 8, DriverMetrics{}, hooks);
+  ASSERT_TRUE(driver.WaitIdle().ok());
+  ASSERT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 0)).ok());
+  EXPECT_TRUE(driver.WaitIdle().IsIoError());
+  EXPECT_TRUE(driver.failed());
+  EXPECT_TRUE(OfferOne(&driver, PageRecord("ip", 1, 1)).IsIoError());
+  EXPECT_TRUE(driver.Finish().IsIoError());
+  EXPECT_EQ(sink.accepted.load(), 1);
 }
 
 /// Records the timestamp and the calling thread of every Accept. When
