@@ -60,14 +60,14 @@ struct SessionRun {
   std::vector<PageRequest> requests;
   std::vector<Entry> sessions;
 
-  void Append(std::string_view user_key, const Session& session) {
+  void Append(std::string_view user_key,
+              std::span<const PageRequest> session) {
     sessions.push_back({static_cast<std::uint32_t>(keys.size()),
                         static_cast<std::uint32_t>(user_key.size()),
                         static_cast<std::uint32_t>(requests.size()),
                         static_cast<std::uint32_t>(session.size())});
     keys.append(user_key);
-    requests.insert(requests.end(), session.requests.begin(),
-                    session.requests.end());
+    requests.insert(requests.end(), session.begin(), session.end());
   }
   std::string_view KeyOf(const Entry& entry) const {
     return std::string_view(keys).substr(entry.key_offset, entry.key_length);
@@ -171,10 +171,15 @@ class StreamEngine::ShardEmit : public SessionSink {
   Status Accept(const std::string& user_key, Session session) override {
     return AcceptView(user_key, std::move(session));
   }
-  /// Appends the session to the run (delivering the run first when it
-  /// would pass kRunMaxRequests) and frees it. Returns only a status
+  /// Appends the session to the run and frees it.
+  Status AcceptView(std::string_view user_key, Session session) override {
+    return AcceptRequests(user_key, session.requests);
+  }
+  /// Appends the session's requests to the run, delivering the run first
+  /// when they would take it past kRunMaxRequests. Returns only a status
   /// that stops the engine.
-  Status AcceptView(std::string_view user_key, Session session) override;
+  Status AcceptRequests(std::string_view user_key,
+                        std::span<const PageRequest> requests) override;
 
   /// Delivers the run, if any, and empties it. Returns only a status
   /// that stops the engine.
@@ -249,13 +254,13 @@ struct StreamEngine::Shard {
   std::unique_ptr<ThreadedDriver> driver;      // -> sessionize
 };
 
-Status StreamEngine::ShardEmit::AcceptView(std::string_view user_key,
-                                           Session session) {
+Status StreamEngine::ShardEmit::AcceptRequests(
+    std::string_view user_key, std::span<const PageRequest> requests) {
   if (!run_.empty() &&
-      run_.requests.size() + session.size() > kRunMaxRequests) {
+      run_.requests.size() + requests.size() > kRunMaxRequests) {
     WUM_RETURN_NOT_OK(Deliver());
   }
-  run_.Append(user_key, session);
+  run_.Append(user_key, requests);
   return Status::OK();
 }
 

@@ -77,6 +77,12 @@ Status SessionizeSink::Deliver(std::string_view user_key, Session session) {
   return session_sink_->AcceptView(user_key, std::move(session));
 }
 
+Status SessionizeSink::Deliver(std::string_view user_key,
+                               std::span<const PageRequest> requests) {
+  sessions_emitted_.fetch_add(1, std::memory_order_relaxed);
+  return session_sink_->AcceptRequests(user_key, requests);
+}
+
 bool SessionizeSink::StopsFlushing(const Status& status) {
   return IsShardFatal(status);
 }

@@ -114,16 +114,16 @@ class SmartSraRule {
     return Status::OK();
   }
 
-  /// Closes the candidate: phase 2, then one emit per session. A phase-2
-  /// failure leaves the candidate open.
+  /// Closes the candidate: phase 2 into the rule's workspace, then one
+  /// emit per session, as a span valid for the call. A phase-2 failure
+  /// leaves the candidate open.
   template <typename Emit>
   Status Flush(Session* candidate, const Emit& emit) const {
     if (candidate->empty()) return Status::OK();
-    WUM_ASSIGN_OR_RETURN(std::vector<Session> sessions,
-                         algorithm_.Phase2(*candidate));
+    WUM_RETURN_NOT_OK(algorithm_.Phase2(candidate->requests, &workspace_));
     *candidate = Session{};
-    for (Session& session : sessions) {
-      WUM_RETURN_NOT_OK(emit(std::move(session)));
+    for (std::size_t k = 0; k < workspace_.num_paths(); ++k) {
+      WUM_RETURN_NOT_OK(emit(workspace_.path(k)));
     }
     return Status::OK();
   }
@@ -133,6 +133,10 @@ class SmartSraRule {
 
  private:
   SmartSra algorithm_;
+  // Phase 2's buffers, reused from one candidate to the next. A shard's
+  // rule runs on one draining thread at a time (its driver serializes
+  // them), so the const rule may own it.
+  mutable SmartSra::Workspace workspace_;
 };
 
 /// The rule behind EngineOptions::use_custom: a user's state is the
@@ -183,10 +187,10 @@ class RuleSessionizer final : public IncrementalUserSessionizer {
       : rule_(std::forward<Args>(args)...) {}
 
   Status OnRequest(const PageRequest& request, const EmitFn& emit) override {
-    return rule_.OnRequest(&state_, request, emit);
+    return rule_.OnRequest(&state_, request, EmitAdapter{emit});
   }
   Status Flush(const EmitFn& emit) override {
-    return rule_.Flush(&state_, emit);
+    return rule_.Flush(&state_, EmitAdapter{emit});
   }
   Status SerializeState(ckpt::Encoder* encoder) const override {
     return rule_.Serialize(state_, encoder);
@@ -196,6 +200,18 @@ class RuleSessionizer final : public IncrementalUserSessionizer {
   }
 
  private:
+  /// A rule's emit over an EmitFn: a session passes through, a span of
+  /// requests becomes a Session.
+  struct EmitAdapter {
+    const EmitFn& emit;
+    Status operator()(Session session) const {
+      return emit(std::move(session));
+    }
+    Status operator()(std::span<const PageRequest> requests) const {
+      return emit(Session{{requests.begin(), requests.end()}});
+    }
+  };
+
   Rule rule_;
   typename Rule::State state_{};
 };
@@ -277,6 +293,9 @@ class SessionizeSink : public RecordSink {
   Status OutOfOrder(std::string_view user_key) const;
   /// Hands one closed session of `user_key` to the session sink.
   Status Deliver(std::string_view user_key, Session session);
+  /// Deliver for a session held as a span valid for the call.
+  Status Deliver(std::string_view user_key,
+                 std::span<const PageRequest> requests);
   void NoteAbsorbed() {
     records_absorbed_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -358,8 +377,9 @@ class RuleSessionizeSink final : public SessionizeSink {
  private:
   using Table = UserTable<typename Rule::State>;
 
+  /// The rule's emit for one user: a Session or a span of requests.
   auto EmitFor(std::uint32_t index) {
-    return [this, index](Session session) {
+    return [this, index](auto session) {
       return Deliver(table_.KeyOf(index), std::move(session));
     };
   }

@@ -5,6 +5,7 @@
 #define WUM_STREAM_SESSION_SINK_H_
 
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -28,6 +29,15 @@ class SessionSink {
   /// table) calls. The default copies the key and calls Accept.
   virtual Status AcceptView(std::string_view user_key, Session session) {
     return Accept(std::string(user_key), std::move(session));
+  }
+
+  /// AcceptView for a session held as a span of requests that is valid
+  /// only for the call: what an emitter keeping its sessions in its own
+  /// buffers (Smart-SRA's phase-2 workspace) calls. The default builds
+  /// the Session and calls AcceptView.
+  virtual Status AcceptRequests(std::string_view user_key,
+                                std::span<const PageRequest> requests) {
+    return AcceptView(user_key, Session{{requests.begin(), requests.end()}});
   }
 };
 

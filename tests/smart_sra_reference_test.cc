@@ -231,5 +231,24 @@ TEST(SmartSraReferenceTest, RandomSmallCandidates) {
   }
 }
 
+TEST(SmartSraReferenceTest, LongChainWithOneForkReachesEquality) {
+  // 100 requests of a chain whose 50th occurrence forks: 49 links to the
+  // dead end 50 and to 51, which carries the chain on to 99.
+  constexpr PageId kRequests = 100;
+  WebGraph graph(kRequests);
+  std::vector<PageId> pages;
+  std::vector<TimeSeconds> times;
+  for (PageId page = 0; page < kRequests; ++page) {
+    if (page + 1 < kRequests && page != 50) graph.AddLink(page, page + 1);
+    pages.push_back(page);
+    times.push_back(10 * static_cast<TimeSeconds>(page));
+  }
+  graph.AddLink(49, 51);
+  const Session candidate = MakeSession(pages, times);
+  ExpectContainedInReference(graph, candidate, /*expect_equality=*/true);
+  EXPECT_EQ(ReferenceMaximalSessions(candidate, graph, Minutes(10)).size(),
+            2u);
+}
+
 }  // namespace
 }  // namespace wum

@@ -243,5 +243,47 @@ TEST(SmartSraTest, RecoversInterleavedSessionsTheTimeHeuristicsCannot) {
   EXPECT_EQ(PageSequences(*sessions), expected);
 }
 
+TEST(SmartSraTest, EqualTimestampStartExtendsTheSessionOfItsTwin) {
+  // A@0, C@1, X@5, Y@5 with A->C, A->Y, C->X, Y->X. Y is removed with C,
+  // X one round later, so [A,Y] meets X although Y is the later
+  // occurrence: the equal timestamps pass the gap check and X must
+  // extend both sessions.
+  WebGraph graph(4);  // 0=A, 1=C, 2=X, 3=Y
+  graph.AddLink(0, 1);
+  graph.AddLink(0, 3);
+  graph.AddLink(1, 2);
+  graph.AddLink(3, 2);
+  SmartSra heuristic(&graph);
+  const Session candidate = MakeSession({0, 1, 2, 3}, {0, 1, 5, 5});
+  Result<std::vector<Session>> sessions = heuristic.Phase2(candidate);
+  ASSERT_TRUE(sessions.ok()) << sessions.status().ToString();
+  const std::vector<Session> expected = {MakeSession({0, 1, 2}, {0, 1, 5}),
+                                         MakeSession({0, 3, 2}, {0, 5, 5})};
+  EXPECT_EQ(*sessions, expected);
+}
+
+TEST(SmartSraTest, LongPureChainIsOneSession) {
+  // Past the 64 requests the chain test was once capped at.
+  constexpr PageId kRequests = 100;
+  WebGraph graph(kRequests);
+  std::vector<PageId> pages;
+  std::vector<TimeSeconds> times;
+  for (PageId page = 0; page < kRequests; ++page) {
+    if (page + 1 < kRequests) graph.AddLink(page, page + 1);
+    pages.push_back(page);
+    times.push_back(10 * static_cast<TimeSeconds>(page));
+  }
+  const Session candidate = MakeSession(pages, times);
+  SmartSra heuristic(&graph);
+  Result<std::vector<Session>> sessions = heuristic.Phase2(candidate);
+  ASSERT_TRUE(sessions.ok()) << sessions.status().ToString();
+  ASSERT_EQ(sessions->size(), 1u);
+  EXPECT_EQ((*sessions)[0], candidate);
+  Result<std::vector<Session>> reconstructed =
+      heuristic.Reconstruct(candidate.requests);
+  ASSERT_TRUE(reconstructed.ok());
+  EXPECT_EQ(*reconstructed, *sessions);
+}
+
 }  // namespace
 }  // namespace wum
