@@ -19,6 +19,8 @@
 
 #include "wum/clf/clf_parser.h"
 #include "wum/clf/clf_writer.h"
+#include "wum/clf/log_filter.h"
+#include "wum/clf/user_partitioner.h"
 #include "wum/mine/options.h"
 #include "wum/mining/apriori_all.h"
 #include "wum/obs/metrics.h"
@@ -126,6 +128,51 @@ void BM_ClfParseChunk(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(records));
 }
 BENCHMARK(BM_ClfParseChunk)->Unit(benchmark::kMillisecond);
+
+// The producer's per-line work on the serve thread, as StreamEngine::
+// OfferBatch does it after a socket read: ParseChunk over 64 KiB
+// line-aligned chunks of the fixture log, then per record the user hash,
+// the standard cleaning chain (method + status + extension) and the
+// resolve into one of two shards' staging batches, cleared per chunk in
+// place of the queue hand-off.
+void BM_ProducerPath(benchmark::State& state) {
+  const Fixture& fixture = Fixture::Get();
+  constexpr std::size_t kChunkBytes = 64 * 1024;
+  std::vector<std::string_view> chunks;
+  for (std::string_view rest = fixture.log_text; !rest.empty();) {
+    std::size_t cut = std::min(kChunkBytes, rest.size());
+    if (cut < rest.size()) cut = rest.rfind('\n', cut - 1) + 1;
+    chunks.push_back(rest.substr(0, cut));
+    rest.remove_prefix(cut);
+  }
+  FilterChain filters = FilterChain::Standard();
+  std::vector<LogRecordRef> refs;
+  ShardBatch staging[2];
+  std::size_t records = 0;
+  for (auto _ : state) {
+    ClfParser parser;
+    for (const std::string_view chunk : chunks) {
+      refs.clear();
+      if (!parser.ParseChunk(chunk, &refs).ok()) {
+        state.SkipWithError("parse failed");
+        break;
+      }
+      for (const LogRecordRef& ref : refs) {
+        const std::uint64_t hash =
+            UserHashFor(ref.client_ip, ref.user_agent, UserIdentity::kClientIp);
+        if (!filters.Keep(ref)) continue;
+        staging[hash % 2].Append(ref, UserIdentity::kClientIp, hash);
+      }
+      benchmark::DoNotOptimize(staging[0].records.data());
+      benchmark::DoNotOptimize(staging[1].records.data());
+      staging[0].clear();
+      staging[1].clear();
+      records += refs.size();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
+}
+BENCHMARK(BM_ProducerPath)->Unit(benchmark::kMillisecond);
 
 template <typename MakeSessionizer>
 void SessionizerLoop(benchmark::State& state, MakeSessionizer make) {

@@ -19,8 +19,9 @@ namespace wum {
 /// the "%h %l %u [%t] \"%r\" %>s %b" layout produced by ClfWriter and by
 /// Apache/NCSA httpd; the two identity fields are tolerated but
 /// discarded. Parse errors name the offending CLF field, e.g.
-/// "field 'status': ...". This is the hot-path entry point; no per-field
-/// allocation happens on the success path.
+/// "field 'status': ...". This is the one CLF line parser: ParseChunk
+/// runs the same code and appends each record without building a
+/// Result. The success path allocates nothing.
 Result<LogRecordRef> ParseClfLineRef(std::string_view line);
 
 /// Owned-record convenience over ParseClfLineRef: parses then
@@ -43,8 +44,9 @@ class ClfParser {
   ClfParser() = default;
 
   /// With a registry, mirrors Stats into the counters "clf.lines_seen",
-  /// "clf.records_parsed" and "clf.lines_rejected" as the stream is
-  /// parsed. `metrics` may be null (all handles stay disabled) and must
+  /// "clf.records_parsed" (both once per ParseChunk call) and
+  /// "clf.lines_rejected" (per reject) as the stream is parsed.
+  /// `metrics` may be null (all handles stay disabled) and must
   /// otherwise outlive the parser.
   explicit ClfParser(obs::MetricRegistry* metrics)
       : lines_seen_(obs::CounterIn(metrics, "clf.lines_seen")),

@@ -1,9 +1,16 @@
 #include "wum/clf/log_filter.h"
 
+#include <algorithm>
+
 #include "wum/common/string_util.h"
 
 namespace wum {
 namespace {
+
+/// One byte of AsciiToLower: A-Z lowered, every other byte as is.
+char AsciiLowerByte(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
 
 /// EndsWith for an already-lowercase `suffix`, ignoring the ASCII case
 /// of `text`, without allocating.
@@ -11,9 +18,7 @@ bool EndsWithLowercase(std::string_view text, std::string_view suffix) {
   if (text.size() < suffix.size()) return false;
   const std::size_t offset = text.size() - suffix.size();
   for (std::size_t i = 0; i < suffix.size(); ++i) {
-    char c = text[offset + i];
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-    if (c != suffix[i]) return false;
+    if (AsciiLowerByte(text[offset + i]) != suffix[i]) return false;
   }
   return true;
 }
@@ -24,18 +29,42 @@ ExtensionFilter::ExtensionFilter()
     : ExtensionFilter({".gif", ".jpg", ".jpeg", ".png", ".ico", ".css", ".js",
                        ".swf", ".bmp"}) {}
 
-ExtensionFilter::ExtensionFilter(std::vector<std::string> blocked_extensions)
-    : blocked_extensions_(std::move(blocked_extensions)) {
-  for (std::string& ext : blocked_extensions_) ext = AsciiToLower(ext);
+ExtensionFilter::ExtensionFilter(std::vector<std::string> blocked_extensions) {
+  for (const std::string& ext : blocked_extensions) {
+    if (ext.empty()) {
+      blocks_every_path_ = true;
+    } else {
+      blocked_extensions_.push_back(AsciiToLower(ext));
+    }
+  }
+  std::sort(blocked_extensions_.begin(), blocked_extensions_.end(),
+            [](const std::string& a, const std::string& b) {
+              return static_cast<unsigned char>(a.back()) <
+                     static_cast<unsigned char>(b.back());
+            });
+  std::size_t next = 0;
+  for (std::size_t byte = 0; byte < 256; ++byte) {
+    bucket_begin_[byte] = static_cast<std::uint32_t>(next);
+    while (next < blocked_extensions_.size() &&
+           static_cast<unsigned char>(blocked_extensions_[next].back()) ==
+               byte) {
+      ++next;
+    }
+  }
+  bucket_begin_[256] = static_cast<std::uint32_t>(next);
 }
 
 bool ExtensionFilter::Keep(const LogRecordRef& record) const {
+  if (blocks_every_path_) return false;
   // Compare against the path only (strip any query string).
   std::string_view path = record.url;
   const std::size_t query = path.find('?');
   if (query != std::string_view::npos) path = path.substr(0, query);
-  for (const std::string& ext : blocked_extensions_) {
-    if (EndsWithLowercase(path, ext)) return false;
+  if (path.empty()) return true;
+  const auto last = static_cast<unsigned char>(AsciiLowerByte(path.back()));
+  for (std::uint32_t i = bucket_begin_[last]; i < bucket_begin_[last + 1];
+       ++i) {
+    if (EndsWithLowercase(path, blocked_extensions_[i])) return false;
   }
   return true;
 }

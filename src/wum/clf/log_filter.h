@@ -6,6 +6,8 @@
 #ifndef WUM_CLF_LOG_FILTER_H_
 #define WUM_CLF_LOG_FILTER_H_
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <set>
@@ -27,8 +29,13 @@ class LogFilter {
 };
 
 /// Keeps records whose URL path (query string stripped) does NOT end with
-/// one of the given extensions, compared case-insensitively without
-/// allocating. Default set: common embedded resources.
+/// one of the given extensions, compared ASCII-case-insensitively without
+/// allocating. Default set: common embedded resources. Any string works
+/// as an extension, with or without its dot; "" blocks every record.
+///
+/// The extensions are bucketed by their last byte, so a path costs one
+/// table probe plus a compare against each extension sharing its
+/// lowercased last byte: a ".html" page meets none of the default set.
 class ExtensionFilter : public LogFilter {
  public:
   ExtensionFilter();
@@ -38,7 +45,13 @@ class ExtensionFilter : public LogFilter {
   bool Keep(const LogRecordRef& record) const override;
 
  private:
-  std::vector<std::string> blocked_extensions_;  // lowercase, with dot
+  /// Non-empty extensions, lowercased and ordered by last byte.
+  std::vector<std::string> blocked_extensions_;
+  /// blocked_extensions_[bucket_begin_[b], bucket_begin_[b + 1]) end in
+  /// byte b.
+  std::array<std::uint32_t, 257> bucket_begin_{};
+  /// The list held "", which every path ends with.
+  bool blocks_every_path_ = false;
 };
 
 /// Keeps successful page loads: status in [200, 299] or 304 (cache

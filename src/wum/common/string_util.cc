@@ -23,20 +23,6 @@ std::vector<std::string_view> SplitString(std::string_view input,
   return parts;
 }
 
-std::string_view StripWhitespace(std::string_view input) {
-  std::size_t begin = 0;
-  while (begin < input.size() &&
-         std::isspace(static_cast<unsigned char>(input[begin]))) {
-    ++begin;
-  }
-  std::size_t end = input.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(input[end - 1]))) {
-    --end;
-  }
-  return input.substr(begin, end - begin);
-}
-
 std::string AsciiToLower(std::string_view text) {
   std::string result(text);
   for (char& c : result) {

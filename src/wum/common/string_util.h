@@ -16,8 +16,21 @@ namespace wum {
 std::vector<std::string_view> SplitString(std::string_view input,
                                           char delimiter);
 
-/// Strips ASCII whitespace from both ends.
-std::string_view StripWhitespace(std::string_view input);
+/// True for the ASCII whitespace bytes: space, \t, \n, \v, \f, \r
+/// (std::isspace in the "C" locale, without the locale lookup).
+inline bool IsAsciiWhitespace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Strips ASCII whitespace from both ends. Inline: the CLF parser strips
+/// every line.
+inline std::string_view StripWhitespace(std::string_view input) {
+  std::size_t begin = 0;
+  while (begin < input.size() && IsAsciiWhitespace(input[begin])) ++begin;
+  std::size_t end = input.size();
+  while (end > begin && IsAsciiWhitespace(input[end - 1])) --end;
+  return input.substr(begin, end - begin);
+}
 
 /// True iff `text` begins with `prefix` / ends with `suffix`. Inline:
 /// both sit on the per-record hot path (URL-to-page mapping).

@@ -53,11 +53,44 @@ void CivilFromDays(std::int64_t z, int* y, int* m, int* d) {
   *d = static_cast<int>(day);
 }
 
-int MonthFromName(std::string_view name) {
-  for (std::size_t i = 0; i < kMonthNames.size(); ++i) {
-    if (name == kMonthNames[i]) return static_cast<int>(i) + 1;
+/// The three bytes of a month abbreviation as one switchable value.
+constexpr std::uint32_t MonthKey(char a, char b, char c) {
+  return static_cast<std::uint32_t>(static_cast<unsigned char>(a)) << 16 |
+         static_cast<std::uint32_t>(static_cast<unsigned char>(b)) << 8 |
+         static_cast<std::uint32_t>(static_cast<unsigned char>(c));
+}
+
+/// 1..12 for the English abbreviation at `name` (three bytes, case
+/// sensitive), 0 otherwise.
+int MonthFromName(const char* name) {
+  switch (MonthKey(name[0], name[1], name[2])) {
+    case MonthKey('J', 'a', 'n'): return 1;
+    case MonthKey('F', 'e', 'b'): return 2;
+    case MonthKey('M', 'a', 'r'): return 3;
+    case MonthKey('A', 'p', 'r'): return 4;
+    case MonthKey('M', 'a', 'y'): return 5;
+    case MonthKey('J', 'u', 'n'): return 6;
+    case MonthKey('J', 'u', 'l'): return 7;
+    case MonthKey('A', 'u', 'g'): return 8;
+    case MonthKey('S', 'e', 'p'): return 9;
+    case MonthKey('O', 'c', 't'): return 10;
+    case MonthKey('N', 'o', 'v'): return 11;
+    case MonthKey('D', 'e', 'c'): return 12;
+    default: return 0;
   }
-  return 0;
+}
+
+/// Reads the `count` ASCII digits at `text` into `*out`; false when any
+/// of them is not a digit.
+bool ReadDigits(const char* text, int count, int* out) {
+  int value = 0;
+  for (int i = 0; i < count; ++i) {
+    const unsigned digit = static_cast<unsigned char>(text[i]) - '0';
+    if (digit > 9) return false;
+    value = value * 10 + static_cast<int>(digit);
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace
@@ -107,53 +140,84 @@ std::string FormatClfTimestamp(TimeSeconds unix_seconds) {
   return buffer;
 }
 
-Result<TimeSeconds> ParseClfTimestamp(std::string_view text) {
+ClfTimestampError ParseClfTimestampTo(std::string_view text,
+                                      TimeSeconds* out) {
   // Layout: DD/Mon/YYYY:HH:MM:SS [+-]HHMM
-  if (text.size() < 26) {
-    return Status::ParseError("CLF timestamp too short: '" +
-                              std::string(text) + "'");
+  if (text.size() < 26) return ClfTimestampError::kTooShort;
+  const char* p = text.data();
+  int day = 0;
+  if (!ReadDigits(p, 2, &day) || p[2] != '/') {
+    return ClfTimestampError::kBadDay;
   }
-  auto digits = [&](std::size_t pos, std::size_t len, int* out) -> bool {
-    int value = 0;
-    for (std::size_t i = pos; i < pos + len; ++i) {
-      if (i >= text.size() || text[i] < '0' || text[i] > '9') return false;
-      value = value * 10 + (text[i] - '0');
-    }
-    *out = value;
-    return true;
-  };
-  CivilTime ct;
-  if (!digits(0, 2, &ct.day) || text[2] != '/') {
-    return Status::ParseError("bad CLF day field");
+  const int month = MonthFromName(p + 3);
+  if (month == 0 || p[6] != '/') return ClfTimestampError::kBadMonth;
+  int year = 0;
+  if (!ReadDigits(p + 7, 4, &year) || p[11] != ':') {
+    return ClfTimestampError::kBadYear;
   }
-  ct.month = MonthFromName(text.substr(3, 3));
-  if (ct.month == 0 || text[6] != '/') {
-    return Status::ParseError("bad CLF month field");
+  int hour = 0;
+  int minute = 0;
+  int second = 0;
+  if (!ReadDigits(p + 12, 2, &hour) || p[14] != ':' ||
+      !ReadDigits(p + 15, 2, &minute) || p[17] != ':' ||
+      !ReadDigits(p + 18, 2, &second) || p[20] != ' ') {
+    return ClfTimestampError::kBadTimeOfDay;
   }
-  if (!digits(7, 4, &ct.year) || text[11] != ':') {
-    return Status::ParseError("bad CLF year field");
-  }
-  if (!digits(12, 2, &ct.hour) || text[14] != ':' || !digits(15, 2, &ct.minute) ||
-      text[17] != ':' || !digits(18, 2, &ct.second) || text[20] != ' ') {
-    return Status::ParseError("bad CLF time-of-day field");
-  }
-  const char sign = text[21];
-  if (sign != '+' && sign != '-') {
-    return Status::ParseError("bad CLF zone sign");
-  }
+  const char sign = p[21];
+  if (sign != '+' && sign != '-') return ClfTimestampError::kBadZoneSign;
   int zone_hours = 0;
   int zone_minutes = 0;
-  if (!digits(22, 2, &zone_hours) || !digits(24, 2, &zone_minutes)) {
-    return Status::ParseError("bad CLF zone offset");
+  if (!ReadDigits(p + 22, 2, &zone_hours) ||
+      !ReadDigits(p + 24, 2, &zone_minutes)) {
+    return ClfTimestampError::kBadZoneOffset;
   }
-  if (!IsValidCivilTime(ct)) {
-    return Status::ParseError("CLF timestamp has impossible date fields: '" +
-                              std::string(text) + "'");
+  // IsValidCivilTime's checks, once: the month is valid by construction
+  // and two digits cannot go negative.
+  if (day < 1 || day > DaysInMonth(year, month) || hour > 23 ||
+      minute > 59 || second > 59) {
+    return ClfTimestampError::kImpossibleDate;
   }
-  WUM_ASSIGN_OR_RETURN(TimeSeconds local, UnixSecondsFromCivilTime(ct));
   TimeSeconds offset = zone_hours * 3600 + zone_minutes * 60;
   if (sign == '-') offset = -offset;
-  return local - offset;  // local = utc + offset
+  const TimeSeconds local = DaysFromCivil(year, month, day) * 86400 +
+                            hour * 3600 + minute * 60 + second;
+  *out = local - offset;  // local = utc + offset
+  return ClfTimestampError::kOk;
+}
+
+std::string ClfTimestampErrorMessage(ClfTimestampError error,
+                                     std::string_view text) {
+  switch (error) {
+    case ClfTimestampError::kOk:
+      return "";
+    case ClfTimestampError::kTooShort:
+      return "CLF timestamp too short: '" + std::string(text) + "'";
+    case ClfTimestampError::kBadDay:
+      return "bad CLF day field";
+    case ClfTimestampError::kBadMonth:
+      return "bad CLF month field";
+    case ClfTimestampError::kBadYear:
+      return "bad CLF year field";
+    case ClfTimestampError::kBadTimeOfDay:
+      return "bad CLF time-of-day field";
+    case ClfTimestampError::kBadZoneSign:
+      return "bad CLF zone sign";
+    case ClfTimestampError::kBadZoneOffset:
+      return "bad CLF zone offset";
+    case ClfTimestampError::kImpossibleDate:
+      return "CLF timestamp has impossible date fields: '" +
+             std::string(text) + "'";
+  }
+  return "";
+}
+
+Result<TimeSeconds> ParseClfTimestamp(std::string_view text) {
+  TimeSeconds seconds = 0;
+  const ClfTimestampError error = ParseClfTimestampTo(text, &seconds);
+  if (error != ClfTimestampError::kOk) {
+    return Status::ParseError(ClfTimestampErrorMessage(error, text));
+  }
+  return seconds;
 }
 
 }  // namespace wum

@@ -57,7 +57,30 @@ std::string FormatClfTimestamp(TimeSeconds unix_seconds);
 
 /// Parses the bracket-free CLF timestamp produced by FormatClfTimestamp.
 /// Accepts any numeric "+HHMM"/"-HHMM" zone and normalizes to UTC.
+/// Bytes past the 26-byte layout are ignored.
 Result<TimeSeconds> ParseClfTimestamp(std::string_view text);
+
+/// Why ParseClfTimestampTo refused a timestamp, in check order.
+enum class ClfTimestampError {
+  kOk = 0,
+  kTooShort,
+  kBadDay,
+  kBadMonth,
+  kBadYear,
+  kBadTimeOfDay,
+  kBadZoneSign,
+  kBadZoneOffset,
+  kImpossibleDate,
+};
+
+/// ParseClfTimestamp's non-allocating core, for the per-line parse:
+/// stores the UTC instant in `*out` and returns kOk, or returns the first
+/// check that failed (leaving `*out` unspecified).
+ClfTimestampError ParseClfTimestampTo(std::string_view text, TimeSeconds* out);
+
+/// The message ParseClfTimestamp reports for `error` on `text`.
+std::string ClfTimestampErrorMessage(ClfTimestampError error,
+                                     std::string_view text);
 
 }  // namespace wum
 

@@ -18,10 +18,18 @@ Result<std::optional<std::string_view>> FileSource::Next() {
   return chunk;
 }
 
+void LineBuffer::DropServed() {
+  if (served_ == 0) return;
+  pending_.erase(0, served_);
+  complete_ -= served_;
+  served_ = 0;
+}
+
 Status LineBuffer::Append(std::string_view bytes) {
   if (closed_) {
     return Status::FailedPrecondition("LineBuffer: Append after Close");
   }
+  DropServed();
   const std::size_t old_size = pending_.size();
   const std::size_t old_complete = complete_;
   pending_.append(bytes.data(), bytes.size());
@@ -44,20 +52,19 @@ Status LineBuffer::Append(std::string_view bytes) {
 }
 
 Result<std::optional<std::string_view>> LineBuffer::Next() {
-  if (complete_ > 0) {
-    serving_.assign(pending_, 0, complete_);
-    pending_.erase(0, complete_);
-    complete_ = 0;
-  } else if (closed_ && !pending_.empty()) {
+  DropServed();
+  if (complete_ == 0 && closed_) {
     // End of stream: the unterminated tail goes out whole, exactly like
     // the final line of a file with no trailing newline.
-    serving_ = std::move(pending_);
-    pending_.clear();
-  } else {
-    return std::optional<std::string_view>();
+    complete_ = pending_.size();
   }
-  consumed_bytes_ += serving_.size();
-  return std::optional<std::string_view>(serving_);
+  if (complete_ == 0) return std::optional<std::string_view>();
+  // Served in place: the prefix stays in pending_ until the next Append
+  // or Next drops it, so the view needs no copy of its own.
+  served_ = complete_;
+  consumed_bytes_ += served_;
+  return std::optional<std::string_view>(
+      std::string_view(pending_.data(), served_));
 }
 
 std::size_t LineBuffer::ShedTail() {

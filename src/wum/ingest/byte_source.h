@@ -99,8 +99,13 @@ class LineBuffer final : public ByteSource {
 
   bool closed() const { return closed_; }
 
+  /// The chunk is a view into the buffer itself, not a copy: it stays
+  /// valid until the next Next() or Append() call, whichever comes
+  /// first (the served bytes are dropped then).
   Result<std::optional<std::string_view>> Next() override;
-  bool exhausted() const override { return closed_ && pending_.empty(); }
+  bool exhausted() const override {
+    return closed_ && pending_.size() == served_;
+  }
 
   /// Bytes served through Next() so far — after a pump this is the
   /// byte offset up to which the stream has been consumed (the
@@ -109,7 +114,7 @@ class LineBuffer final : public ByteSource {
 
   /// Bytes appended but not yet served (complete lines awaiting Next()
   /// plus the partial-line carry).
-  std::size_t buffered_bytes() const { return pending_.size(); }
+  std::size_t buffered_bytes() const { return pending_.size() - served_; }
 
   /// Cumulative bytes refused by Append (oversize-line rejections).
   /// They were read off the wire and so still count against a
@@ -126,9 +131,16 @@ class LineBuffer final : public ByteSource {
   std::size_t ShedTail();
 
  private:
+  /// Erases the bytes the last Next() served (the previous view's
+  /// backing store).
+  void DropServed();
+
   std::size_t max_line_bytes_;
-  std::string pending_;  // unserved bytes; [0, complete_) ends on '\n'
-  std::string serving_;  // backing store of the view Next() returned
+  // [0, served_): the chunk the last Next() returned, dropped lazily;
+  // [served_, complete_): complete lines, ending on '\n';
+  // [complete_, size): the partial-line carry.
+  std::string pending_;
+  std::size_t served_ = 0;
   std::size_t complete_ = 0;
   std::uint64_t consumed_bytes_ = 0;
   std::uint64_t rejected_bytes_ = 0;

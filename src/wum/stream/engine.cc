@@ -238,8 +238,9 @@ struct StreamEngine::Shard {
   // batches and during the Finish flush, so stale stamps never pollute
   // the latency histogram. Written by the driver's on_batch_start/
   // on_batch_drained hooks and read by ShardEmit::Deliver, both on the
-  // draining thread: the worker, or the producer for an inline drain
-  // and the Finish flush — hence the atomic.
+  // draining thread: the worker (also for the Finish flush), the
+  // producer for an inline drain, or Finish's caller for the run left
+  // after the flush — hence the atomic.
   std::atomic<double> batch_accept_stamp_us{0.0};
   // Ingest-to-emit latency: batch accept at the engine's front door to
   // delivery of the session's run at the emit hub.
@@ -736,10 +737,15 @@ Status StreamEngine::Finish() {
     return Status::FailedPrecondition("engine already finished");
   }
   finished_ = true;
+  // Close every shard before joining any: each worker drains its queue
+  // and runs its end-of-stream flush on its own thread, in parallel with
+  // the others. Null drivers only exist when Create bailed out
+  // mid-restore and is tearing the half-built engine down again.
+  for (std::unique_ptr<Shard>& shard : shards_) {
+    if (shard->driver != nullptr) shard->driver->Close();
+  }
   Status first_stop;  // the first flush failure that stops the engine
   for (std::unique_ptr<Shard>& shard : shards_) {
-    // Null drivers only exist when Create bailed out mid-restore and is
-    // tearing the half-built engine down again.
     if (shard->driver == nullptr) continue;
     Status status = shard->driver->Finish();
     // The flush filled the shard's run; deliver it, also after a flush

@@ -387,8 +387,10 @@ class StreamEngine {
   /// Signals end of stream, drains and joins every shard, flushes all
   /// open sessions, and returns the sticky error, or the first flush
   /// error that stops the engine (every flush error under kFailFast, an
-  /// infrastructure one under kDegrade). Calling Finish twice returns
-  /// FailedPrecondition.
+  /// infrastructure one under kDegrade). Every shard is closed before
+  /// any is joined, so the shards flush in parallel, each on its own
+  /// worker; the runs left after the flushes reach the sink in shard
+  /// order. Calling Finish twice returns FailedPrecondition.
   Status Finish();
 
   /// Captures caller-owned sink state at the checkpoint barrier (e.g.

@@ -26,7 +26,7 @@ ThreadedDriver::ThreadedDriver(RecordSink* sink, std::size_t queue_capacity,
       worker_([this] { Run(); }) {}
 
 ThreadedDriver::~ThreadedDriver() {
-  if (!finished_) (void)Finish();
+  if (worker_.joinable()) (void)Finish();
 }
 
 Status ThreadedDriver::first_error() const {
@@ -51,6 +51,13 @@ void ThreadedDriver::Run() {
     // still there.
     std::optional<ShardBatch> batch = queue_.TryPop();
     if (batch.has_value()) DrainBatch(*batch);
+  }
+  // Closed and drained: the end-of-stream flush runs here, on this
+  // shard's own thread. No producer drains inline after Close, so the
+  // lock is never contended; it keeps the sink under drain_mutex_.
+  std::lock_guard<std::mutex> lock(drain_mutex_);
+  if (!failed_.load(std::memory_order_acquire)) {
+    finish_status_ = sink_->Finish();
   }
 }
 
@@ -222,18 +229,22 @@ Status ThreadedDriver::WaitIdle() {
   return Status::OK();
 }
 
-Status ThreadedDriver::Finish() {
-  if (finished_) {
-    return Status::FailedPrecondition("driver already finished");
-  }
+void ThreadedDriver::Close() {
   finished_ = true;
   queue_.Close();
+}
+
+Status ThreadedDriver::Finish() {
+  if (!worker_.joinable()) {
+    return Status::FailedPrecondition("driver already finished");
+  }
+  Close();
   worker_.join();
   {
     std::lock_guard<std::mutex> lock(status_mutex_);
     if (!first_error_.ok()) return first_error_;
   }
-  return sink_->Finish();
+  return finish_status_;
 }
 
 }  // namespace wum

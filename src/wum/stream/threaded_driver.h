@@ -194,8 +194,14 @@ class ThreadedDriver {
   /// OfferBatch with `*accepted = true`.
   Status TryOfferBatch(ShardBatch* batch, bool* accepted);
 
-  /// Signals end of stream, waits for the worker to drain, and returns
-  /// the first sink error, or the sink's Finish status.
+  /// Signals end of stream without waiting: the worker drains what is
+  /// queued, then runs the sink's Finish (unless the driver failed) and
+  /// exits. Offers fail from here on. Closing several drivers before
+  /// finishing any lets their sinks flush in parallel. Idempotent.
+  void Close();
+
+  /// Closes (see Close), waits for the worker to drain and flush, and
+  /// returns the first sink error, or the sink's Finish status.
   Status Finish();
 
   /// Quiescence barrier: blocks the producer until every record it ever
@@ -272,7 +278,11 @@ class ThreadedDriver {
   // Mirrors !first_error_.ok(); readable without the mutex so blocked
   // producers (PushUnless) and the drain path can poll it cheaply.
   std::atomic<bool> failed_{false};
+  // Set by Close: no offer is accepted after it.
   bool finished_ = false;
+  // The sink's Finish status, written by the worker before it exits and
+  // read after the join.
+  Status finish_status_;
   std::atomic<std::uint64_t> blocked_enqueues_{0};
   std::atomic<std::size_t> queue_high_watermark_{0};
   // WaitIdle state. pushed_ is touched only by the producer thread;

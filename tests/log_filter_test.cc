@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc_counter.h"
+#include "wum/common/string_util.h"
 
 namespace wum {
 namespace {
@@ -87,6 +88,67 @@ TEST(ExtensionFilterTest, CustomExtensionList) {
   ExtensionFilter filter({".pdf"});
   EXPECT_FALSE(filter.Keep(ViewOf(RecordFor("/doc.pdf"))));
   EXPECT_TRUE(filter.Keep(ViewOf(RecordFor("/logo.gif"))));
+}
+
+/// The filter's contract spelled out naively: strip the query string,
+/// lowercase path and extensions, and drop on any EndsWith match.
+bool OracleKeep(const std::vector<std::string>& extensions,
+                std::string_view url) {
+  const std::string path = AsciiToLower(url.substr(0, url.find('?')));
+  for (const std::string& extension : extensions) {
+    if (EndsWith(path, AsciiToLower(extension))) return false;
+  }
+  return true;
+}
+
+// The bucketed filter against the oracle, over lists with an empty
+// extension, dot-less and multi-dot ones, upper case and duplicates,
+// and URLs with query strings, empty paths and paths shorter than the
+// extension.
+TEST(ExtensionFilterTest, MatchesNaiveSuffixOracle) {
+  const std::vector<std::vector<std::string>> lists = {
+      {".gif", ".jpg", ".jpeg", ".png", ".ico", ".css", ".js", ".swf",
+       ".bmp"},
+      {},
+      {""},
+      {".css", ""},
+      {"gif"},
+      {".tar.gz", ".GZ", "z"},
+      {".HTML", "L", "ml", ".Gif"},
+      {".css", ".CSS", ".css"},
+      {"\xff", ".\xc9T\xe9"},
+      {"?", "/"},
+  };
+  std::vector<std::string> urls = {
+      "",          "?",           "?x.gif",       "/",
+      "/a.gif",    "/a.GIF",      "/a.gif?",      "/a.gif?x=1.html",
+      "/a.html",   "a",           "gif",          "/gif",
+      ".gz",       "/x.tar.gz",   "/x.TAR.GZ",    "/x.gz",
+      "/xgz",      "/tar.gz?y",   "/a.Html",      "/a.HTML?q=.css",
+      "/a.css/",   "/a.\xc9t\xe9", "/a.\xc9T\xc9", "\xff",
+      "/a?b?c",    "/dir/",       "l",            "/s.js",
+  };
+  // Seeded random URLs over an alphabet of the bytes that matter.
+  const std::string alphabet = "aAgGiIfFzZlL./?\xff";
+  std::uint64_t state = 12345;
+  for (int i = 0; i < 3000; ++i) {
+    state = state * 6364136223846793005u + 1442695040888963407u;
+    std::string url;
+    for (std::uint64_t length = (state >> 33) % 9; length > 0; --length) {
+      state = state * 6364136223846793005u + 1442695040888963407u;
+      url += alphabet[(state >> 33) % alphabet.size()];
+    }
+    urls.push_back(url);
+  }
+  for (const std::vector<std::string>& list : lists) {
+    const ExtensionFilter filter(list);
+    LogRecordRef ref;
+    for (const std::string& url : urls) {
+      ref.url = url;
+      EXPECT_EQ(filter.Keep(ref), OracleKeep(list, url))
+          << "url '" << url << "', list of " << list.size();
+    }
+  }
 }
 
 TEST(StatusFilterTest, KeepsSuccessAnd304) {
