@@ -181,8 +181,16 @@ Result<LogRecord> ParseClfLine(std::string_view line) {
 
 Status ClfParser::ParseChunk(std::string_view chunk,
                              std::vector<LogRecordRef>* records) {
-  const std::uint64_t seen_before = stats_.lines_seen;
-  const std::uint64_t parsed_before = stats_.records_parsed;
+  Scan(chunk, records, &scan_);
+  Commit(scan_);
+  return Status::OK();
+}
+
+void ClfParser::Scan(std::string_view chunk,
+                     std::vector<LogRecordRef>* records, ChunkScan* scan) {
+  scan->rejects.clear();
+  const std::size_t records_before = records->size();
+  std::uint64_t lines = 0;
   while (!chunk.empty()) {
     // A chunk need not end in '\n': the final line of a file (or of a
     // line-aligned ChunkReader chunk) parses like any other.
@@ -190,7 +198,7 @@ Status ClfParser::ParseChunk(std::string_view chunk,
     const std::string_view line = chunk.substr(0, end);  // npos: the rest
     chunk = end == std::string_view::npos ? std::string_view()
                                           : chunk.substr(end + 1);
-    ++stats_.lines_seen;
+    const std::uint64_t line_index = lines++;
     const std::string_view stripped = StripWhitespace(line);
     if (stripped.empty()) continue;
     // Built in a local, then appended: written through a pointer into
@@ -199,26 +207,34 @@ Status ClfParser::ParseChunk(std::string_view chunk,
     LogRecordRef record;
     Status status = ParseStrippedLine(stripped, &record);
     if (status.ok()) {
-      ++stats_.records_parsed;
       records->push_back(record);
       continue;
     }
+    scan->rejects.push_back(ScanReject{line_index, line, std::move(status)});
+  }
+  scan->lines = lines;
+  scan->records = records->size() - records_before;
+}
+
+void ClfParser::Commit(const ChunkScan& scan) {
+  const std::uint64_t first_line = stats_.lines_seen + 1;
+  for (const ScanReject& reject : scan.rejects) {
+    const std::uint64_t line_number = first_line + reject.line_index;
     ++stats_.lines_rejected;
     lines_rejected_.Increment();
     if (reject_handler_ != nullptr) {
-      reject_handler_(stats_.lines_seen, line, status);
+      reject_handler_(line_number, reject.raw_line, reject.reason);
     }
     if (stats_.sample_errors.size() < kMaxSampleErrors) {
-      // stats_.lines_seen is the 1-based number of the line just read.
-      stats_.sample_errors.push_back("line " +
-                                     std::to_string(stats_.lines_seen) + ": " +
-                                     status.message());
+      stats_.sample_errors.push_back("line " + std::to_string(line_number) +
+                                     ": " + reject.reason.message());
     }
   }
+  stats_.lines_seen += scan.lines;
+  stats_.records_parsed += scan.records;
   // The registry mirrors move once per chunk, not once per line.
-  lines_seen_.Increment(stats_.lines_seen - seen_before);
-  records_parsed_.Increment(stats_.records_parsed - parsed_before);
-  return Status::OK();
+  lines_seen_.Increment(scan.lines);
+  records_parsed_.Increment(scan.records);
 }
 
 }  // namespace wum

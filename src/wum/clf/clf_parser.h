@@ -44,7 +44,7 @@ class ClfParser {
   ClfParser() = default;
 
   /// With a registry, mirrors Stats into the counters "clf.lines_seen",
-  /// "clf.records_parsed" (both once per ParseChunk call) and
+  /// "clf.records_parsed" (both once per committed chunk) and
   /// "clf.lines_rejected" (per reject) as the stream is parsed.
   /// `metrics` may be null (all handles stay disabled) and must
   /// otherwise outlive the parser.
@@ -75,8 +75,39 @@ class ClfParser {
   /// `chunk` for every well-formed line. Every line counts in stats();
   /// blank lines are skipped, malformed ones are tallied and reported,
   /// never an error. Line numbering continues across chunks. The refs
-  /// are only valid while `chunk`'s buffer is.
+  /// are only valid while `chunk`'s buffer is. Equivalent to Scan
+  /// followed by Commit.
   Status ParseChunk(std::string_view chunk, std::vector<LogRecordRef>* records);
+
+  /// One malformed line Scan found: its 0-based index among the chunk's
+  /// lines, its raw text (a view into the chunk) and why it failed.
+  struct ScanReject {
+    std::uint64_t line_index = 0;
+    std::string_view raw_line;
+    Status reason;
+  };
+
+  /// What Scan found in one chunk besides its records. Reused across
+  /// chunks: Scan clears it and keeps the capacity.
+  struct ChunkScan {
+    std::uint64_t lines = 0;
+    std::uint64_t records = 0;
+    std::vector<ScanReject> rejects;
+  };
+
+  /// The pure half of ParseChunk: the same split and the same one line
+  /// parser, appending refs to `records` and overwriting `*scan`. It
+  /// touches no parser state, no counter and no handler, so it may run
+  /// on another thread than the Commit of the same chunk.
+  static void Scan(std::string_view chunk, std::vector<LogRecordRef>* records,
+                   ChunkScan* scan);
+
+  /// The stateful half: counts `scan`'s lines, records and rejects in
+  /// stats() and the registry, numbers each reject after every line
+  /// committed before it, and reports it to the reject handler and the
+  /// sample errors. Commit chunks in stream order, while the chunk the
+  /// rejects' raw_line views point into is still alive.
+  void Commit(const ChunkScan& scan);
 
   const Stats& stats() const { return stats_; }
 
@@ -85,6 +116,7 @@ class ClfParser {
 
   RejectHandler reject_handler_;
   Stats stats_;
+  ChunkScan scan_;  // ParseChunk's reusable scan result
   obs::Counter lines_seen_;
   obs::Counter records_parsed_;
   obs::Counter lines_rejected_;

@@ -67,6 +67,17 @@ Result<std::optional<std::string_view>> LineBuffer::Next() {
       std::string_view(pending_.data(), served_));
 }
 
+std::size_t LineBuffer::TakeComplete(std::string* out) {
+  DropServed();
+  const std::size_t taken = complete_;
+  out->swap(pending_);
+  pending_.assign(*out, taken, std::string::npos);  // the carry stays
+  out->resize(taken);
+  complete_ = 0;
+  consumed_bytes_ += taken;
+  return taken;
+}
+
 std::size_t LineBuffer::ShedTail() {
   const std::size_t dropped = pending_.size() - complete_;
   pending_.resize(complete_);

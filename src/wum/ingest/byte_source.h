@@ -107,14 +107,28 @@ class LineBuffer final : public ByteSource {
     return closed_ && pending_.size() == served_;
   }
 
-  /// Bytes served through Next() so far — after a pump this is the
-  /// byte offset up to which the stream has been consumed (the
-  /// per-connection replay offset websra_serve checkpoints).
+  /// Moves the complete lines (not yet served) out into `*out` and
+  /// counts them as consumed; the partial-line carry stays. `*out`'s
+  /// old contents are discarded and its buffer becomes this one's, so a
+  /// caller that hands the same few strings back and forth allocates
+  /// nothing once they have grown. Returns the bytes taken.
+  std::size_t TakeComplete(std::string* out);
+
+  /// Bytes served through Next() or taken by TakeComplete() so far —
+  /// after a pump this is the byte offset up to which the stream has
+  /// been consumed (the per-connection replay offset websra_serve
+  /// checkpoints).
   std::uint64_t consumed_bytes() const { return consumed_bytes_; }
 
   /// Bytes appended but not yet served (complete lines awaiting Next()
   /// plus the partial-line carry).
   std::size_t buffered_bytes() const { return pending_.size() - served_; }
+
+  /// Complete lines awaiting Next(), in bytes.
+  std::size_t complete_bytes() const { return complete_ - served_; }
+
+  /// The partial-line carry: bytes after the last '\n'.
+  std::size_t partial_bytes() const { return pending_.size() - complete_; }
 
   /// Cumulative bytes refused by Append (oversize-line rejections).
   /// They were read off the wire and so still count against a

@@ -115,6 +115,10 @@ struct LogServer::Connection {
   bool paused = false;                  // fd withheld from poll (pushback)
   std::uint64_t resume_at_ms = 0;       // wheel wake for a rate-limit pause
   std::uint64_t paused_since_ms = 0;    // 0 = not currently paused
+
+  // The chunk at the scan thread, if any: lines that precede every byte
+  // still in `lines`.
+  std::unique_ptr<ScanJob> in_flight;
 };
 
 Result<std::unique_ptr<LogServer>> LogServer::Start(
@@ -168,6 +172,8 @@ LogServer::LogServer(ServerOptions options, StreamEngine* engine,
                                  "net.conn.pause_time_ms")),
       m_http_requests_(obs::CounterIn(options_.metrics,
                                       "net.http_requests")),
+      m_scanned_ahead_(obs::CounterIn(options_.metrics,
+                                      "net.chunks_scanned_ahead")),
       g_active_(obs::GaugeIn(options_.metrics, "net.conn.active")) {}
 
 std::uint64_t LogServer::NowMs() const {
@@ -212,7 +218,10 @@ std::uint64_t LogServer::OffsetFor(const std::string& client_id) const {
 
 void LogServer::RecordOffset(const Connection& conn) {
   if (conn.client_id.empty()) return;
-  const std::uint64_t offset = conn.base_offset + conn.lines.consumed_bytes();
+  // A chunk in flight was consumed from the LineBuffer but not offered.
+  const std::uint64_t offset =
+      conn.base_offset + conn.lines.consumed_bytes() -
+      (conn.in_flight != nullptr ? conn.in_flight->bytes.size() : 0);
   for (auto& [id, stored] : client_offsets_) {
     if (id == conn.client_id) {
       stored = offset;
@@ -337,6 +346,13 @@ void LogServer::RefuseConnection(Fd accepted, const char* reason) {
 
 void LogServer::CloseConnection(Connection* conn, const char* why) {
   if (conn->closing) return;
+  if (conn->in_flight != nullptr) {
+    // Every drain path completes the chunk first; a connection closed
+    // without draining drops it, but the scan thread must be done with
+    // the job before the connection can be freed.
+    scan_ahead_.Wait(conn->in_flight.get());
+    spare_jobs_.push_back(std::move(conn->in_flight));
+  }
   if (conn->paused_since_ms != 0) {
     // Settle the open pause interval so the stall-time counter never
     // undercounts a producer that died while paused.
@@ -409,7 +425,7 @@ std::uint64_t LogServer::BufferedBytesTotal() const {
   std::uint64_t total = 0;
   for (const auto& conn : connections_) {
     if (conn->closing) continue;
-    total += conn->lines.buffered_bytes() + conn->handshake_buffer.size();
+    total += conn->lines.partial_bytes() + conn->handshake_buffer.size();
   }
   return total;
 }
@@ -514,7 +530,7 @@ Status LogServer::ExpireConnection(Connection* conn, const char* reason) {
     // line boundary, so an identified client that reconnects re-sends
     // the interrupted line whole.
     if (!conn->awaiting_handshake) {
-      WUM_RETURN_NOT_OK(PumpConnection(conn));
+      WUM_RETURN_NOT_OK(DrainConnection(conn));
     }
     DeadLetterPartial(conn, Status::DeadlineExceeded(reason));
   }
@@ -528,7 +544,9 @@ Status LogServer::DegradeConnection(Connection* conn, const char* reason,
     // Shed: quarantine the buffered complete lines (pulled through the
     // LineBuffer so the replay offset advances past them — deliberately
     // shed data must not resurrect on resume), drop the partial, and
-    // drop the producer.
+    // drop the producer. Inline parsing offered every complete line read
+    // before the breach; so does the drain, chunk in flight first.
+    WUM_RETURN_NOT_OK(DrainConnection(conn));
     std::uint64_t shed_lines = 0;
     while (true) {
       WUM_ASSIGN_OR_RETURN(std::optional<std::string_view> chunk,
@@ -578,13 +596,14 @@ Status LogServer::DegradeConnection(Connection* conn, const char* reason,
   return Status::OK();
 }
 
-Status LogServer::PumpConnection(Connection* conn) {
+template <typename OfferFn>
+Status LogServer::OfferFrom(Connection* conn, OfferFn offer) {
   // Only TryOfferBatch sheds, so the before/after stats snapshots that
   // attribute shed records to this producer are taken under kShed only.
   const bool shedding = engine_->offer_policy() == OfferPolicy::kShed;
   const std::uint64_t shed_before =
       shedding ? engine_->TotalStats().records_shed : 0;
-  const Status status = driver_->Pump(&conn->lines, &conn->parser);
+  const Status status = offer();
   const std::uint64_t shed_delta =
       shedding ? engine_->TotalStats().records_shed - shed_before : 0;
   if (shed_delta > 0) {
@@ -609,14 +628,81 @@ Status LogServer::PumpConnection(Connection* conn) {
   RecordOffset(*conn);
   WUM_RETURN_NOT_OK(status);
   // Server-driven checkpoint cadence: only at pump boundaries, where
-  // consumed bytes == offered records, so the offsets just recorded are
-  // exactly what the engine has seen.
+  // every byte the offsets count has been offered (a chunk in flight is
+  // left out of them), so the offsets just recorded are exactly what
+  // the engine has seen.
   const std::uint64_t cadence = options_.ingest.checkpoint_every_records;
   if (cadence > 0 && driver_->checkpointing() &&
       driver_->records_offered() - records_at_last_checkpoint_ >= cadence) {
     WUM_RETURN_NOT_OK(driver_->CheckpointNow());
     records_at_last_checkpoint_ = driver_->records_offered();
     last_checkpoint_ms_ = NowMs();
+  }
+  return Status::OK();
+}
+
+Status LogServer::PumpConnection(Connection* conn) {
+  return OfferFrom(
+      conn, [&] { return driver_->Pump(&conn->lines, &conn->parser); });
+}
+
+Status LogServer::AdvanceConnection(Connection* conn) {
+  if (conn->in_flight == nullptr) WUM_RETURN_NOT_OK(StartScanIfReady(conn));
+  // Lines behind a chunk in flight wait for it: per-connection order.
+  if (conn->in_flight != nullptr) return Status::OK();
+  return PumpConnection(conn);
+}
+
+Status LogServer::StartScanIfReady(Connection* conn) {
+  if (stopping_ || conn->in_flight != nullptr ||
+      conn->lines.complete_bytes() < kScanAheadBytes) {
+    return Status::OK();
+  }
+  // Before any byte leaves the LineBuffer: Submit itself cannot fail.
+  WUM_RETURN_NOT_OK(scan_ahead_.Start());
+  std::unique_ptr<ScanJob> job;
+  if (spare_jobs_.empty()) {
+    job = std::make_unique<ScanJob>();
+  } else {
+    job = std::move(spare_jobs_.back());
+    spare_jobs_.pop_back();
+  }
+  conn->lines.TakeComplete(&job->bytes);
+  scan_ahead_.Submit(job.get());
+  conn->in_flight = std::move(job);
+  ++stats_.chunks_scanned_ahead;
+  m_scanned_ahead_.Increment();
+  return Status::OK();
+}
+
+Status LogServer::CompleteScan(Connection* conn, bool drain) {
+  if (conn->in_flight == nullptr) return Status::OK();
+  scan_ahead_.Wait(conn->in_flight.get());
+  std::unique_ptr<ScanJob> job = std::move(conn->in_flight);
+  // The next chunk scans while this one is offered.
+  if (!drain) WUM_RETURN_NOT_OK(StartScanIfReady(conn));
+  conn->parser.Commit(job->scan);
+  const Status offered =
+      OfferFrom(conn, [&] { return driver_->OfferRefs(job->refs); });
+  spare_jobs_.push_back(std::move(job));
+  WUM_RETURN_NOT_OK(offered);
+  if (drain || conn->in_flight != nullptr) return Status::OK();
+  return PumpConnection(conn);
+}
+
+Status LogServer::DrainConnection(Connection* conn) {
+  WUM_RETURN_NOT_OK(CompleteScan(conn, /*drain=*/true));
+  return PumpConnection(conn);
+}
+
+Status LogServer::CompleteFinishedScans() {
+  scan_ahead_.DrainWake();
+  for (auto& conn : connections_) {
+    if (conn->closing || conn->in_flight == nullptr ||
+        !scan_ahead_.Done(conn->in_flight.get())) {
+      continue;
+    }
+    WUM_RETURN_NOT_OK(CompleteScan(conn.get(), /*drain=*/false));
   }
   return Status::OK();
 }
@@ -653,11 +739,11 @@ Status LogServer::HandleData(Connection* conn, std::string_view bytes) {
     obs::LogWarn("net.overlong")("serial", conn->serial)(
         "error", append.message())("rejected_bytes",
                                    conn->lines.rejected_bytes());
-    WUM_RETURN_NOT_OK(PumpConnection(conn));  // salvage complete lines
+    WUM_RETURN_NOT_OK(DrainConnection(conn));  // salvage complete lines
     CloseConnection(conn, "overlong line");
     return Status::OK();
   }
-  return PumpConnection(conn);
+  return AdvanceConnection(conn);
 }
 
 Status LogServer::HandleHandshakeBuffer(Connection* conn) {
@@ -738,6 +824,16 @@ Status LogServer::AdminStats(Connection* conn, std::string_view args) {
 }
 
 Status LogServer::AdminCheckpoint(Connection* conn, std::string_view) {
+  // Inline parsing offers every complete line as it is read; with scan
+  // ahead, finish the chunks in flight and the lines behind them first,
+  // so a checkpoint still covers every complete line read so far.
+  for (auto& data : connections_) {
+    if (data->admin || data->http || data->closing ||
+        data->awaiting_handshake) {
+      continue;
+    }
+    WUM_RETURN_NOT_OK(DrainConnection(data.get()));
+  }
   const Status status = driver_->CheckpointNow();
   if (!status.ok()) {
     Reply(conn, "ERR " + status.message() + "\n");
@@ -861,6 +957,8 @@ Status LogServer::DoQuiesce(std::string* detail) {
   // them through replay.
   for (auto& conn : connections_) {
     if (conn->admin || conn->http || conn->closing) continue;
+    // stopping_ is set, so nothing below hands out a new chunk.
+    WUM_RETURN_NOT_OK(CompleteScan(conn.get(), /*drain=*/true));
     bool progress = true;
     while (progress && !conn->closing) {
       WUM_RETURN_NOT_OK(HandleReadable(conn.get(), &progress));
@@ -1060,6 +1158,20 @@ Status LogServer::HandleReadable(Connection* conn, bool* made_progress) {
     }
     capacity = std::min<std::size_t>(capacity, available);
   }
+  if (!conn->admin && !stopping_) {
+    // Read only up to the scan-ahead bound of complete lines, so no
+    // chunk for the scan thread outgrows it (the poll loop stops polling
+    // an fd at the bound behind a chunk in flight; here, take the chunk
+    // back first).
+    if (conn->in_flight != nullptr &&
+        conn->lines.complete_bytes() >= kScanAheadBound) {
+      WUM_RETURN_NOT_OK(CompleteScan(conn, /*drain=*/false));
+    }
+    if (conn->lines.complete_bytes() < kScanAheadBound) {
+      capacity =
+          std::min(capacity, kScanAheadBound - conn->lines.complete_bytes());
+    }
+  }
   Result<ReadResult> read_result =
       ReadSome(conn->fd, read_buffer_.data(), capacity);
   if (!read_result.ok()) {
@@ -1069,7 +1181,7 @@ Status LogServer::HandleReadable(Connection* conn, bool* made_progress) {
     obs::LogWarn("net.read")("serial", conn->serial)(
         "error", read_result.status().ToString());
     if (!conn->admin && !conn->awaiting_handshake) {
-      WUM_RETURN_NOT_OK(PumpConnection(conn));
+      WUM_RETURN_NOT_OK(DrainConnection(conn));
     }
     DeadLetterPartial(conn, read_result.status());
     CloseConnection(conn, read_result.status().IsConnectionReset()
@@ -1114,7 +1226,7 @@ Status LogServer::HandleReadable(Connection* conn, bool* made_progress) {
       // further dribble — a one-byte-at-a-time peer cannot extend its
       // read deadline by dribbling.
       const bool has_partial =
-          conn->lines.buffered_bytes() > 0 ||
+          conn->lines.partial_bytes() > 0 ||
           (conn->awaiting_handshake && !conn->handshake_buffer.empty());
       if (!has_partial) {
         conn->partial_since_ms = 0;
@@ -1123,7 +1235,7 @@ Status LogServer::HandleReadable(Connection* conn, bool* made_progress) {
       }
       const ClientQuota& quota = options_.client_quota;
       if (quota.max_buffered_bytes != 0 &&
-          conn->lines.buffered_bytes() + conn->handshake_buffer.size() >
+          conn->lines.partial_bytes() + conn->handshake_buffer.size() >
               quota.max_buffered_bytes) {
         WUM_RETURN_NOT_OK(
             DegradeConnection(conn, "buffer quota exceeded", now));
@@ -1146,6 +1258,7 @@ Status LogServer::HandleReadable(Connection* conn, bool* made_progress) {
         conn->awaiting_handshake = false;
         WUM_RETURN_NOT_OK(HandleData(conn, buffered));
       }
+      WUM_RETURN_NOT_OK(CompleteScan(conn, /*drain=*/true));
       conn->lines.Close();
       WUM_RETURN_NOT_OK(PumpConnection(conn));
     }
@@ -1166,6 +1279,10 @@ Status LogServer::Serve() {
     pollconns.clear();
     pollfds.push_back(pollfd{stop_read_.get(), POLLIN, 0});
     pollconns.push_back(nullptr);
+    if (scan_ahead_.wake_fd() >= 0) {
+      pollfds.push_back(pollfd{scan_ahead_.wake_fd(), POLLIN, 0});
+      pollconns.push_back(nullptr);
+    }
     if (data_listener_.valid() && !stopping_) {
       pollfds.push_back(pollfd{data_listener_.get(), POLLIN, 0});
       pollconns.push_back(nullptr);
@@ -1178,8 +1295,13 @@ Status LogServer::Serve() {
     }
     for (auto& conn : connections_) {
       // Paused connections (rate quota spent, kBlock degradation) stay
-      // open but out of the poll set: per-producer TCP pushback.
+      // open but out of the poll set: per-producer TCP pushback. So does
+      // one that buffered up to the bound behind a chunk in flight.
       if (conn->closing || conn->paused) continue;
+      if (conn->in_flight != nullptr &&
+          conn->lines.complete_bytes() >= kScanAheadBound) {
+        continue;
+      }
       pollfds.push_back(pollfd{conn->fd.get(), POLLIN, 0});
       pollconns.push_back(conn.get());
     }
@@ -1209,6 +1331,8 @@ Status LogServer::Serve() {
         char drain[64];
         (void)ReadSome(stop_read_, drain, sizeof(drain));
         step = DoQuiesce(nullptr);
+      } else if (fd == scan_ahead_.wake_fd()) {
+        step = CompleteFinishedScans();
       } else if (data_listener_.valid() && fd == data_listener_.get()) {
         step = AcceptPending(&data_listener_, /*admin=*/false);
       } else if (fd == admin_listener_.get()) {
@@ -1239,6 +1363,8 @@ Status LogServer::Serve() {
                        [](const auto& c) { return c->closing; }),
         connections_.end());
   }
+  // The scan thread may hold a job that lives in a connection.
+  scan_ahead_.Stop();
   connections_.clear();
   obs::LogInfo("net.serve_done")("ok", result.ok() ? 1 : 0)(
       "accepted", stats_.connections_accepted)("bytes", stats_.bytes_read);

@@ -8,6 +8,15 @@
 // is shared. Per-user FIFO holds because one user's records arrive on
 // one connection in order and hash to one shard.
 //
+// Scan ahead: once a data connection has at least
+// LogServer::kScanAheadBytes of complete lines and no chunk in flight,
+// its lines go to one scan thread (see scan_ahead.h), which parses
+// them while the poll loop offers the chunk before. The poll loop
+// commits and offers every chunk itself, in the connection's order, so
+// rejects, replay offsets and checkpoints still happen only on the poll
+// thread at pump boundaries. Smaller reads are parsed inline, as
+// before.
+//
 // Protocol (data port): optionally one handshake line
 //   HELLO <client-id>\n        ->  OK <skip-bytes>\n
 // then raw CLF lines until the client closes. The skip-bytes reply is
@@ -73,6 +82,7 @@
 #include "wum/ingest/byte_source.h"
 #include "wum/ingest/driver.h"
 #include "wum/net/quota.h"
+#include "wum/net/scan_ahead.h"
 #include "wum/net/socket.h"
 #include "wum/net/timer_wheel.h"
 #include "wum/obs/metrics.h"
@@ -115,6 +125,8 @@ struct ServeStats {
   /// Append calls refused for an over-long line (the bytes still count
   /// against the producer's rate quota).
   std::uint64_t oversize_rejections = 0;
+  /// Chunks parsed on the scan thread instead of inline.
+  std::uint64_t chunks_scanned_ahead = 0;
 };
 
 struct ServerOptions {
@@ -182,12 +194,24 @@ struct ServerOptions {
   obs::MetricRegistry* metrics = nullptr;
 };
 
+class LogServerTestPeer;
+
 /// One engine, many producers. Start() binds both listeners (so the
 /// kernel-assigned ports are known before the loop runs); Serve() runs
 /// the poll loop on the calling thread until QUIESCE, RequestStop, or a
 /// fatal engine error. Not restartable: one Serve() per LogServer.
 class LogServer {
  public:
+  /// A data connection with at least this many bytes of complete lines
+  /// and no chunk in flight hands them to the scan thread; smaller reads
+  /// are parsed inline on the poll loop. A read never takes a
+  /// connection past kScanAheadBound bytes of complete lines, which
+  /// bounds a chunk; at that bound, with a chunk in flight, its fd
+  /// leaves the poll set until the chunk is back. docs/serving.md
+  /// (Threads) has the measurements behind both numbers.
+  static constexpr std::size_t kScanAheadBytes = 16u << 10;
+  static constexpr std::size_t kScanAheadBound = 2 * kScanAheadBytes;
+
   /// `engine` and `dead_letters` (nullable) must outlive the server.
   /// `resumed_offsets` seeds the per-client replay offsets from a
   /// decoded checkpoint sink_state.
@@ -224,6 +248,7 @@ class LogServer {
   const ClientOffsets& client_offsets() const { return client_offsets_; }
 
  private:
+  friend class LogServerTestPeer;  // holds the scan thread in tests
   struct Connection;
 
   LogServer(ServerOptions options, StreamEngine* engine,
@@ -248,7 +273,32 @@ class LogServer {
   Status HandleReadable(Connection* conn, bool* made_progress = nullptr);
   Status HandleData(Connection* conn, std::string_view bytes);
   Status HandleHandshakeBuffer(Connection* conn);
+  /// Parses and offers the connection's complete lines inline.
   Status PumpConnection(Connection* conn);
+  /// Runs `offer` (one Pump or OfferRefs for this connection), then
+  /// attributes any shed records to it, records its replay offset and
+  /// applies the checkpoint cadence.
+  template <typename OfferFn>
+  Status OfferFrom(Connection* conn, OfferFn offer);
+  /// Moves new complete lines on: they wait behind a chunk in flight,
+  /// go to the scan thread when there are enough of them, and are
+  /// parsed inline otherwise.
+  Status AdvanceConnection(Connection* conn);
+  /// Hands the complete lines to the scan thread if the scan-ahead rule
+  /// holds (threshold reached, nothing in flight, not stopping).
+  Status StartScanIfReady(Connection* conn);
+  /// Takes the connection's chunk back from the scan thread (waiting
+  /// for it if need be), commits it and offers its records. With
+  /// `drain` the connection is about to be drained: no next chunk is
+  /// started and nothing else is pumped. Otherwise the next chunk is
+  /// handed over before this one is offered, and a short remainder is
+  /// pumped inline afterwards. No-op when nothing is in flight.
+  Status CompleteScan(Connection* conn, bool drain);
+  /// Completes the chunk in flight, then pumps every complete line
+  /// inline: the first step of every path that drains a connection.
+  Status DrainConnection(Connection* conn);
+  /// Completes every finished chunk (after the scan thread's wake).
+  Status CompleteFinishedScans();
   void RecordOffset(const Connection& conn);
   std::uint64_t OffsetFor(const std::string& client_id) const;
   /// Admin commands, dispatched by HandleAdminLine through a table of
@@ -288,6 +338,9 @@ class LogServer {
   Status DegradeConnection(Connection* conn, const char* reason,
                            std::uint64_t now_ms);
   Connection* FindBySerial(std::uint64_t serial);
+  /// Partial-line carries plus handshake buffers across connections
+  /// (complete lines waiting behind a chunk in flight are bounded by
+  /// the scan-ahead rule instead).
   std::uint64_t BufferedBytesTotal() const;
 
   ServerOptions options_;
@@ -335,7 +388,16 @@ class LogServer {
   /// imposed on producers, in milliseconds.
   obs::Counter m_pause_ms_;
   obs::Counter m_http_requests_;
+  obs::Counter m_scanned_ahead_;
   obs::Gauge g_active_;
+
+  /// Jobs back from the scan thread, reused for the next chunk of any
+  /// connection: the pool holds one more job than the most chunks ever
+  /// in flight at once.
+  std::vector<std::unique_ptr<ScanJob>> spare_jobs_;
+  /// Declared last so it is destroyed first: its thread may still hold
+  /// a job that lives in a connection.
+  ScanAhead scan_ahead_;
 };
 
 }  // namespace wum::net

@@ -28,3 +28,22 @@ void operator delete(void* ptr) noexcept { std::free(ptr); }
 void operator delete[](void* ptr) noexcept { std::free(ptr); }
 void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
 void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+
+// The nothrow forms must come from the same allocator: the standard
+// library allocates some buffers with nothrow new and frees them with
+// plain delete (std::stable_sort's temporary buffer), and a sanitizer
+// reports that pair as an alloc-dealloc mismatch unless both are ours.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void operator delete(void* ptr, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}

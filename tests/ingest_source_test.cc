@@ -157,6 +157,29 @@ TEST(LineBufferTest, ShedTailKeepsUnservedCompleteLines) {
   EXPECT_EQ(buffer.ShedTail(), 0u);  // nothing left to shed
 }
 
+TEST(LineBufferTest, TakeCompleteMovesTheLinesAndKeepsTheCarry) {
+  LineBuffer buffer;
+  ASSERT_TRUE(buffer.Append("a 1\nb 2\npart").ok());
+  EXPECT_EQ(buffer.complete_bytes(), 8u);
+  EXPECT_EQ(buffer.partial_bytes(), 4u);
+  std::string taken = "old contents";
+  EXPECT_EQ(buffer.TakeComplete(&taken), 8u);
+  EXPECT_EQ(taken, "a 1\nb 2\n");
+  EXPECT_EQ(buffer.consumed_bytes(), 8u);
+  EXPECT_EQ(buffer.complete_bytes(), 0u);
+  EXPECT_EQ(buffer.partial_bytes(), 4u);
+  // The carry completes in the buffer and is served or taken next, in
+  // stream order; `taken` can be handed back for the next chunk.
+  ASSERT_TRUE(buffer.Append("ial\nc 3\n").ok());
+  EXPECT_EQ(buffer.TakeComplete(&taken), 12u);
+  EXPECT_EQ(taken, "partial\nc 3\n");
+  EXPECT_EQ(buffer.consumed_bytes(), 20u);
+  EXPECT_EQ(buffer.buffered_bytes(), 0u);
+  EXPECT_EQ(buffer.TakeComplete(&taken), 0u);
+  EXPECT_TRUE(taken.empty());
+  EXPECT_FALSE(buffer.Next()->has_value());
+}
+
 TEST(LineBufferTest, AppendAfterCloseFails) {
   LineBuffer buffer;
   buffer.Close();

@@ -148,8 +148,9 @@ Result<std::string> AdminCommand(std::uint16_t admin_port,
   return ReadLine(socket);
 }
 
-/// Polls the registry until `counter` reaches `target` (the serve loop
-/// is single-threaded, so once net.bytes_read covers a producer's bytes
+/// Polls the registry until `counter` reaches `target` (every read here
+/// stays below LogServer::kScanAheadBytes, so the poll loop offers
+/// it in the same step: once net.bytes_read covers a producer's bytes
 /// those bytes have been offered to the engine).
 bool WaitForCounter(obs::MetricRegistry* registry, const std::string& counter,
                     std::uint64_t target) {
@@ -304,7 +305,7 @@ TEST(NetServerTest, OverlappingUsersAcrossSequentialProducers) {
   // The same users continue across two producers (a log rotated onto a
   // second uploader). Per-user FIFO requires producer A fully absorbed
   // before B starts — the test gates B on the server's byte counter,
-  // which the single-threaded serve loop only advances after offering.
+  // which the poll loop advances in the step that offers a small read.
   const std::vector<std::string> users = {"10.1.0.1", "10.1.0.2", "10.1.0.3"};
   const std::string log_a =
       MakeLog(users, /*rounds=*/12, num_pages, /*base=*/1000000000);
