@@ -1366,6 +1366,11 @@ Status LogServer::Serve() {
   // The scan thread may hold a job that lives in a connection.
   scan_ahead_.Stop();
   connections_.clear();
+  // Nothing serves the ports any more: refuse new connections instead of
+  // leaving them queued for a reply that never comes.
+  data_listener_.reset();
+  admin_listener_.reset();
+  http_listener_.reset();
   obs::LogInfo("net.serve_done")("ok", result.ok() ? 1 : 0)(
       "accepted", stats_.connections_accepted)("bytes", stats_.bytes_read);
   return result;

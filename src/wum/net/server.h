@@ -229,7 +229,8 @@ class LogServer {
   std::uint16_t http_port() const { return http_port_; }
 
   /// The poll loop. Returns OK after a clean QUIESCE/stop, or the first
-  /// fatal error (engine poisoned, listener failure). Call once.
+  /// fatal error (engine poisoned, listener failure), and closes the
+  /// listeners either way. Call once.
   Status Serve();
 
   /// Initiates a graceful quiesce from another thread. Safe to call

@@ -2,61 +2,6 @@
 
 namespace wum {
 
-NavigationSessionizer::NavigationSessionizer(const WebGraph* graph)
-    : NavigationSessionizer(graph, Options()) {}
-
-NavigationSessionizer::NavigationSessionizer(const WebGraph* graph,
-                                             Options options)
-    : graph_(graph), options_(options) {}
-
-Result<std::vector<Session>> NavigationSessionizer::Reconstruct(
-    std::span<const PageRequest> requests) const {
-  WUM_RETURN_NOT_OK(ValidateRequestStream(requests, graph_->num_pages()));
-  std::vector<Session> sessions;
-  Session current;
-  for (const PageRequest& request : requests) {
-    const bool time_cut =
-        options_.max_page_stay >= 0 && !current.empty() &&
-        request.timestamp - current.requests.back().timestamp >
-            options_.max_page_stay;
-    if (time_cut) {
-      sessions.push_back(std::move(current));
-      current = Session{};
-    }
-    if (current.empty()) {
-      current.requests.push_back(request);
-      continue;
-    }
-    if (graph_->HasLink(current.requests.back().page, request.page)) {
-      current.requests.push_back(request);
-      continue;
-    }
-    // Path completion: find the nearest earlier page with a link to the
-    // new page. (The last page was already checked above.)
-    std::size_t referrer_index = current.requests.size();  // "none"
-    for (std::size_t j = current.requests.size() - 1; j-- > 0;) {
-      if (graph_->HasLink(current.requests[j].page, request.page)) {
-        referrer_index = j;
-        break;
-      }
-    }
-    if (referrer_index == current.requests.size()) {
-      // No in-session referrer: the new page starts a fresh session.
-      sessions.push_back(std::move(current));
-      current = Session{};
-      current.requests.push_back(request);
-      continue;
-    }
-    // Insert backward browser movements from the page *before* the current
-    // last one down to the referrer, then the new request itself.
-    for (std::size_t j = current.requests.size() - 1; j-- > referrer_index;) {
-      current.requests.push_back(
-          PageRequest{current.requests[j].page, request.timestamp});
-    }
-    current.requests.push_back(request);
-  }
-  if (!current.empty()) sessions.push_back(std::move(current));
-  return sessions;
-}
+template class FoldSessionizer<NavigationRule>;
 
 }  // namespace wum

@@ -4,22 +4,12 @@
 #include <limits>
 #include <utility>
 
-#include "wum/session/time_heuristics.h"
-
 namespace wum {
 namespace {
 
 template <typename T>
 void Release(std::vector<T>* buffer) {
   std::vector<T>().swap(*buffer);
-}
-
-void AppendSessions(const SmartSra::Workspace& workspace,
-                    std::vector<Session>* output) {
-  for (std::size_t k = 0; k < workspace.num_paths(); ++k) {
-    const std::span<const PageRequest> path = workspace.path(k);
-    output->push_back(Session{{path.begin(), path.end()}});
-  }
 }
 
 }  // namespace
@@ -54,9 +44,18 @@ void SmartSra::Workspace::Trim(bool keep_output) {
   Release(&paths_);
 }
 
+std::string SmartSra::name() const { return SmartSraRule::kName; }
+
 std::vector<Session> SmartSra::Phase1(
     std::span<const PageRequest> requests) const {
-  return SplitByBothTimeRules(requests, options_.thresholds);
+  std::vector<Session> candidates;
+  for (const PageRequest& request : requests) {
+    if (candidates.empty() || ClosesCandidate(candidates.back(), request)) {
+      candidates.emplace_back();
+    }
+    candidates.back().requests.push_back(request);
+  }
+  return candidates;
 }
 
 Status SmartSra::Phase2(std::span<const PageRequest> candidate,
@@ -75,7 +74,10 @@ Result<std::vector<Session>> SmartSra::Phase2(const Session& candidate) const {
   WUM_RETURN_NOT_OK(Phase2(candidate.requests, &workspace));
   std::vector<Session> result;
   result.reserve(workspace.num_paths());
-  AppendSessions(workspace, &result);
+  for (std::size_t k = 0; k < workspace.num_paths(); ++k) {
+    const std::span<const PageRequest> path = workspace.path(k);
+    result.push_back(Session{{path.begin(), path.end()}});
+  }
   return result;
 }
 
@@ -276,16 +278,11 @@ void SmartSra::SortAndDeduplicate(Workspace* ws) {
       ws->paths_.end());
 }
 
+template class FoldSessionizer<SmartSraRule>;
+
 Result<std::vector<Session>> SmartSra::Reconstruct(
     std::span<const PageRequest> requests) const {
-  WUM_RETURN_NOT_OK(ValidateRequestStream(requests, graph_->num_pages()));
-  Workspace workspace;
-  std::vector<Session> output;
-  for (const Session& candidate : Phase1(requests)) {
-    WUM_RETURN_NOT_OK(Phase2(candidate.requests, &workspace));
-    AppendSessions(workspace, &output);
-  }
-  return output;
+  return FoldRule(SmartSraRule(graph_, options_), requests);
 }
 
 }  // namespace wum

@@ -33,10 +33,12 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "wum/common/time.h"
 #include "wum/session/sessionizer.h"
+#include "wum/session/time_heuristics.h"
 #include "wum/topology/web_graph.h"
 
 namespace wum {
@@ -60,12 +62,22 @@ class SmartSra : public Sessionizer {
   explicit SmartSra(const WebGraph* graph);
   SmartSra(const WebGraph* graph, Options options);
 
-  std::string name() const override { return "heur4-smart-sra"; }
+  std::string name() const override;
 
+  /// Folds SmartSraRule over the stream.
   Result<std::vector<Session>> Reconstruct(
       std::span<const PageRequest> requests) const override;
 
-  /// Phase 1 only: candidate sessions obeying both time rules.
+  /// Phase 1's cut: `next` closes `candidate` when it breaks the page-stay
+  /// or the session-duration bound (heur2's cut or heur1's).
+  bool ClosesCandidate(const Session& candidate,
+                       const PageRequest& next) const {
+    return BreaksPageStay(candidate, next, options_.thresholds.max_page_stay) ||
+           BreaksDuration(candidate, next,
+                          options_.thresholds.max_session_duration);
+  }
+
+  /// Phase 1 only: the candidate sessions ClosesCandidate cuts.
   std::vector<Session> Phase1(std::span<const PageRequest> requests) const;
 
   /// Phase 2's reusable buffers and its output. Phase2 makes no heap
@@ -138,6 +150,7 @@ class SmartSra : public Sessionizer {
   Result<std::vector<Session>> Phase2(const Session& candidate) const;
 
   const Options& options() const { return options_; }
+  std::size_t num_pages() const { return graph_->num_pages(); }
 
  private:
   /// Phase2's body; Phase2 trims the workspace around it.
@@ -149,6 +162,55 @@ class SmartSra : public Sessionizer {
   const WebGraph* graph_;
   Options options_;
 };
+
+/// heur4 as a rule. Phase 1 runs online (the candidate closes once
+/// ClosesCandidate fires); phase 2 runs on each closed candidate, so
+/// emission latency is one candidate, exactly the information horizon the
+/// batch algorithm needs. The per-user state is the open candidate.
+class SmartSraRule : public OpenSessionRule {
+ public:
+  static constexpr const char* kName = "heur4-smart-sra";
+
+  /// `graph` must outlive this object.
+  SmartSraRule(const WebGraph* graph, SmartSra::Options options)
+      : OpenSessionRule(4, "smart-sra"),
+        algorithm_(graph, std::move(options)) {}
+
+  template <typename Emit>
+  Status OnRequest(Session* candidate, const PageRequest& request,
+                   const Emit& emit) const {
+    if (algorithm_.ClosesCandidate(*candidate, request)) {
+      WUM_RETURN_NOT_OK(Flush(candidate, emit));
+    }
+    candidate->requests.push_back(request);
+    return Status::OK();
+  }
+
+  /// Closes the candidate: phase 2 into the rule's workspace, then one
+  /// emit per session, as a span valid for the call. A phase-2 failure
+  /// leaves the candidate open.
+  template <typename Emit>
+  Status Flush(Session* candidate, const Emit& emit) const {
+    if (candidate->empty()) return Status::OK();
+    WUM_RETURN_NOT_OK(algorithm_.Phase2(candidate->requests, &workspace_));
+    *candidate = Session{};
+    for (std::size_t k = 0; k < workspace_.num_paths(); ++k) {
+      WUM_RETURN_NOT_OK(emit(workspace_.path(k)));
+    }
+    return Status::OK();
+  }
+  std::size_t num_pages() const { return algorithm_.num_pages(); }
+
+ private:
+  SmartSra algorithm_;
+  // Phase 2's buffers, reused from one candidate to the next. One rule
+  // runs on one thread at a time (a shard's driver serializes its
+  // drains; FoldSessionizer and SmartSra::Reconstruct fold a copy made
+  // for the call), so the const rule may own it.
+  mutable SmartSra::Workspace workspace_;
+};
+
+extern template class FoldSessionizer<SmartSraRule>;
 
 }  // namespace wum
 

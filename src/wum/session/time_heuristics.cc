@@ -1,72 +1,8 @@
 #include "wum/session/time_heuristics.h"
 
-#include <limits>
-
 namespace wum {
-namespace {
 
-// All three time heuristics are "cut" rules differing only in the cut
-// predicate: given the pending session and the next request, decide
-// whether the request starts a new session.
-template <typename ShouldCut>
-std::vector<Session> SplitStream(std::span<const PageRequest> requests,
-                                 ShouldCut should_cut) {
-  std::vector<Session> sessions;
-  Session current;
-  for (const PageRequest& request : requests) {
-    if (!current.empty() && should_cut(current, request)) {
-      sessions.push_back(std::move(current));
-      current = Session{};
-    }
-    current.requests.push_back(request);
-  }
-  if (!current.empty()) sessions.push_back(std::move(current));
-  return sessions;
-}
-
-}  // namespace
-
-SessionDurationSessionizer::SessionDurationSessionizer(
-    TimeSeconds max_session_duration)
-    : max_session_duration_(max_session_duration) {}
-
-Result<std::vector<Session>> SessionDurationSessionizer::Reconstruct(
-    std::span<const PageRequest> requests) const {
-  WUM_RETURN_NOT_OK(ValidateRequestStream(
-      requests, static_cast<std::size_t>(kInvalidPage)));
-  return SplitStream(requests,
-                     [this](const Session& session, const PageRequest& next) {
-                       return next.timestamp -
-                                  session.requests.front().timestamp >
-                              max_session_duration_;
-                     });
-}
-
-PageStaySessionizer::PageStaySessionizer(TimeSeconds max_page_stay)
-    : max_page_stay_(max_page_stay) {}
-
-Result<std::vector<Session>> PageStaySessionizer::Reconstruct(
-    std::span<const PageRequest> requests) const {
-  WUM_RETURN_NOT_OK(ValidateRequestStream(
-      requests, static_cast<std::size_t>(kInvalidPage)));
-  return SplitStream(requests,
-                     [this](const Session& session, const PageRequest& next) {
-                       return next.timestamp -
-                                  session.requests.back().timestamp >
-                              max_page_stay_;
-                     });
-}
-
-std::vector<Session> SplitByBothTimeRules(
-    std::span<const PageRequest> requests,
-    const TimeThresholds& thresholds) {
-  return SplitStream(
-      requests, [&thresholds](const Session& session, const PageRequest& next) {
-        return next.timestamp - session.requests.back().timestamp >
-                   thresholds.max_page_stay ||
-               next.timestamp - session.requests.front().timestamp >
-                   thresholds.max_session_duration;
-      });
-}
+template class FoldSessionizer<DurationRule>;
+template class FoldSessionizer<PageStayRule>;
 
 }  // namespace wum

@@ -6,37 +6,25 @@
 #include "wum/session/navigation_heuristic.h"
 #include "wum/session/smart_sra.h"
 #include "wum/session/time_heuristics.h"
-#include "wum/stream/incremental_time_sessionizers.h"
-#include "wum/topology/web_graph.h"
 
 namespace wum {
-
 namespace {
 
-/// One registry entry whose streaming forms both come from `make_rule`:
-/// the stand-alone per-user sessionizer and the per-shard sink.
+/// The entry whose batch and sink forms both come from `make_rule`, a
+/// callable from const HeuristicContext& to the heuristic's rule.
 template <typename MakeRule>
 HeuristicRegistry::Entry RuleEntry(std::string name, std::string description,
-                                   bool needs_graph,
-                                   HeuristicRegistry::BatchFactory make_batch,
-                                   MakeRule make_rule) {
+                                   bool needs_graph, MakeRule make_rule) {
   using Rule = std::invoke_result_t<MakeRule, const HeuristicContext&>;
   return HeuristicRegistry::Entry{
-      std::move(name),
-      std::move(description),
-      needs_graph,
-      std::move(make_batch),
-      [make_rule](const HeuristicContext& context)
-          -> Result<UserSessionizerFactory> {
-        return UserSessionizerFactory([rule = make_rule(context)]() {
-          return std::make_unique<RuleSessionizer<Rule>>(rule);
-        });
+      std::move(name), std::move(description), needs_graph,
+      [make_rule](const HeuristicContext& context) {
+        return std::unique_ptr<Sessionizer>(
+            std::make_unique<FoldSessionizer<Rule>>(make_rule(context)));
       },
-      [make_rule](const HeuristicContext& context)
-          -> Result<SessionizeSinkFactory> {
+      [make_rule](const HeuristicContext& context) {
         return SessionizeSinkFactoryFor(make_rule(context));
-      },
-  };
+      }};
 }
 
 }  // namespace
@@ -47,53 +35,29 @@ HeuristicRegistry::HeuristicRegistry(std::vector<Entry> entries)
 const HeuristicRegistry& HeuristicRegistry::Default() {
   static const HeuristicRegistry* const kRegistry =
       new HeuristicRegistry(std::vector<Entry>{
-          RuleEntry(
-              "duration", "heur1: total session duration bounded by delta",
-              /*needs_graph=*/false,
-              [](const HeuristicContext& context)
-                  -> Result<std::unique_ptr<Sessionizer>> {
-                return std::unique_ptr<Sessionizer>(
-                    std::make_unique<SessionDurationSessionizer>(
-                        context.thresholds.max_session_duration));
-              },
-              [](const HeuristicContext& context) {
-                return DurationRule(context.thresholds.max_session_duration);
-              }),
-          RuleEntry(
-              "pagestay", "heur2: consecutive-request gap bounded by rho",
-              /*needs_graph=*/false,
-              [](const HeuristicContext& context)
-                  -> Result<std::unique_ptr<Sessionizer>> {
-                return std::unique_ptr<Sessionizer>(
-                    std::make_unique<PageStaySessionizer>(
-                        context.thresholds.max_page_stay));
-              },
-              [](const HeuristicContext& context) {
-                return PageStayRule(context.thresholds.max_page_stay);
-              }),
-          RuleEntry(
-              "navigation",
-              "heur3: topology-linked navigation with path completion",
-              /*needs_graph=*/true,
-              [](const HeuristicContext& context)
-                  -> Result<std::unique_ptr<Sessionizer>> {
-                return std::unique_ptr<Sessionizer>(
-                    std::make_unique<NavigationSessionizer>(context.graph));
-              },
-              [](const HeuristicContext& context) {
-                return NavigationRule(context.graph);
-              }),
+          RuleEntry("duration",
+                    "heur1: total session duration bounded by delta",
+                    /*needs_graph=*/false,
+                    [](const HeuristicContext& context) {
+                      return DurationRule(
+                          context.thresholds.max_session_duration);
+                    }),
+          RuleEntry("pagestay",
+                    "heur2: consecutive-request gap bounded by rho",
+                    /*needs_graph=*/false,
+                    [](const HeuristicContext& context) {
+                      return PageStayRule(context.thresholds.max_page_stay);
+                    }),
+          RuleEntry("navigation",
+                    "heur3: topology-linked navigation with path completion",
+                    /*needs_graph=*/true,
+                    [](const HeuristicContext& context) {
+                      return NavigationRule(context.graph);
+                    }),
           RuleEntry(
               "smart-sra",
               "heur4: Smart-SRA maximal topology+time consistent sessions",
               /*needs_graph=*/true,
-              [](const HeuristicContext& context)
-                  -> Result<std::unique_ptr<Sessionizer>> {
-                SmartSra::Options options;
-                options.thresholds = context.thresholds;
-                return std::unique_ptr<Sessionizer>(
-                    std::make_unique<SmartSra>(context.graph, options));
-              },
               [](const HeuristicContext& context) {
                 SmartSra::Options options;
                 options.thresholds = context.thresholds;
@@ -149,12 +113,6 @@ Result<std::unique_ptr<Sessionizer>> HeuristicRegistry::CreateBatch(
     const std::string& name, const HeuristicContext& context) const {
   WUM_ASSIGN_OR_RETURN(const Entry* entry, FindChecked(name, context));
   return entry->make_batch(context);
-}
-
-Result<UserSessionizerFactory> HeuristicRegistry::CreateIncremental(
-    const std::string& name, const HeuristicContext& context) const {
-  WUM_ASSIGN_OR_RETURN(const Entry* entry, FindChecked(name, context));
-  return entry->make_incremental(context);
 }
 
 Result<SessionizeSinkFactory> HeuristicRegistry::CreateSinkFactory(

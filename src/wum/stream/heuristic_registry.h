@@ -5,10 +5,12 @@
 // resolves through this table, so adding a heuristic is a one-entry
 // change and --help strings never drift from what actually dispatches.
 //
-// It lives in stream/ (not session/) because an entry carries every
-// construction form of one heuristic: the batch Sessionizer, the
-// per-shard SessionizeSink the StreamEngine runs, and the stand-alone
-// per-user sessionizer over the same rule.
+// An entry holds one factory, for the heuristic's rule (see
+// session/sessionizer.h); both construction forms come from it: the
+// batch Sessionizer folds the rule over a user's stream, and the
+// per-shard SessionizeSink the StreamEngine runs applies it to every
+// user of a shard. It lives in stream/ (not session/) because of the
+// second.
 
 #ifndef WUM_STREAM_HEURISTIC_REGISTRY_H_
 #define WUM_STREAM_HEURISTIC_REGISTRY_H_
@@ -42,22 +44,16 @@ struct HeuristicContext {
 /// deliberately not a Sessionizer, so it stays outside the registry).
 class HeuristicRegistry {
  public:
-  using BatchFactory = std::function<Result<std::unique_ptr<Sessionizer>>(
-      const HeuristicContext&)>;
-  using IncrementalFactory =
-      std::function<Result<UserSessionizerFactory>(const HeuristicContext&)>;
-  using SinkFactory =
-      std::function<Result<SessionizeSinkFactory>(const HeuristicContext&)>;
-
   struct Entry {
     /// Canonical CLI name, e.g. "smart-sra".
     std::string name;
     /// One-line description for --help output.
     std::string description;
     bool needs_graph = false;
-    BatchFactory make_batch;
-    IncrementalFactory make_incremental;
-    SinkFactory make_sink;
+    /// Both built from the entry's one rule factory.
+    std::function<std::unique_ptr<Sessionizer>(const HeuristicContext&)>
+        make_batch;
+    std::function<SessionizeSinkFactory(const HeuristicContext&)> make_sink;
   };
 
   /// The built-in table with the paper's four heuristics.
@@ -78,12 +74,6 @@ class HeuristicRegistry {
   /// Batch sessionizer for `name`. NotFound for unknown names,
   /// InvalidArgument when a graph heuristic is missing its graph.
   Result<std::unique_ptr<Sessionizer>> CreateBatch(
-      const std::string& name, const HeuristicContext& context) const;
-
-  /// Per-user incremental factory for `name`: each sessionizer holds its
-  /// own copy of the heuristic's rule. Same error contract as
-  /// CreateBatch; the returned factory is safe to invoke concurrently.
-  Result<UserSessionizerFactory> CreateIncremental(
       const std::string& name, const HeuristicContext& context) const;
 
   /// Per-shard sink factory for `name` (what StreamEngine shards run):

@@ -2,15 +2,9 @@
 
 #include <algorithm>
 
-#include "wum/ckpt/checkpoint.h"
 #include "wum/stream/fault.h"
 
 namespace wum {
-namespace {
-
-constexpr std::uint8_t kSmartSraStateTag = 4;
-
-}  // namespace
 
 Status IncrementalUserSessionizer::SerializeState(ckpt::Encoder*) const {
   return Status::Unimplemented(
@@ -22,32 +16,6 @@ Status IncrementalUserSessionizer::RestoreState(ckpt::Decoder*) {
   return Status::Unimplemented(
       "this sessionizer does not support checkpointing (no RestoreState "
       "override)");
-}
-
-void EncodeOpenSession(std::uint8_t tag, const Session& open,
-                       ckpt::Encoder* encoder) {
-  encoder->PutU8(tag);
-  ckpt::EncodeSession(open, encoder);
-}
-
-Status DecodeOpenSession(ckpt::Decoder* decoder, std::uint8_t tag,
-                         const char* rule, Session* open) {
-  WUM_ASSIGN_OR_RETURN(std::uint8_t found, decoder->GetU8());
-  if (found != tag) {
-    return Status::ParseError("state tag " + std::to_string(found) +
-                              " is not " + rule + " state");
-  }
-  return ckpt::DecodeSession(decoder, open);
-}
-
-Status SmartSraRule::Serialize(const Session& candidate,
-                               ckpt::Encoder* encoder) const {
-  EncodeOpenSession(kSmartSraStateTag, candidate, encoder);
-  return Status::OK();
-}
-
-Status SmartSraRule::Restore(ckpt::Decoder* decoder, Session* candidate) const {
-  return DecodeOpenSession(decoder, kSmartSraStateTag, "smart-sra", candidate);
 }
 
 SessionizeSink::SessionizeSink(SessionSink* session_sink,

@@ -1,19 +1,17 @@
 // Incremental (streaming) session reconstruction: sessions are emitted
-// the moment they close instead of after an offline batch pass. Output
-// is identical to the batch sessionizers on the same input (a tested
-// equivalence property).
+// the moment they close instead of after an offline batch pass.
 //
-// Each heuristic is a rule: a shard-owned object (thresholds, graph)
-// that advances one user's open state by one request. A shard keeps
-// every user's state by value in its UserTable and applies its one rule
-// to it (RuleSessionizeSink, chosen once per shard); RuleSessionizer
-// wraps the same rule as a stand-alone per-user sessionizer.
+// Each heuristic is a rule (see session/sessionizer.h): a shard-owned
+// object (thresholds, graph) that advances one user's open state by one
+// request. A shard keeps every user's state by value in its UserTable
+// and applies its one rule to it (RuleSessionizeSink, chosen once per
+// shard). The batch Sessionizer folds the same rule over one user's
+// stream, so per user the two agree by construction.
 
 #ifndef WUM_STREAM_INCREMENTAL_SESSIONIZER_H_
 #define WUM_STREAM_INCREMENTAL_SESSIONIZER_H_
 
 #include <atomic>
-#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -25,7 +23,7 @@
 #include "wum/ckpt/codec.h"
 #include "wum/clf/user_partitioner.h"
 #include "wum/obs/metrics.h"
-#include "wum/session/smart_sra.h"
+#include "wum/session/session.h"
 #include "wum/stream/session_sink.h"
 #include "wum/stream/threaded_driver.h"
 #include "wum/stream/user_table.h"
@@ -72,73 +70,6 @@ class IncrementalUserSessionizer {
 using UserSessionizerFactory =
     std::function<std::unique_ptr<IncrementalUserSessionizer>()>;
 
-/// Checkpoint form of a rule whose per-user state is the open Session:
-/// a state tag (1 duration, 2 pagestay, 3 navigation, 4 smart-sra), so
-/// state restored into the wrong rule fails loudly, then the session.
-void EncodeOpenSession(std::uint8_t tag, const Session& open,
-                       ckpt::Encoder* encoder);
-/// Inverse of EncodeOpenSession; ParseError names `rule` when the tag is
-/// not `tag`.
-Status DecodeOpenSession(ckpt::Decoder* decoder, std::uint8_t tag,
-                         const char* rule, Session* open);
-
-/// Streaming Smart-SRA. Phase 1 runs online (the candidate closes once
-/// the page-stay or session-duration bound is exceeded); phase 2 runs on
-/// each closed candidate, so emission latency is one candidate, exactly
-/// the information horizon the batch algorithm needs. The per-user state
-/// is the open candidate.
-class SmartSraRule {
- public:
-  using State = Session;
-
-  /// `graph` must outlive this object.
-  SmartSraRule(const WebGraph* graph, SmartSra::Options options)
-      : algorithm_(graph, options) {}
-
-  template <typename Emit>
-  Status OnRequest(Session* candidate, const PageRequest& request,
-                   const Emit& emit) const {
-    const TimeThresholds& t = algorithm_.options().thresholds;
-    if (!candidate->empty()) {
-      const bool page_stay_exceeded =
-          request.timestamp - candidate->requests.back().timestamp >
-          t.max_page_stay;
-      const bool duration_exceeded =
-          request.timestamp - candidate->requests.front().timestamp >
-          t.max_session_duration;
-      if (page_stay_exceeded || duration_exceeded) {
-        WUM_RETURN_NOT_OK(Flush(candidate, emit));
-      }
-    }
-    candidate->requests.push_back(request);
-    return Status::OK();
-  }
-
-  /// Closes the candidate: phase 2 into the rule's workspace, then one
-  /// emit per session, as a span valid for the call. A phase-2 failure
-  /// leaves the candidate open.
-  template <typename Emit>
-  Status Flush(Session* candidate, const Emit& emit) const {
-    if (candidate->empty()) return Status::OK();
-    WUM_RETURN_NOT_OK(algorithm_.Phase2(candidate->requests, &workspace_));
-    *candidate = Session{};
-    for (std::size_t k = 0; k < workspace_.num_paths(); ++k) {
-      WUM_RETURN_NOT_OK(emit(workspace_.path(k)));
-    }
-    return Status::OK();
-  }
-
-  Status Serialize(const Session& candidate, ckpt::Encoder* encoder) const;
-  Status Restore(ckpt::Decoder* decoder, Session* candidate) const;
-
- private:
-  SmartSra algorithm_;
-  // Phase 2's buffers, reused from one candidate to the next. A shard's
-  // rule runs on one draining thread at a time (its driver serializes
-  // them), so the const rule may own it.
-  mutable SmartSra::Workspace workspace_;
-};
-
 /// The rule behind EngineOptions::use_custom: a user's state is the
 /// caller's own sessionizer, made by `factory` on the user's first
 /// request (or on restore).
@@ -175,48 +106,6 @@ class CustomRule {
  private:
   UserSessionizerFactory factory_;
 };
-
-/// One user's stand-alone sessionizer over a rule: the rule plus that
-/// user's state. The constructor arguments are the rule's.
-template <typename Rule>
-class RuleSessionizer final : public IncrementalUserSessionizer {
- public:
-  template <typename... Args>
-    requires std::constructible_from<Rule, Args...>
-  explicit RuleSessionizer(Args&&... args)
-      : rule_(std::forward<Args>(args)...) {}
-
-  Status OnRequest(const PageRequest& request, const EmitFn& emit) override {
-    return rule_.OnRequest(&state_, request, EmitAdapter{emit});
-  }
-  Status Flush(const EmitFn& emit) override {
-    return rule_.Flush(&state_, EmitAdapter{emit});
-  }
-  Status SerializeState(ckpt::Encoder* encoder) const override {
-    return rule_.Serialize(state_, encoder);
-  }
-  Status RestoreState(ckpt::Decoder* decoder) override {
-    return rule_.Restore(decoder, &state_);
-  }
-
- private:
-  /// A rule's emit over an EmitFn: a session passes through, a span of
-  /// requests becomes a Session.
-  struct EmitAdapter {
-    const EmitFn& emit;
-    Status operator()(Session session) const {
-      return emit(std::move(session));
-    }
-    Status operator()(std::span<const PageRequest> requests) const {
-      return emit(Session{{requests.begin(), requests.end()}});
-    }
-  };
-
-  Rule rule_;
-  typename Rule::State state_{};
-};
-
-using IncrementalSmartSra = RuleSessionizer<SmartSraRule>;
 
 /// A shard's record consumer: range-checks each record's page
 /// (kNotAPage records are counted and skipped), advances its user's

@@ -20,14 +20,16 @@
 #include <utility>
 #include <vector>
 
+#include "rule_user_sessionizer.h"
 #include "wum/ckpt/checkpoint.h"
 #include "wum/clf/log_filter.h"
 #include "wum/clf/user_partitioner.h"
 #include "wum/mine/path_miner.h"
 #include "wum/obs/metrics.h"
+#include "wum/session/smart_sra.h"
+#include "wum/session/time_heuristics.h"
 #include "wum/stream/engine.h"
 #include "wum/stream/fault.h"
-#include "wum/stream/heuristic_registry.h"
 #include "wum/topology/site_generator.h"
 
 namespace wum {
@@ -143,17 +145,13 @@ EngineOptions HeuristicOptions(const std::string& heuristic,
 /// records the fault-injecting sessionizer should fail.
 constexpr PageId kPoisonPage = 5;
 
-/// Engine options running registry `heuristic` through use_custom,
-/// wrapped in the fault injector when `fault` is set.
+/// Engine options running a registry heuristic's `rule` through
+/// use_custom, wrapped in the fault injector when `fault` is set.
+template <typename Rule>
 EngineOptions CustomOptions(
-    const std::string& heuristic, const WebGraph* graph, std::size_t shards,
+    Rule rule, const WebGraph* graph, std::size_t shards,
     std::optional<FaultInjectingSessionizer::Mode> fault = std::nullopt) {
-  HeuristicContext context;
-  context.graph = graph;
-  Result<UserSessionizerFactory> factory =
-      HeuristicRegistry::Default().CreateIncremental(heuristic, context);
-  EXPECT_TRUE(factory.ok()) << factory.status().ToString();
-  UserSessionizerFactory sessionizers = std::move(factory).ValueOrDie();
+  UserSessionizerFactory sessionizers = RuleUserSessionizers(std::move(rule));
   if (fault.has_value()) {
     sessionizers = FaultInjectingSessionizer::Wrap(std::move(sessionizers),
                                                    kPoisonPage, *fault);
@@ -570,14 +568,15 @@ TEST_F(EngineCheckpointTest, RecoversFromFailFastCrash) {
   // poison page, so the engine stops on it. The fault injector is
   // a use_custom wrapper, and a checkpoint remembers "custom" as its
   // heuristic, so the baseline and the resumed run use the same
-  // registry factory through use_custom, just unwrapped.
+  // Smart-SRA rule through use_custom, just unwrapped.
   std::vector<LogRecord> records = records_;
   records[150].url = PageUrl(kPoisonPage);
-  const EngineOptions clean = CustomOptions("smart-sra", &graph_, 2);
+  const SmartSraRule smart_sra(&graph_, SmartSra::Options());
+  const EngineOptions clean = CustomOptions(smart_sra, &graph_, 2);
   const Entries baseline = RunUninterrupted(clean, records);
   CollectingSessionSink sink;
   Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
-      CustomOptions("smart-sra", &graph_, 2,
+      CustomOptions(smart_sra, &graph_, 2,
                     FaultInjectingSessionizer::Mode::kShardFatal),
       &sink);
   ASSERT_TRUE(engine.ok());
@@ -618,7 +617,7 @@ TEST_F(EngineCheckpointTest, DeadLettersSurviveResume) {
   {
     CollectingSessionSink sink;
     Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
-        CustomOptions("duration", &graph_, 1,
+        CustomOptions(DurationRule(), &graph_, 1,
                       FaultInjectingSessionizer::Mode::kReject)
             .set_error_policy(ErrorPolicy::kDegrade)
             .set_dead_letters(&first_queue),
@@ -637,7 +636,7 @@ TEST_F(EngineCheckpointTest, DeadLettersSurviveResume) {
   DeadLetterQueue restored_queue;
   CollectingSessionSink sink;
   Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
-      CustomOptions("duration", &graph_, 1)
+      CustomOptions(DurationRule(), &graph_, 1)
           .set_error_policy(ErrorPolicy::kDegrade)
           .set_dead_letters(&restored_queue)
           .resume_from(dir_.string()),

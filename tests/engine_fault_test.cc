@@ -17,11 +17,12 @@
 #include <tuple>
 #include <vector>
 
+#include "rule_user_sessionizer.h"
 #include "wum/clf/user_partitioner.h"
 #include "wum/mine/path_miner.h"
+#include "wum/session/smart_sra.h"
 #include "wum/stream/engine.h"
 #include "wum/stream/fault.h"
-#include "wum/stream/heuristic_registry.h"
 #include "wum/topology/site_generator.h"
 
 namespace wum {
@@ -71,16 +72,13 @@ std::uint64_t EmittedRecords(const CollectingSessionSink& sink) {
 /// requests, so a test picks the faulting shard by picking the user.
 constexpr PageId kPoisonPage = 5;
 
-/// Registry Smart-SRA wrapped in the fault injector (use_custom).
+/// The registry's Smart-SRA rule wrapped in the fault injector
+/// (use_custom).
 UserSessionizerFactory FaultySmartSra(const WebGraph* graph,
                                       FaultInjectingSessionizer::Mode mode) {
-  HeuristicContext context;
-  context.graph = graph;
-  Result<UserSessionizerFactory> factory =
-      HeuristicRegistry::Default().CreateIncremental("smart-sra", context);
-  EXPECT_TRUE(factory.ok()) << factory.status().ToString();
-  return FaultInjectingSessionizer::Wrap(std::move(factory).ValueOrDie(),
-                                         kPoisonPage, mode);
+  return FaultInjectingSessionizer::Wrap(
+      RuleUserSessionizers(SmartSraRule(graph, SmartSra::Options())),
+      kPoisonPage, mode);
 }
 
 /// EmitEverySessionizer wrapped in the fault injector (use_custom).

@@ -1,10 +1,12 @@
 // HeuristicRegistry: the one heuristic-name -> factory table. Checks the
-// default entries, both construction forms, and the error contract.
+// default entries, both construction forms (batch and engine sink), and
+// the error contract.
 
 #include "wum/stream/heuristic_registry.h"
 
 #include <gtest/gtest.h>
 
+#include "wum/topology/site_generator.h"
 #include "wum/topology/web_graph.h"
 
 namespace wum {
@@ -56,27 +58,32 @@ TEST(HeuristicRegistryTest, CreateBatchBuildsEveryHeuristic) {
   }
 }
 
-TEST(HeuristicRegistryTest, CreateIncrementalBuildsEveryHeuristic) {
+TEST(HeuristicRegistryTest, CreateSinkFactoryBuildsEveryHeuristic) {
   const HeuristicRegistry& registry = HeuristicRegistry::Default();
   WebGraph graph = ChainGraph();
   HeuristicContext context;
   context.graph = &graph;
   for (const std::string& name : registry.Names()) {
-    Result<UserSessionizerFactory> factory =
-        registry.CreateIncremental(name, context);
+    Result<SessionizeSinkFactory> factory =
+        registry.CreateSinkFactory(name, context);
     ASSERT_TRUE(factory.ok()) << name;
-    std::unique_ptr<IncrementalUserSessionizer> sessionizer = (*factory)();
-    ASSERT_NE(sessionizer, nullptr) << name;
-    std::vector<Session> emitted;
-    auto emit = [&emitted](Session session) {
-      emitted.push_back(std::move(session));
-      return Status::OK();
-    };
+    CollectingSessionSink sessions;
+    std::unique_ptr<SessionizeSink> sink =
+        (*factory)(&sessions, graph.num_pages(), SessionizeMetrics{});
+    ASSERT_NE(sink, nullptr) << name;
     for (const PageRequest& request : Requests()) {
-      ASSERT_TRUE(sessionizer->OnRequest(request, emit).ok()) << name;
+      LogRecord record;
+      record.client_ip = "10.0.0.1";
+      record.url = PageUrl(request.page);
+      record.timestamp = request.timestamp;
+      ShardBatch batch;
+      batch.Append(ViewOf(record), UserIdentity::kClientIp);
+      ASSERT_TRUE(
+          sink->Accept(batch.KeyOf(batch.records[0]), batch.records[0]).ok())
+          << name;
     }
-    ASSERT_TRUE(sessionizer->Flush(emit).ok()) << name;
-    EXPECT_FALSE(emitted.empty()) << name;
+    ASSERT_TRUE(sink->Finish().ok()) << name;
+    EXPECT_FALSE(sessions.entries().empty()) << name;
   }
 }
 
@@ -97,11 +104,10 @@ TEST(HeuristicRegistryTest, GraphHeuristicsRequireGraph) {
         HeuristicRegistry::Default().CreateBatch(name, context);
     ASSERT_FALSE(batch.ok()) << name;
     EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument) << name;
-    Result<UserSessionizerFactory> incremental =
-        HeuristicRegistry::Default().CreateIncremental(name, context);
-    ASSERT_FALSE(incremental.ok()) << name;
-    EXPECT_EQ(incremental.status().code(), StatusCode::kInvalidArgument)
-        << name;
+    Result<SessionizeSinkFactory> sink =
+        HeuristicRegistry::Default().CreateSinkFactory(name, context);
+    ASSERT_FALSE(sink.ok()) << name;
+    EXPECT_EQ(sink.status().code(), StatusCode::kInvalidArgument) << name;
   }
   // Time heuristics ignore the graph.
   EXPECT_TRUE(

@@ -110,18 +110,6 @@ TEST(NavigationHeuristicTest, PathCompletionViolatesForwardRuleByDesign) {
   EXPECT_FALSE(SatisfiesNavigationRule((*sessions)[0], graph));
 }
 
-TEST(NavigationHeuristicTest, OptionalPageStayBoundCuts) {
-  WebGraph graph = MakeFigure1Topology();
-  NavigationSessionizer::Options options;
-  options.max_page_stay = Minutes(10);
-  NavigationSessionizer heuristic(&graph, options);
-  // P1 -> P13 with an 11-minute gap: cut despite the hyperlink.
-  auto requests = MakeSession({0, 1}, {0, Minutes(11)}).requests;
-  Result<std::vector<Session>> sessions = heuristic.Reconstruct(requests);
-  ASSERT_TRUE(sessions.ok());
-  EXPECT_EQ(sessions->size(), 2u);
-}
-
 TEST(NavigationHeuristicTest, DefaultHasNoTimeBound) {
   WebGraph graph = MakeFigure1Topology();
   NavigationSessionizer heuristic(&graph);

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "net_test_client.h"
 #include "wum/clf/clf_parser.h"
 #include "wum/clf/clf_writer.h"
 #include "wum/ingest/byte_source.h"
@@ -95,27 +96,6 @@ Canonical IngestDirect(const WebGraph& graph, const std::string& merged_log,
   EXPECT_TRUE(driver->OfferRefs(refs).ok());
   EXPECT_TRUE((*engine)->Finish().ok());
   return Canonicalize(sink.entries());
-}
-
-Result<std::string> ReadLine(const Fd& socket) {
-  std::string line;
-  char byte = 0;
-  while (true) {
-    WUM_ASSIGN_OR_RETURN(const ReadResult read, ReadSome(socket, &byte, 1));
-    if (read.eof) {
-      return Status::IoError("connection closed mid-line: " + line);
-    }
-    if (read.bytes == 0) continue;
-    if (byte == '\n') return line;
-    line.push_back(byte);
-  }
-}
-
-Result<std::string> AdminCommand(std::uint16_t admin_port,
-                                 const std::string& command) {
-  WUM_ASSIGN_OR_RETURN(Fd socket, ConnectTcp("127.0.0.1", admin_port));
-  WUM_RETURN_NOT_OK(WriteAll(socket, command + "\n"));
-  return ReadLine(socket);
 }
 
 bool WaitForCounter(obs::MetricRegistry* registry, const std::string& counter,

@@ -5,6 +5,7 @@
 // head answered 413, slow loris reaped 408 by the timer wheel) and the
 // /healthz 503 paths (dead-letter saturation, stale checkpoint).
 
+#include "net_test_client.h"
 #include "wum/net/http.h"
 
 #include <gtest/gtest.h>
@@ -120,27 +121,6 @@ std::string RawRequest(std::uint16_t port, const std::string& bytes) {
 
 // ---------------------------------------------------------------------
 // LogServer HTTP port.
-
-Result<std::string> ReadLine(const Fd& socket) {
-  std::string line;
-  char byte = 0;
-  while (true) {
-    WUM_ASSIGN_OR_RETURN(const ReadResult read, ReadSome(socket, &byte, 1));
-    if (read.eof) {
-      return Status::IoError("connection closed mid-line: " + line);
-    }
-    if (read.bytes == 0) continue;
-    if (byte == '\n') return line;
-    line.push_back(byte);
-  }
-}
-
-Result<std::string> AdminCommand(std::uint16_t admin_port,
-                                 const std::string& command) {
-  WUM_ASSIGN_OR_RETURN(Fd socket, ConnectTcp("127.0.0.1", admin_port));
-  WUM_RETURN_NOT_OK(WriteAll(socket, command + "\n"));
-  return ReadLine(socket);
-}
 
 /// Engine + server + serve thread; `registry` may be null (then the
 /// server runs with metrics disabled, the /metrics 503 path).

@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "net_test_client.h"
 #include "wum/clf/clf_parser.h"
 #include "wum/clf/clf_writer.h"
 #include "wum/ingest/driver.h"
@@ -145,20 +146,6 @@ std::size_t CountLines(const std::string& text) {
 // ---------------------------------------------------------------------
 // Client-side helpers.
 
-Result<std::string> ReadLine(const Fd& socket) {
-  std::string line;
-  char byte = 0;
-  while (true) {
-    WUM_ASSIGN_OR_RETURN(const ReadResult read, ReadSome(socket, &byte, 1));
-    if (read.eof) {
-      return Status::IoError("connection closed mid-line: " + line);
-    }
-    if (read.bytes == 0) continue;
-    if (byte == '\n') return line;
-    line.push_back(byte);
-  }
-}
-
 Result<Fd> Connect(std::uint16_t port, const std::string& client_id) {
   WUM_ASSIGN_OR_RETURN(Fd socket, ConnectTcp("127.0.0.1", port));
   WUM_RETURN_NOT_OK(WriteAll(socket, "HELLO " + client_id + "\n"));
@@ -178,13 +165,6 @@ Status SendData(std::uint16_t port, const std::string& data,
         WriteAll(socket, std::string_view(data).substr(at, chunk)));
   }
   return Status::OK();
-}
-
-Result<std::string> AdminCommand(std::uint16_t admin_port,
-                                 const std::string& command) {
-  WUM_ASSIGN_OR_RETURN(Fd socket, ConnectTcp("127.0.0.1", admin_port));
-  WUM_RETURN_NOT_OK(WriteAll(socket, command + "\n"));
-  return ReadLine(socket);
 }
 
 std::uint64_t CounterValue(obs::MetricRegistry* registry,

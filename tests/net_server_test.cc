@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
@@ -23,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "net_test_client.h"
 #include "wum/clf/clf_parser.h"
 #include "wum/clf/clf_writer.h"
 #include "wum/clf/user_partitioner.h"
@@ -104,20 +106,6 @@ Canonical IngestDirect(const WebGraph& graph, const std::string& merged_log,
 // ---------------------------------------------------------------------
 // Client-side helpers (what websra_logclient does, in-process).
 
-Result<std::string> ReadLine(const Fd& socket) {
-  std::string line;
-  char byte = 0;
-  while (true) {
-    WUM_ASSIGN_OR_RETURN(const ReadResult read, ReadSome(socket, &byte, 1));
-    if (read.eof) {
-      return Status::IoError("connection closed mid-line: " + line);
-    }
-    if (read.bytes == 0) continue;
-    if (byte == '\n') return line;
-    line.push_back(byte);
-  }
-}
-
 /// Streams `data` to the data port in `chunk`-byte writes (deliberately
 /// unaligned with lines, so the server's partial-line carry is
 /// exercised), optionally after a HELLO handshake whose reply lands in
@@ -139,13 +127,6 @@ Status SendData(std::uint16_t port, const std::string& data,
         WriteAll(socket, std::string_view(data).substr(at, chunk)));
   }
   return Status::OK();  // socket closes here: clean EOF
-}
-
-Result<std::string> AdminCommand(std::uint16_t admin_port,
-                                 const std::string& command) {
-  WUM_ASSIGN_OR_RETURN(Fd socket, ConnectTcp("127.0.0.1", admin_port));
-  WUM_RETURN_NOT_OK(WriteAll(socket, command + "\n"));
-  return ReadLine(socket);
 }
 
 /// Polls the registry until `counter` reaches `target` (every read here
@@ -764,6 +745,53 @@ TEST(NetServerTest, AdminPatternsReportsMinedPaths) {
   ASSERT_TRUE(reply.ok()) << reply.status().message();
   harness.Join();
   EXPECT_TRUE(harness.serve_status.ok());
+}
+
+// ---------------------------------------------------------------------
+// Lifecycle.
+
+/// Fails every request with Internal, which stops the engine.
+class FailingSessionizer : public IncrementalUserSessionizer {
+ public:
+  Status OnRequest(const PageRequest&, const EmitFn&) override {
+    return Status::Internal("injected sessionizer fault");
+  }
+  Status Flush(const EmitFn&) override { return Status::OK(); }
+};
+
+TEST(NetServerTest, ListenersCloseWhenServeFails) {
+  CollectingSessionSink sink;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions().set_num_shards(1).set_num_pages(6).use_custom(
+          [] { return std::make_unique<FailingSessionizer>(); }),
+      &sink);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  Result<std::unique_ptr<LogServer>> server =
+      LogServer::Start(ServerOptions(), engine->get(), nullptr);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  std::atomic<bool> done{false};
+  Status serve_status;
+  std::thread serve_thread([&] {
+    serve_status = (*server)->Serve();
+    done = true;
+  });
+  // Page views until the engine's error ends Serve().
+  const auto deadline = std::chrono::steady_clock::now() + kReadLineDeadline;
+  for (TimeSeconds t = 0; !done && std::chrono::steady_clock::now() < deadline;
+       ++t) {
+    (void)SendData((*server)->port(), ClfLine("10.0.0.1", 0, t));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (!done) (*server)->RequestStop();
+  serve_thread.join();
+  EXPECT_TRUE(serve_status.IsInternal()) << serve_status.ToString();
+
+  // Nobody accepts on the admin port any more: the connect is refused
+  // (or the read ends) at once instead of waiting out the deadline.
+  Result<std::string> reply = AdminCommand((*server)->admin_port(), "QUIESCE");
+  ASSERT_FALSE(reply.ok()) << *reply;
+  EXPECT_FALSE(reply.status().IsDeadlineExceeded())
+      << reply.status().ToString();
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "wum/session/smart_sra.h"
 #include "wum/stream/incremental_sessionizer.h"
 #include "wum/topology/site_generator.h"
 

@@ -56,6 +56,58 @@ TEST(SmartSraTest, Phase1MatchesBothTimeRules) {
   EXPECT_EQ(candidates[2].PageSequence(), (std::vector<PageId>{3}));
 }
 
+TEST(SmartSraTest, Phase1AppliesBothBounds) {
+  WebGraph graph(8);
+  SmartSra heuristic(&graph);
+  // Gaps of 9 min each: the page-stay bound never fires, the duration
+  // bound cuts after 30 minutes (pages at 0, 9, 18, 27, 36, ...).
+  std::vector<PageRequest> requests;
+  for (int i = 0; i < 8; ++i) {
+    requests.push_back(PageRequest{static_cast<PageId>(i), Minutes(9) * i});
+  }
+  std::vector<Session> candidates = heuristic.Phase1(requests);
+  ASSERT_EQ(candidates.size(), 2u);
+  EXPECT_EQ(candidates[0].size(), 4u);  // 0, 9, 18, 27 minutes
+  EXPECT_EQ(candidates[1].size(), 4u);  // 36, 45, 54, 63 minutes
+}
+
+TEST(SmartSraTest, Phase1PageStayRuleCutsFirst) {
+  WebGraph graph(3);
+  SmartSra heuristic(&graph);
+  auto requests =
+      MakeSession({0, 1, 2}, {0, Minutes(11), Minutes(12)}).requests;
+  std::vector<Session> candidates = heuristic.Phase1(requests);
+  ASSERT_EQ(candidates.size(), 2u);
+  EXPECT_EQ(candidates[0].PageSequence(), (std::vector<PageId>{0}));
+  EXPECT_EQ(candidates[1].PageSequence(), (std::vector<PageId>{1, 2}));
+}
+
+TEST(SmartSraTest, Phase1BoundariesAreInclusive) {
+  WebGraph graph(4);
+  SmartSra::Options options;
+  options.thresholds.max_page_stay = 150;          // rho
+  options.thresholds.max_session_duration = 1000;  // delta
+  SmartSra heuristic(&graph, options);
+  auto sizes = [&](const std::vector<TimeSeconds>& timestamps) {
+    std::vector<std::size_t> sizes;
+    for (const Session& candidate : heuristic.Phase1(
+             MakeSession(std::vector<PageId>(timestamps.size(), 0), timestamps)
+                 .requests)) {
+      sizes.push_back(candidate.size());
+    }
+    return sizes;
+  };
+  // A gap of exactly rho joins; rho + 1 cuts.
+  EXPECT_EQ(sizes({0, 150}), (std::vector<std::size_t>{2}));
+  EXPECT_EQ(sizes({0, 151}), (std::vector<std::size_t>{1, 1}));
+  // A span of exactly delta joins; delta + 1 cuts (gaps within rho).
+  std::vector<TimeSeconds> span;
+  for (TimeSeconds t = 0; t <= 1000; t += 100) span.push_back(t);
+  EXPECT_EQ(sizes(span), (std::vector<std::size_t>{11}));
+  span.back() = 1001;
+  EXPECT_EQ(sizes(span), (std::vector<std::size_t>{10, 1}));
+}
+
 TEST(SmartSraTest, OutputSatisfiesBothRules) {
   WebGraph graph = MakeFigure1Topology();
   SmartSra heuristic(&graph);

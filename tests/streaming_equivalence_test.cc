@@ -1,7 +1,10 @@
-// DESIGN.md §6.6: every incremental sessionizer emits exactly the batch
-// algorithm's sessions on the same per-user stream, across simulator
-// workloads and all four heuristics — and the sharded StreamEngine
-// preserves that equivalence per user at 1, 2 and 8 shards.
+// DESIGN.md §6.6: streaming and batch reconstruction agree. Per user this
+// holds by construction (the batch Sessionizer folds the streaming rule;
+// see session/sessionizer.h), so the per-user legs check each fold
+// against an oracle on simulator workloads instead, and the
+// ShardedEngine legs check that the sharded StreamEngine (shard routing,
+// user tables, run delivery) reproduces the batch per-user sessions at
+// 1, 2 and 8 shards for all four heuristics.
 
 #include <gtest/gtest.h>
 
@@ -10,31 +13,16 @@
 #include <map>
 #include <span>
 
+#include "cut_oracle.h"
 #include "wum/session/navigation_heuristic.h"
 #include "wum/session/smart_sra.h"
 #include "wum/session/time_heuristics.h"
 #include "wum/simulator/agent_simulator.h"
 #include "wum/stream/engine.h"
-#include "wum/stream/incremental_sessionizer.h"
-#include "wum/stream/incremental_time_sessionizers.h"
 #include "wum/topology/site_generator.h"
 
 namespace wum {
 namespace {
-
-std::vector<Session> DriveIncremental(IncrementalUserSessionizer* sessionizer,
-                                      std::span<const PageRequest> stream) {
-  std::vector<Session> emitted;
-  auto emit = [&emitted](Session session) {
-    emitted.push_back(std::move(session));
-    return Status::OK();
-  };
-  for (const PageRequest& request : stream) {
-    EXPECT_TRUE(sessionizer->OnRequest(request, emit).ok());
-  }
-  EXPECT_TRUE(sessionizer->Flush(emit).ok());
-  return emitted;
-}
 
 void ExpectSameSessions(const std::vector<Session>& batch,
                         std::vector<Session> streaming) {
@@ -139,38 +127,76 @@ class StreamingEquivalenceTest
 };
 
 TEST_P(StreamingEquivalenceTest, SmartSra) {
+  // The rule's online phase 1 cuts where Phase1 does, and those cuts are
+  // forced; phase 2 then runs on each candidate.
   SmartSra batch(&graph_);
+  const TimeThresholds& t = batch.options().thresholds;
   for (const auto& stream : SimulatedStreams()) {
-    IncrementalSmartSra incremental(&graph_, SmartSra::Options());
-    ExpectSameSessions(*batch.Reconstruct(stream),
-                       DriveIncremental(&incremental, stream));
+    const std::vector<Session> candidates = batch.Phase1(stream);
+    ExpectForcedCutPartition(candidates, stream, [&t](const Session& s) {
+      return s.Duration() > t.max_session_duration ||
+             !SatisfiesTimestampRule(s, t.max_page_stay);
+    });
+    std::vector<Session> phase2;
+    for (const Session& candidate : candidates) {
+      Result<std::vector<Session>> sessions = batch.Phase2(candidate);
+      ASSERT_TRUE(sessions.ok());
+      phase2.insert(phase2.end(), sessions->begin(), sessions->end());
+    }
+    ExpectSameSessions(*batch.Reconstruct(stream), phase2);
   }
 }
 
 TEST_P(StreamingEquivalenceTest, Duration) {
-  SessionDurationSessionizer batch;
+  SessionDurationSessionizer batch(Minutes(30));
   for (const auto& stream : SimulatedStreams()) {
-    IncrementalDurationSessionizer incremental;
-    ExpectSameSessions(*batch.Reconstruct(stream),
-                       DriveIncremental(&incremental, stream));
+    ExpectForcedCutPartition(
+        *batch.Reconstruct(stream), stream,
+        [](const Session& s) { return s.Duration() > Minutes(30); });
   }
 }
 
 TEST_P(StreamingEquivalenceTest, PageStay) {
-  PageStaySessionizer batch;
+  PageStaySessionizer batch(Minutes(10));
   for (const auto& stream : SimulatedStreams()) {
-    IncrementalPageStaySessionizer incremental;
-    ExpectSameSessions(*batch.Reconstruct(stream),
-                       DriveIncremental(&incremental, stream));
+    ExpectForcedCutPartition(*batch.Reconstruct(stream), stream,
+                             [](const Session& s) {
+                               return !SatisfiesTimestampRule(s, Minutes(10));
+                             });
   }
 }
 
 TEST_P(StreamingEquivalenceTest, Navigation) {
+  // heur3's oracle: every step is a hyperlink or a backward move to a page
+  // already in the session, the log is a subsequence of the output, and
+  // every cut is forced (no page of a session links to the next one's
+  // first page).
   NavigationSessionizer batch(&graph_);
   for (const auto& stream : SimulatedStreams()) {
-    IncrementalNavigationSessionizer incremental(&graph_);
-    ExpectSameSessions(*batch.Reconstruct(stream),
-                       DriveIncremental(&incremental, stream));
+    Result<std::vector<Session>> sessions = batch.Reconstruct(stream);
+    ASSERT_TRUE(sessions.ok());
+    std::size_t matched = 0;
+    for (std::size_t k = 0; k < sessions->size(); ++k) {
+      const std::vector<PageRequest>& requests = (*sessions)[k].requests;
+      for (std::size_t j = 0; j < requests.size(); ++j) {
+        if (matched < stream.size() && requests[j] == stream[matched]) {
+          ++matched;
+        }
+        if (j == 0) continue;
+        const bool linked =
+            graph_.HasLink(requests[j - 1].page, requests[j].page);
+        const bool revisit = std::any_of(
+            requests.begin(), requests.begin() + j,
+            [&](const PageRequest& r) { return r.page == requests[j].page; });
+        EXPECT_TRUE(linked || revisit) << SessionToString((*sessions)[k]);
+      }
+      if (k == 0) continue;
+      for (const PageRequest& r : (*sessions)[k - 1].requests) {
+        EXPECT_FALSE(graph_.HasLink(r.page, requests.front().page))
+            << "unforced cut before " << SessionToString((*sessions)[k]);
+      }
+    }
+    EXPECT_EQ(matched, stream.size());
   }
 }
 
@@ -205,55 +231,49 @@ TEST_P(StreamingEquivalenceTest, ShardedEngineNavigation) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingEquivalenceTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
+// Each rule emits the moment a session closes, driven directly with a
+// recording emit.
+
 TEST(StreamingEmissionTest, SmartSraEmitsAsCandidatesClose) {
   // Sessions of a closed candidate appear before later input arrives.
   WebGraph graph = MakeFigure1Topology();
-  IncrementalSmartSra sessionizer(&graph, SmartSra::Options());
+  const SmartSraRule rule(&graph, SmartSra::Options());
+  Session candidate;
   std::vector<Session> emitted;
-  auto emit = [&emitted](Session session) {
-    emitted.push_back(std::move(session));
-    return Status::OK();
-  };
-  ASSERT_TRUE(
-      sessionizer.OnRequest(PageRequest{0, 0}, emit).ok());
-  ASSERT_TRUE(
-      sessionizer.OnRequest(PageRequest{1, 60}, emit).ok());
+  const SessionCollector emit{&emitted};
+  ASSERT_TRUE(rule.OnRequest(&candidate, PageRequest{0, 0}, emit).ok());
+  ASSERT_TRUE(rule.OnRequest(&candidate, PageRequest{1, 60}, emit).ok());
   EXPECT_TRUE(emitted.empty());  // candidate still open
   // Gap > 10 minutes closes the candidate; its sessions emit now.
   ASSERT_TRUE(
-      sessionizer.OnRequest(PageRequest{5, Minutes(20)}, emit).ok());
+      rule.OnRequest(&candidate, PageRequest{5, Minutes(20)}, emit).ok());
   ASSERT_EQ(emitted.size(), 1u);
   EXPECT_EQ(emitted[0].PageSequence(), (std::vector<PageId>{0, 1}));
-  ASSERT_TRUE(sessionizer.Flush(emit).ok());
+  ASSERT_TRUE(rule.Flush(&candidate, emit).ok());
   ASSERT_EQ(emitted.size(), 2u);
   EXPECT_EQ(emitted[1].PageSequence(), (std::vector<PageId>{5}));
 }
 
 TEST(StreamingEmissionTest, TimeSessionizersEmitOnCut) {
-  IncrementalPageStaySessionizer sessionizer(Minutes(10));
+  const PageStayRule rule(Minutes(10));
+  Session open;
   std::vector<Session> emitted;
-  auto emit = [&emitted](Session session) {
-    emitted.push_back(std::move(session));
-    return Status::OK();
-  };
-  ASSERT_TRUE(sessionizer.OnRequest(PageRequest{1, 0}, emit).ok());
+  const SessionCollector emit{&emitted};
+  ASSERT_TRUE(rule.OnRequest(&open, PageRequest{1, 0}, emit).ok());
   EXPECT_TRUE(emitted.empty());
-  ASSERT_TRUE(
-      sessionizer.OnRequest(PageRequest{2, Minutes(11)}, emit).ok());
+  ASSERT_TRUE(rule.OnRequest(&open, PageRequest{2, Minutes(11)}, emit).ok());
   ASSERT_EQ(emitted.size(), 1u);  // cut emitted immediately
-  ASSERT_TRUE(sessionizer.Flush(emit).ok());
+  ASSERT_TRUE(rule.Flush(&open, emit).ok());
   EXPECT_EQ(emitted.size(), 2u);
 }
 
 TEST(StreamingEmissionTest, FlushIsIdempotentOnEmptyState) {
-  IncrementalDurationSessionizer sessionizer;
+  const DurationRule rule;
+  Session open;
   std::vector<Session> emitted;
-  auto emit = [&emitted](Session session) {
-    emitted.push_back(std::move(session));
-    return Status::OK();
-  };
-  ASSERT_TRUE(sessionizer.Flush(emit).ok());
-  ASSERT_TRUE(sessionizer.Flush(emit).ok());
+  const SessionCollector emit{&emitted};
+  ASSERT_TRUE(rule.Flush(&open, emit).ok());
+  ASSERT_TRUE(rule.Flush(&open, emit).ok());
   EXPECT_TRUE(emitted.empty());
 }
 

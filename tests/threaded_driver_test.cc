@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "wum/obs/metrics.h"
+#include "wum/session/smart_sra.h"
 #include "wum/stream/incremental_sessionizer.h"
 #include "wum/stream/spsc_queue.h"
 #include "wum/topology/site_generator.h"

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "cut_oracle.h"
 #include "wum/common/random.h"
+#include "wum/session/smart_sra.h"
 
 namespace wum {
 namespace {
@@ -96,31 +98,6 @@ TEST(TimeHeuristicsTest, ZeroThresholdSplitsOnAnyGap) {
   EXPECT_EQ((*sessions)[0].PageSequence(), (std::vector<PageId>{0, 1}));
 }
 
-TEST(SplitByBothTimeRulesTest, AppliesBothBounds) {
-  TimeThresholds thresholds{/*max_session_duration=*/Minutes(30),
-                            /*max_page_stay=*/Minutes(10)};
-  // Gaps of 9 min each: page-stay rule never fires, duration rule cuts
-  // after 30 minutes (pages at 0, 9, 18, 27, 36, ...).
-  std::vector<PageRequest> requests;
-  for (int i = 0; i < 8; ++i) {
-    requests.push_back(PageRequest{static_cast<PageId>(i), Minutes(9) * i});
-  }
-  std::vector<Session> sessions = SplitByBothTimeRules(requests, thresholds);
-  ASSERT_EQ(sessions.size(), 2u);
-  EXPECT_EQ(sessions[0].size(), 4u);  // 0, 9, 18, 27 minutes
-  EXPECT_EQ(sessions[1].size(), 4u);  // 36, 45, 54, 63 minutes
-}
-
-TEST(SplitByBothTimeRulesTest, PageStayRuleCutsFirst) {
-  TimeThresholds thresholds;
-  auto requests =
-      MakeSession({0, 1, 2}, {0, Minutes(11), Minutes(12)}).requests;
-  std::vector<Session> sessions = SplitByBothTimeRules(requests, thresholds);
-  ASSERT_EQ(sessions.size(), 2u);
-  EXPECT_EQ(sessions[0].PageSequence(), (std::vector<PageId>{0}));
-  EXPECT_EQ(sessions[1].PageSequence(), (std::vector<PageId>{1, 2}));
-}
-
 class TimeHeuristicPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   // Random sorted stream with occasional large gaps.
@@ -140,14 +117,15 @@ class TimeHeuristicPropertyTest : public ::testing::TestWithParam<std::uint64_t>
 
 TEST_P(TimeHeuristicPropertyTest, DurationOutputRespectsBoundAndPartitions) {
   Rng rng(GetParam());
-  SessionDurationSessionizer heuristic;
+  const TimeSeconds max_session_duration = Minutes(30);
+  SessionDurationSessionizer heuristic(max_session_duration);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<PageRequest> requests = RandomStream(&rng);
     Result<std::vector<Session>> sessions = heuristic.Reconstruct(requests);
     ASSERT_TRUE(sessions.ok());
     std::vector<PageRequest> reassembled;
     for (const Session& session : *sessions) {
-      EXPECT_LE(session.Duration(), heuristic.max_session_duration());
+      EXPECT_LE(session.Duration(), max_session_duration);
       EXPECT_FALSE(session.empty());
       reassembled.insert(reassembled.end(), session.requests.begin(),
                          session.requests.end());
@@ -158,14 +136,15 @@ TEST_P(TimeHeuristicPropertyTest, DurationOutputRespectsBoundAndPartitions) {
 
 TEST_P(TimeHeuristicPropertyTest, PageStayOutputRespectsBoundAndPartitions) {
   Rng rng(GetParam() ^ 0xABCDEF);
-  PageStaySessionizer heuristic;
+  const TimeSeconds max_page_stay = Minutes(10);
+  PageStaySessionizer heuristic(max_page_stay);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<PageRequest> requests = RandomStream(&rng);
     Result<std::vector<Session>> sessions = heuristic.Reconstruct(requests);
     ASSERT_TRUE(sessions.ok());
     std::vector<PageRequest> reassembled;
     for (const Session& session : *sessions) {
-      EXPECT_TRUE(SatisfiesTimestampRule(session, heuristic.max_page_stay()));
+      EXPECT_TRUE(SatisfiesTimestampRule(session, max_page_stay));
       reassembled.insert(reassembled.end(), session.requests.begin(),
                          session.requests.end());
     }
@@ -176,10 +155,11 @@ TEST_P(TimeHeuristicPropertyTest, PageStayOutputRespectsBoundAndPartitions) {
 TEST_P(TimeHeuristicPropertyTest, BothRulesSplitIsRefinementOfEach) {
   Rng rng(GetParam() ^ 0x5555);
   TimeThresholds thresholds;
+  WebGraph graph(50);
+  SmartSra heuristic(&graph);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<PageRequest> requests = RandomStream(&rng);
-    std::vector<Session> sessions =
-        SplitByBothTimeRules(requests, thresholds);
+    std::vector<Session> sessions = heuristic.Phase1(requests);
     std::vector<PageRequest> reassembled;
     for (const Session& session : sessions) {
       EXPECT_LE(session.Duration(), thresholds.max_session_duration);
@@ -188,6 +168,56 @@ TEST_P(TimeHeuristicPropertyTest, BothRulesSplitIsRefinementOfEach) {
                          session.requests.end());
     }
     EXPECT_EQ(reassembled, requests);
+  }
+}
+
+// Every cut is forced (cut_oracle.h): with the bound and partition
+// checks, the one output each rule may give. The bounds sit inside the
+// random streams' small gaps (1..400 s), so gaps and spans land on both
+// sides of them and now and then exactly on them.
+
+TEST_P(TimeHeuristicPropertyTest, DurationCutsAreForced) {
+  Rng rng(GetParam() ^ 0x1111);
+  const TimeSeconds max_session_duration = Minutes(20);
+  SessionDurationSessionizer heuristic(max_session_duration);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<PageRequest> requests = RandomStream(&rng);
+    Result<std::vector<Session>> sessions = heuristic.Reconstruct(requests);
+    ASSERT_TRUE(sessions.ok());
+    ExpectForcedCutPartition(*sessions, requests, [&](const Session& s) {
+      return s.Duration() > max_session_duration;
+    });
+  }
+}
+
+TEST_P(TimeHeuristicPropertyTest, PageStayCutsAreForced) {
+  Rng rng(GetParam() ^ 0x2222);
+  const TimeSeconds max_page_stay = Minutes(5);
+  PageStaySessionizer heuristic(max_page_stay);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<PageRequest> requests = RandomStream(&rng);
+    Result<std::vector<Session>> sessions = heuristic.Reconstruct(requests);
+    ASSERT_TRUE(sessions.ok());
+    ExpectForcedCutPartition(*sessions, requests, [&](const Session& s) {
+      return !SatisfiesTimestampRule(s, max_page_stay);
+    });
+  }
+}
+
+TEST_P(TimeHeuristicPropertyTest, SmartSraPhase1CutsAreForced) {
+  Rng rng(GetParam() ^ 0x3333);
+  SmartSra::Options options;
+  options.thresholds.max_page_stay = Minutes(5);
+  options.thresholds.max_session_duration = Minutes(20);
+  WebGraph graph(50);
+  SmartSra heuristic(&graph, options);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<PageRequest> requests = RandomStream(&rng);
+    ExpectForcedCutPartition(
+        heuristic.Phase1(requests), requests, [&](const Session& s) {
+          return s.Duration() > options.thresholds.max_session_duration ||
+                 !SatisfiesTimestampRule(s, options.thresholds.max_page_stay);
+        });
   }
 }
 

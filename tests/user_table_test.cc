@@ -16,8 +16,9 @@
 #include "alloc_counter.h"
 #include "wum/ckpt/checkpoint.h"
 #include "wum/clf/user_partitioner.h"
+#include "wum/session/smart_sra.h"
+#include "wum/session/time_heuristics.h"
 #include "wum/stream/incremental_sessionizer.h"
-#include "wum/stream/incremental_time_sessionizers.h"
 #include "wum/topology/site_generator.h"
 
 namespace wum {
